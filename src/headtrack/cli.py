@@ -7,20 +7,18 @@ manifest alongside it for reproducibility.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, maps, motio, simulate
-from .fusion import FusionConfig, FusionParams, forward, load_params, save_params
-from .metrics import MetricsError, MotReport, aggregate, evaluate
-from .motio import AnnotationError, FieldOrder
-from .simulate import NoiseModel, ScenarioConfig, read_config
-from .tracker import Detection, Mode, Tracker, TrackerConfig, TrackerError, outputs_to_records
+from .fusion import FusionConfig, FusionParams, forward, load_params
+from .metrics import MetricsError, MotReport, evaluate, report, sequence_counts
+from .motio import AnnotationError, ConfigError, FieldOrder
+from .simulate import NoiseModel, ScenarioConfig
+from .tracker import Detection, Mode, TrackerConfig, outputs_to_records, run_tracker
 
 EXIT_INPUT = 2
 EXIT_CONFIG = 3
@@ -28,10 +26,6 @@ EXIT_INTERNAL = 4
 
 
 class InputError(Exception):
-    pass
-
-
-class ConfigError(Exception):
     pass
 
 
@@ -51,65 +45,29 @@ def _read_records(path, order: FieldOrder):
         raise InputError(f"no such file: {p}")
     try:
         return motio.read_annotation_file(p, order)
-    except AnnotationError as e:
+    except (AnnotationError, OSError, UnicodeDecodeError) as e:
         raise InputError(f"{p}: {e}") from None
 
 
-def _read_kv(path) -> dict[str, str]:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"no such config file: {p}")
-    kv = {}
-    for line in p.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{p}: bad config line {line!r}")
-        k, v = line.split("=", 1)
-        kv[k.strip()] = v.strip()
-    return kv
-
-
-def _tracker_config(args) -> TrackerConfig:
-    kwargs = {}
-    if args.config:
-        kv = _read_kv(args.config)
-        casts = {"high_score_thresh": float, "low_score_thresh": float,
-                 "iou_gate": float, "max_age": int, "n_init": int,
-                 "mode": str, "embedding_gate": float}
-        for k, v in kv.items():
-            if k not in casts:
-                raise ConfigError(f"unknown tracker config key {k!r}")
-            kwargs[k] = casts[k](v)
-    if args.mode:
-        kwargs["mode"] = args.mode
+def _config(path, cls, **overrides):
+    """cls from a key=value config file plus overrides; any failure is a
+    config error (exit 3)."""
     try:
-        return TrackerConfig(**kwargs)
-    except (TrackerError, ValueError) as e:
+        return motio.read_config(path, cls, **overrides)
+    except (OSError, ValueError) as e:
         raise ConfigError(str(e)) from None
 
 
 def cmd_track(args) -> int:
-    cfg = _tracker_config(args)
+    cfg = _config(args.config, TrackerConfig, mode=args.mode)
     records = _read_records(args.dets, FieldOrder(args.order))
     frames: dict[int, list[Detection]] = {}
     for r in records:
         frames.setdefault(r.frame, []).append(Detection(r.bbox, r.confidence))
-    tracker = Tracker(cfg)
-    outputs = []
-    for f in sorted(frames):
-        outputs.extend(tracker.step(f, frames[f]))
-    motio.write_annotation_file(args.out, outputs_to_records(outputs),
+    motio.write_annotation_file(args.out, outputs_to_records(run_tracker(frames, cfg)),
                                 FieldOrder(args.order))
     _write_manifest(args.out, "track", args)
     return 0
-
-
-def _eval_pair(gt_path, pred_path, order, thr) -> tuple:
-    gt = _read_records(gt_path, order)
-    pred = _read_records(pred_path, order)
-    return gt, pred
 
 
 def cmd_evaluate(args) -> int:
@@ -121,19 +79,14 @@ def cmd_evaluate(args) -> int:
         names = sorted(p.name for p in gt_p.glob("*.txt"))
         if not names:
             raise InputError(f"no .txt sequences in {gt_p}")
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            pairs = list(pool.map(
-                lambda n: _eval_pair(gt_p / n, pred_p / n, order, args.iou), names))
-        report = aggregate(pairs, args.iou)
-        rows = [(n, evaluate(gt, pred, args.iou)) for n, (gt, pred) in zip(names, pairs)]
-        rows.append(("OVERALL", report))
+        counts = [sequence_counts(_read_records(gt_p / n, order),
+                                  _read_records(pred_p / n, order), args.iou)
+                  for n in names]
+        rows = [(n, report(c)) for n, c in zip(names, counts)]
+        rows.append(("OVERALL", report(*counts)))
     else:
-        gt, pred = _eval_pair(gt_p, pred_p, order, args.iou)
-        try:
-            report = evaluate(gt, pred, args.iou)
-        except MetricsError as e:
-            raise InputError(str(e)) from None
-        rows = [(gt_p.stem, report)]
+        rows = [(gt_p.stem, evaluate(_read_records(gt_p, order),
+                                     _read_records(pred_p, order), args.iou))]
     text = "\n".join([MotReport.header()] + [r.format_row(n) for n, r in rows]) + "\n"
     payload = json.dumps({n: r.as_dict() for n, r in rows}, indent=2)
     if args.json:
@@ -152,10 +105,7 @@ def cmd_stats(args) -> int:
     if not records:
         raise InputError(f"{args.ann}: no annotation records")
     frames = args.frames or max(r.frame for r in records)
-    try:
-        stats = motio.compute_stats(records, frames)
-    except AnnotationError as e:
-        raise InputError(str(e)) from None
+    stats = motio.compute_stats(records, frames)
     payload = {
         "boxes": stats.boxes,
         "frames": stats.frames,
@@ -179,14 +129,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_gen_scenario(args) -> int:
-    try:
-        scen = read_config(args.config, ScenarioConfig) if args.config else ScenarioConfig()
-        noise = read_config(args.noise, NoiseModel) if args.noise else NoiseModel()
-        if args.seed is not None:
-            scen = dataclasses.replace(scen, seed=args.seed)
-            noise = dataclasses.replace(noise, seed=args.seed)
-    except (simulate.SimError, OSError, ValueError) as e:
-        raise ConfigError(str(e)) from None
+    scen = _config(args.config, ScenarioConfig, seed=args.seed)
+    noise = _config(args.noise, NoiseModel, seed=args.seed)
     gt, meta = simulate.simulate(scen)
     motio.write_annotation_file(args.out_gt, gt, FieldOrder(args.order))
     motio.write_sequence_meta(str(args.out_gt) + ".meta", meta)
@@ -206,13 +150,12 @@ def cmd_gen_scenario(args) -> int:
 def _load_frame(path) -> maps.ImageFrame:
     path = Path(path)
     if path.suffix == ".bin":
-        return maps.load_map(path)
+        return maps.ImageFrame(maps.load_map(path))
     try:
         from PIL import Image
     except ImportError:
         raise InputError("Pillow is required to read image files") from None
-    arr = np.asarray(Image.open(path), dtype=np.float64) / 255.0
-    return maps.ImageFrame(arr if arr.ndim == 3 else arr[:, :, None])
+    return maps.ImageFrame(np.asarray(Image.open(path), dtype=np.float64) / 255.0)
 
 
 def cmd_gen_motion(args) -> int:
@@ -228,46 +171,23 @@ def cmd_gen_motion(args) -> int:
     prev = None
     for i, p in enumerate(paths, start=1):
         curr = _load_frame(p)
-        if prev is None:
-            diff = maps.ImageFrame(np.zeros((curr.height, curr.width)))
-            flow_arr = np.zeros((curr.height, curr.width, 2))
-        else:
-            diff = maps.frame_difference(curr, prev)
-            flow = maps.optical_flow(curr, prev)
-            flow_arr = np.stack([flow.u, flow.v], axis=2)
+        diff, flow = maps.motion_maps(curr, prev)
         maps.save_map(out_dir / f"diff_{i:04d}.bin", diff.data)
-        maps.save_map(out_dir / f"flow_{i:04d}.bin", flow_arr)
+        maps.save_map(out_dir / f"flow_{i:04d}.bin", np.stack([flow.u, flow.v], axis=2))
         prev = curr
     _write_manifest(out_dir / "motion", "gen-motion", args)
     return 0
 
 
 def cmd_fuse_demo(args) -> int:
-    stack_dir = Path(args.stack_dir)
-    try:
-        rgb = maps.load_map(stack_dir / "rgb.bin")
-        diff = maps.load_map(stack_dir / "diff.bin")
-        depth = maps.load_map(stack_dir / "depth.bin")
-        density = maps.load_map(stack_dir / "density.bin")
-    except maps.MapError as e:
-        raise InputError(str(e)) from None
-    # flow is a 2-channel (u, v) map, which ImageFrame does not model;
-    # read the raw planes directly
-    flow_path = stack_dir / "flow.bin"
-    side = Path(str(flow_path) + ".json")
-    if not flow_path.exists() or not side.exists():
-        raise InputError(f"map file or sidecar missing: {flow_path}")
-    meta = json.loads(side.read_text())
-    h, w = meta["height"], meta["width"]
-    if meta["channels"] != 2:
+    m = {name: maps.load_map(Path(args.stack_dir) / f"{name}.bin")
+         for name in ("rgb", "diff", "flow", "depth", "density")}
+    if m["flow"].shape[2] != 2:
         raise InputError("flow.bin must be a 2-channel (u, v) map")
-    flow_raw = np.frombuffer(flow_path.read_bytes(), dtype="<f4")
-    if flow_raw.size != 2 * h * w:
-        raise InputError("flow.bin payload does not match its sidecar")
-    planes = flow_raw.reshape(2, h, w).astype(np.float64)
-    stack = maps.SourceStack(rgb=rgb, diff=diff,
-                             flow=maps.FlowField(planes[0], planes[1]),
-                             depth=depth, density=density)
+    stack = maps.SourceStack(rgb=maps.ImageFrame(m["rgb"]), diff=maps.ImageFrame(m["diff"]),
+                             flow=maps.FlowField(m["flow"][:, :, 0], m["flow"][:, :, 1]),
+                             depth=maps.ImageFrame(m["depth"]),
+                             density=maps.ImageFrame(m["density"]))
     if args.params:
         params = load_params(args.params)
     else:
@@ -304,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--mode", choices=[m.value for m in Mode])
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
     add_order(p)
     p.set_defaults(func=cmd_track)
 
@@ -314,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iou", type=float, default=0.5)
     p.add_argument("--out")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
     add_order(p)
     p.set_defaults(func=cmd_evaluate)
 
@@ -361,7 +279,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as e:
+    except (InputError, AnnotationError, maps.MapError, MetricsError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except ConfigError as e:

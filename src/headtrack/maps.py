@@ -1,9 +1,9 @@
 """Five-source input map generation.
 
 Frame difference and block-matching optical flow are computed directly from
-the image pair. Depth and density come from providers: a file-backed loader
-(for exported outputs of real estimators) and small synthesizers. All maps in
-a stack share the frame dimensions.
+the image pair. Depth and density come from providers (small synthesizers);
+exported outputs of real estimators load with load_map. All maps in a stack
+share the frame dimensions.
 
 Map file format: raw little-endian 32-bit floats, row-major, channel-major
 planes, with a JSON sidecar {"width": W, "height": H, "channels": C} at
@@ -12,7 +12,7 @@ planes, with a JSON sidecar {"width": W, "height": H, "channels": C} at
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -102,9 +102,9 @@ class SourceStack:
             if (m.height, m.width) != dims:
                 raise MapError(f"{name} map is {m.height}x{m.width}, "
                                f"expected {dims[0]}x{dims[1]}")
-        for name in ("diff", "depth", "density"):
-            if getattr(self, name).channels != 1:
-                raise MapError(f"{name} map must be single-channel")
+        for name, channels in (("rgb", 3), ("diff", 1), ("depth", 1), ("density", 1)):
+            if getattr(self, name).channels != channels:
+                raise MapError(f"{name} map must have {channels} channel(s)")
 
     @property
     def height(self) -> int:
@@ -268,27 +268,31 @@ def save_map(path, data: np.ndarray) -> None:
     Path(str(path) + ".json").write_text(json.dumps(sidecar))
 
 
-def load_map(path, dims: tuple[int, int] | None = None) -> ImageFrame:
-    """Read a raw float32 map; dims, when given, must match the sidecar."""
+def load_map(path, dims: tuple[int, int] | None = None) -> np.ndarray:
+    """Read a raw float32 map as a finite (H, W, C) float64 array with any
+    number of channels; dims, when given, must match the sidecar."""
     path = Path(path)
     sidecar_path = Path(str(path) + ".json")
     if not path.exists() or not sidecar_path.exists():
         raise MapError(f"map file or sidecar missing: {path}")
-    meta = json.loads(sidecar_path.read_text())
-    h, w, c = meta["height"], meta["width"], meta["channels"]
+    try:
+        meta = json.loads(sidecar_path.read_text())
+        h, w, c = (meta[k] for k in ("height", "width", "channels"))
+    except (ValueError, KeyError, TypeError) as e:
+        raise MapError(f"{sidecar_path}: bad sidecar ({e!r})") from None
+    if not all(type(v) is int and v >= 1 for v in (h, w, c)):
+        raise MapError(f"{sidecar_path}: height, width and channels must be integers >= 1")
     if dims is not None and (h, w) != tuple(dims):
         raise MapError(f"map is {h}x{w}, expected {dims[0]}x{dims[1]}")
     raw = np.frombuffer(path.read_bytes(), dtype="<f4")
     if raw.size != h * w * c:
         raise MapError(f"map payload has {raw.size} floats, expected {h * w * c}")
-    return ImageFrame(raw.reshape(c, h, w).transpose(1, 2, 0))
+    if not np.all(np.isfinite(raw)):
+        raise MapError(f"{path}: map contains non-finite values")
+    return raw.reshape(c, h, w).transpose(1, 2, 0).astype(np.float64)
 
 
 Provider = Callable[[int, int], ImageFrame]
-
-
-def file_provider(path) -> Provider:
-    return lambda h, w: load_map(path, (h, w))
 
 
 def synth_depth_provider(mode: str = "vertical_gradient") -> Provider:
@@ -299,21 +303,23 @@ def density_provider(boxes: list[BBox]) -> Provider:
     return lambda h, w: density_from_boxes(boxes, (h, w))
 
 
+def motion_maps(curr: ImageFrame, prev: ImageFrame | None,
+                flow_cfg: FlowConfig | None = None) -> tuple[ImageFrame, FlowField]:
+    """Frame difference and optical flow of curr against prev. With no
+    predecessor frame both are zero maps (the neutral element for the
+    downstream fusion)."""
+    if prev is None:
+        shape = (curr.height, curr.width)
+        return ImageFrame(np.zeros(shape)), FlowField(np.zeros(shape), np.zeros(shape))
+    return frame_difference(curr, prev), optical_flow(curr, prev, flow_cfg)
+
+
 def build_stack(curr: ImageFrame, prev: ImageFrame | None,
                 depth_provider: Provider, density_provider: Provider,
                 flow_cfg: FlowConfig | None = None) -> SourceStack:
-    """Assemble the five-source stack for one frame.
-
-    With no predecessor frame, diff and flow are zero maps (the neutral
-    element for the downstream fusion).
-    """
+    """Assemble the five-source stack for one frame (see motion_maps)."""
     h, w = curr.height, curr.width
-    if prev is None:
-        diff = ImageFrame(np.zeros((h, w)))
-        flow = FlowField(np.zeros((h, w)), np.zeros((h, w)))
-    else:
-        diff = frame_difference(curr, prev)
-        flow = optical_flow(curr, prev, flow_cfg)
+    diff, flow = motion_maps(curr, prev, flow_cfg)
     maps = {}
     for name, provider in (("depth", depth_provider), ("density", density_provider)):
         try:

@@ -9,6 +9,7 @@ matched prediction.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,7 +160,10 @@ def _id_counts(gt: list[AnnotationRecord], pred: list[AnnotationRecord],
 
 def id_metrics(gt: list[AnnotationRecord], pred: list[AnnotationRecord],
                iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> dict[str, float]:
-    idtp, idfp, idfn = _id_counts(gt, pred, iou_threshold)
+    return _id_scores(*_id_counts(gt, pred, iou_threshold))
+
+
+def _id_scores(idtp: int, idfp: int, idfn: int) -> dict[str, float]:
     idf1 = 2 * idtp / (2 * idtp + idfp + idfn) if (idtp + idfp + idfn) else 1.0
     idp = idtp / (idtp + idfp) if (idtp + idfp) else 0.0
     idr = idtp / (idtp + idfn) if (idtp + idfn) else 0.0
@@ -241,9 +245,13 @@ class MotReport:
         return " ".join([f"{label:<16}"] + [f"{c:>8}" for c in MotReport.COLUMNS])
 
 
-def evaluate(gt: list[AnnotationRecord], pred: list[AnnotationRecord],
-             iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> MotReport:
-    """Full sequence evaluation over the union of frames present in gt or pred."""
+_CLEAR_COUNTS = ("tp", "fp", "fn", "idsw", "total_gt", "total_pred")
+
+
+def sequence_counts(gt: list[AnnotationRecord], pred: list[AnnotationRecord],
+                    iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> Counter:
+    """One matching pass over a sequence (the union of frames present in gt or
+    pred): the raw counts that every MotReport column derives from."""
     acc = EvalAccumulator(iou_threshold=iou_threshold)
     by_frame_gt: dict[int, list[tuple[int, BBox]]] = {}
     by_frame_pred: dict[int, list[tuple[int, BBox]]] = {}
@@ -253,50 +261,31 @@ def evaluate(gt: list[AnnotationRecord], pred: list[AnnotationRecord],
         by_frame_pred.setdefault(r.frame, []).append((r.track_id, r.bbox))
     for f in sorted(set(by_frame_gt) | set(by_frame_pred)):
         match_frame(by_frame_gt.get(f, []), by_frame_pred.get(f, []), acc)
-    clear = clearmot(acc)
-    mt, pt, ml = track_quality(acc.coverage())
+    counts = Counter({k: getattr(acc, k) for k in _CLEAR_COUNTS})
+    counts.update(dict(zip(("MT", "PT", "ML"), track_quality(acc.coverage()))))
     ids = id_metrics(gt, pred, iou_threshold)
+    counts.update({k: ids[k] for k in ("IDTP", "IDFP", "IDFN")})
+    return counts
+
+
+def report(*per_sequence: Counter) -> MotReport:
+    """The MotReport of one sequence's counts, or of several sequences' summed counts."""
+    counts = sum(per_sequence, Counter())
+    clear = clearmot(EvalAccumulator(**{k: counts[k] for k in _CLEAR_COUNTS}))
+    ids = _id_scores(counts["IDTP"], counts["IDFP"], counts["IDFN"])
     return MotReport(IDF1=ids["IDF1"], IDs=clear["IDs"], IDP=ids["IDP"], IDR=ids["IDR"],
-                     MT=mt, PT=pt, ML=ml, Rcll=clear["Rcll"], Prcn=clear["Prcn"],
-                     MOTA=clear["MOTA"], FP=clear["FP"], FN=clear["FN"])
+                     MT=counts["MT"], PT=counts["PT"], ML=counts["ML"],
+                     Rcll=clear["Rcll"], Prcn=clear["Prcn"], MOTA=clear["MOTA"],
+                     FP=clear["FP"], FN=clear["FN"])
+
+
+def evaluate(gt: list[AnnotationRecord], pred: list[AnnotationRecord],
+             iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> MotReport:
+    """Full sequence evaluation over the union of frames present in gt or pred."""
+    return report(sequence_counts(gt, pred, iou_threshold))
 
 
 def aggregate(per_sequence: list[tuple[list[AnnotationRecord], list[AnnotationRecord]]],
               iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> MotReport:
     """Boxes-weighted aggregate: raw counts are summed across sequences."""
-    tp = fp = fn = idsw = total_gt = total_pred = 0
-    idtp = idfp = idfn = 0
-    mt = pt = ml = 0
-    for gt, pred in per_sequence:
-        acc = EvalAccumulator(iou_threshold=iou_threshold)
-        by_f_gt: dict[int, list[tuple[int, BBox]]] = {}
-        by_f_pred: dict[int, list[tuple[int, BBox]]] = {}
-        for r in gt:
-            by_f_gt.setdefault(r.frame, []).append((r.track_id, r.bbox))
-        for r in pred:
-            by_f_pred.setdefault(r.frame, []).append((r.track_id, r.bbox))
-        for f in sorted(set(by_f_gt) | set(by_f_pred)):
-            match_frame(by_f_gt.get(f, []), by_f_pred.get(f, []), acc)
-        tp += acc.tp
-        fp += acc.fp
-        fn += acc.fn
-        idsw += acc.idsw
-        total_gt += acc.total_gt
-        total_pred += acc.total_pred
-        a, b, c = track_quality(acc.coverage())
-        mt, pt, ml = mt + a, pt + b, ml + c
-        ti, tf, tn = _id_counts(gt, pred, iou_threshold)
-        idtp, idfp, idfn = idtp + ti, idfp + tf, idfn + tn
-    if total_gt == 0:
-        raise MetricsError("no ground-truth boxes")
-    idf1 = 2 * idtp / (2 * idtp + idfp + idfn) if (idtp + idfp + idfn) else 1.0
-    return MotReport(
-        IDF1=idf1,
-        IDs=idsw,
-        IDP=idtp / (idtp + idfp) if (idtp + idfp) else 0.0,
-        IDR=idtp / (idtp + idfn) if (idtp + idfn) else 0.0,
-        MT=mt, PT=pt, ML=ml,
-        Rcll=tp / total_gt,
-        Prcn=tp / total_pred if total_pred else 0.0,
-        MOTA=1.0 - (fn + fp + idsw) / total_gt,
-        FP=fp, FN=fn)
+    return report(*(sequence_counts(gt, pred, iou_threshold) for gt, pred in per_sequence))

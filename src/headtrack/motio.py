@@ -12,10 +12,12 @@ are exact on 2-decimal data.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from pathlib import Path
 from typing import Iterable, Iterator
 
 from .geometry import BBox, aspect_ratio
@@ -27,6 +29,10 @@ class FieldOrder(Enum):
 
 
 class AnnotationError(ValueError):
+    pass
+
+
+class ConfigError(ValueError):
     pass
 
 
@@ -111,6 +117,8 @@ def parse_annotations(lines: Iterable[str],
         else:
             frame, tid = vals[0], vals[1]
         left, top, w, h, conf, cat, vis = vals[2:9]
+        if not all(math.isfinite(v) for v in vals):
+            raise AnnotationError(f"line {lineno}: non-finite field")
         if frame != int(frame) or tid != int(tid):
             raise AnnotationError(f"line {lineno}: frame and id must be integers")
         key = (int(frame), int(tid))
@@ -197,18 +205,60 @@ def split_frames(records: list[AnnotationRecord],
     return train, test
 
 
+def read_kv(path) -> dict[str, str]:
+    """Read a key=value file: one pair per line; blank lines and lines starting
+    with '#' are skipped. Keys and values are stripped of whitespace."""
+    kv: dict[str, str] = {}
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}: line {lineno}: expected key=value, got {line!r}")
+        k, v = line.split("=", 1)
+        kv[k.strip()] = v.strip()
+    return kv
+
+
+def _parse_value(raw: str, default):
+    """Parse raw as the type of default; tuples are comma-separated values."""
+    if isinstance(default, tuple):
+        parts = raw.split(",")
+        if len(parts) != len(default):
+            raise ValueError(f"expected {len(default)} comma-separated values")
+        return tuple(_parse_value(p.strip(), d) for p, d in zip(parts, default))
+    if isinstance(default, int):
+        return int(raw)
+    if isinstance(default, float):
+        v = float(raw)
+        if not math.isfinite(v):
+            raise ValueError("must be finite")
+        return v
+    return raw
+
+
+def read_config(path, cls, **overrides):
+    """The dataclass cls from a key=value file (None: defaults) and the overrides
+    that are not None. Each value parses as the type of its field's default;
+    an unknown key or a non-finite float raises ConfigError."""
+    kv = read_kv(path) if path is not None else {}
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    kwargs = {}
+    for k, raw in kv.items():
+        if k not in defaults:
+            raise ConfigError(f"{path}: unknown key {k!r}")
+        try:
+            kwargs[k] = _parse_value(raw, defaults[k])
+        except ValueError as e:
+            raise ConfigError(f"{path}: {k}={raw!r}: {e}") from None
+    kwargs.update((k, v) for k, v in overrides.items() if v is not None)
+    return cls(**kwargs)
+
+
 def read_sequence_meta(path) -> SequenceMeta:
     """Read a key=value metadata file with keys name, fps, frames, width, height, view."""
-    kv: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise AnnotationError(f"bad metadata line: {line!r}")
-            k, v = line.split("=", 1)
-            kv[k.strip()] = v.strip()
+    kv = read_kv(path)
     try:
         return SequenceMeta(
             name=kv["name"],

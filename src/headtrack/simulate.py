@@ -38,13 +38,16 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.agent_count < 1:
             raise SimError("agent_count must be >= 1")
-        if self.speed_range[0] < 0 or self.head_size_range[0] <= 0:
-            raise SimError("speeds must be >= 0 and head sizes > 0")
+        (v0, v1), (s0, s1) = self.speed_range, self.head_size_range
+        if not (0 <= v0 <= v1 and 0 < s0 <= s1):
+            raise SimError("need 0 <= speed low <= high and 0 < head size low <= high")
         if self.duration < 1:
             raise SimError("duration must be >= 1")
+        if self.heading_sigma < 0 or self.seed < 0 or self.fps <= 0:
+            raise SimError("heading_sigma and seed must be >= 0, fps > 0")
         w, h = self.arena
-        if w * h < self.agent_count * self.head_size_range[1] ** 2:
-            raise SimError("arena too small for agent_count")
+        if min(w, h) < s1 or w * h < self.agent_count * s1 ** 2:
+            raise SimError("arena too small for agent_count or head size")
 
 
 @dataclass
@@ -61,8 +64,9 @@ class NoiseModel:
     def __post_init__(self):
         if not (0 <= self.miss_rate < 1) or self.fp_rate < 0:
             raise SimError("invalid miss_rate or fp_rate")
-        if self.center_jitter < 0 or self.size_jitter < 0:
-            raise SimError("jitter sigmas must be >= 0")
+        if min(self.center_jitter, self.size_jitter, self.tp_score[1], self.fp_score[1],
+               self.seed) < 0:
+            raise SimError("jitter sigmas, score sigmas and seed must be >= 0")
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -161,29 +165,3 @@ def corrupt(gt: list[AnnotationRecord], noise: NoiseModel) -> dict[int, list]:
             dets.append(Detection(BBox(left, top, size, size), score))
         out[frame] = dets
     return out
-
-
-def read_config(path, cls):
-    """Read a key=value config file into a ScenarioConfig or NoiseModel."""
-    kv = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            k, v = line.split("=", 1)
-            kv[k.strip()] = v.strip()
-    kwargs = {}
-    for fname, ftype in cls.__dataclass_fields__.items():
-        if fname not in kv:
-            continue
-        raw = kv[fname]
-        if "," in raw:
-            parts = [float(p) for p in raw.split(",")]
-            kwargs[fname] = tuple(int(p) if p == int(p) and fname == "arena" else p
-                                  for p in parts)
-        elif fname in ("agent_count", "duration", "seed"):
-            kwargs[fname] = int(raw)
-        else:
-            kwargs[fname] = float(raw)
-    return cls(**kwargs)

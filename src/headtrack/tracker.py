@@ -1,21 +1,17 @@
 """Tracking-by-detection: constant-velocity Kalman filtering, minimum-cost
-association, SORT-style single-stage and Byte-style two-stage matching, with
-optional appearance (ReID) gating on consumed embeddings.
+association, SORT-style single-stage and Byte-style two-stage matching.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .geometry import BBox, iou
 from .motio import AnnotationRecord
-
-REID_IOU_WEIGHT = 0.98  # blend of IoU vs. cosine cost in sort_reid mode
-FORBIDDEN_COST = 1e6
 
 
 class TrackerError(ValueError):
@@ -26,16 +22,10 @@ class TrackerError(ValueError):
 class Detection:
     bbox: BBox
     score: float
-    embedding: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if not np.isfinite(self.score):
             raise TrackerError("detection score must be finite")
-        if self.embedding is not None:
-            emb = np.asarray(self.embedding, dtype=np.float64)
-            if abs(np.linalg.norm(emb) - 1.0) > 1e-6:
-                raise TrackerError("embedding must be unit-norm")
-            object.__setattr__(self, "embedding", emb)
 
 
 class TrackStatus(Enum):
@@ -48,7 +38,6 @@ class TrackStatus(Enum):
 class Mode(Enum):
     sort = "sort"
     byte = "byte"
-    sort_reid = "sort_reid"
 
 
 @dataclass
@@ -59,7 +48,6 @@ class TrackerConfig:
     max_age: int = 30
     n_init: int = 3
     mode: Mode = Mode.sort
-    embedding_gate: float = 0.4  # cosine distance cap in sort_reid mode
 
     def __post_init__(self):
         if isinstance(self.mode, str):
@@ -151,8 +139,6 @@ class TrackState:
     status: TrackStatus = TrackStatus.tentative
     hits: int = 1
     time_since_update: int = 0
-    embedding: Optional[np.ndarray] = None
-    last_detection: Optional[Detection] = None
 
     @property
     def bbox(self) -> BBox:
@@ -179,32 +165,22 @@ def hungarian(cost: np.ndarray) -> Assignment:
                       [c for c in range(cost.shape[1]) if c not in set(cols)])
 
 
-def _cost_matrix(tracks: Sequence[TrackState], dets: Sequence[Detection],
-                 cfg: TrackerConfig) -> np.ndarray:
+def _cost_matrix(tracks: Sequence[TrackState], dets: Sequence[Detection]) -> np.ndarray:
     cost = np.zeros((len(tracks), len(dets)))
     for ti, t in enumerate(tracks):
         tb = t.bbox
         for di, d in enumerate(dets):
-            c = 1.0 - iou(tb, d.bbox)
-            if (cfg.mode is Mode.sort_reid and t.embedding is not None
-                    and d.embedding is not None):
-                cos_dist = 1.0 - float(t.embedding @ d.embedding)
-                if cos_dist > cfg.embedding_gate:
-                    c = FORBIDDEN_COST
-                else:
-                    c = REID_IOU_WEIGHT * c + (1.0 - REID_IOU_WEIGHT) * cos_dist
-            cost[ti, di] = c
+            cost[ti, di] = 1.0 - iou(tb, d.bbox)
     return cost
 
 
 def associate(tracks: Sequence[TrackState], dets: Sequence[Detection],
               cfg: TrackerConfig) -> Assignment:
     """Hungarian on 1 - IoU; assigned pairs below the IoU gate are unmatched."""
-    cost = _cost_matrix(tracks, dets, cfg)
-    result = hungarian(cost)
+    result = hungarian(_cost_matrix(tracks, dets))
     matches, um_t, um_d = [], list(result.unmatched_tracks), list(result.unmatched_dets)
     for ti, di in result.matches:
-        if cost[ti, di] >= FORBIDDEN_COST or iou(tracks[ti].bbox, dets[di].bbox) < cfg.iou_gate:
+        if iou(tracks[ti].bbox, dets[di].bbox) < cfg.iou_gate:
             um_t.append(ti)
             um_d.append(di)
         else:
@@ -247,23 +223,27 @@ class Tracker:
         self.kalman = kalman or KalmanModel()
         self.tracks: list[TrackState] = []
         self._next_id = 1
+        self._first_frame: int | None = None
         self._last_frame = 0
 
     def _spawn(self, det: Detection) -> None:
         mean, cov = self.kalman.initiate(det.bbox)
-        self.tracks.append(TrackState(self._next_id, mean, cov,
-                                      embedding=det.embedding, last_detection=det))
+        self.tracks.append(TrackState(self._next_id, mean, cov))
         self._next_id += 1
 
     def step(self, frame: int, detections: Sequence[Detection]) -> list[TrackOutput]:
         """Predict, associate, update, and run the track lifecycle for one frame.
 
         Returns (frame, track_id, bbox) outputs for tracks matched this frame
-        that are confirmed (or still inside the initial n_init warm-up frames).
+        that are confirmed (or inside the warm-up: frame numbers less than n_init
+        after the first frame this tracker stepped).
         """
         if frame <= self._last_frame:
             raise TrackerError(f"out-of-order frame {frame} (last {self._last_frame})")
+        if self._first_frame is None:
+            self._first_frame = frame
         self._last_frame = frame
+        warm_up = frame - self._first_frame < self.cfg.n_init
 
         for t in self.tracks:
             t.mean, t.cov = self.kalman.predict(t.mean, t.cov)
@@ -287,15 +267,11 @@ class Tracker:
             t.mean, t.cov = self.kalman.update(t.mean, t.cov, d.bbox)
             t.hits += 1
             t.time_since_update = 0
-            t.last_detection = d
-            if d.embedding is not None:
-                e = d.embedding if t.embedding is None else 0.9 * t.embedding + 0.1 * d.embedding
-                t.embedding = e / np.linalg.norm(e)
             if t.status is TrackStatus.tentative and t.hits >= self.cfg.n_init:
                 t.status = TrackStatus.confirmed
             elif t.status is TrackStatus.lost:
                 t.status = TrackStatus.confirmed
-            if t.status is TrackStatus.confirmed or frame <= self.cfg.n_init:
+            if t.status is TrackStatus.confirmed or warm_up:
                 outputs.append(TrackOutput(frame, t.track_id, d.bbox, d.score))
 
         for ti in result.unmatched_tracks:
@@ -311,7 +287,7 @@ class Tracker:
         for di in result.unmatched_dets:
             self._spawn(detections[di])
             t = self.tracks[-1]
-            if frame <= self.cfg.n_init:  # warm-up: emit fresh tracks too
+            if warm_up:  # emit fresh tracks too
                 outputs.append(TrackOutput(frame, t.track_id,
                                            detections[di].bbox, detections[di].score))
 

@@ -5,6 +5,7 @@ import pytest
 
 from headtrack import maps, motio
 from headtrack.cli import EXIT_CONFIG, EXIT_INPUT, main
+from headtrack.metrics import aggregate, evaluate
 from headtrack.motio import FieldOrder
 
 
@@ -44,6 +45,24 @@ class TestGenScenario:
         cfg = tmp_path / "scen.cfg"
         cfg.write_text("agent_count=0\n")
         assert run("gen-scenario", "--config", str(cfg),
+                   "--out-gt", str(tmp_path / "x.txt")) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("flag,line", [
+        ("--noise", "fp_rate=inf"),
+        ("--config", "heading_sigma=nan"),
+        ("--config", "fps=nan"),
+        ("--config", "agent_cuont=5"),  # misspelt keys are rejected, not ignored
+        ("--noise", "tp_score=1.0,-0.1"),
+        ("--config", "seed=-1"),
+    ])
+    def test_bad_config_values_exit_config(self, tmp_path, flag, line):
+        cfg = tmp_path / "x.cfg"
+        cfg.write_text(line + "\n")
+        assert run("gen-scenario", flag, str(cfg), "--out-gt", str(tmp_path / "x.txt"),
+                   "--out-dets", str(tmp_path / "d.txt")) == EXIT_CONFIG
+
+    def test_negative_seed_flag_exit_config(self, tmp_path):
+        assert run("gen-scenario", "--seed", "-1",
                    "--out-gt", str(tmp_path / "x.txt")) == EXIT_CONFIG
 
 
@@ -103,11 +122,41 @@ class TestTrackEvaluate:
             (gt_dir / name).write_text(gt.read_text())
             (pred_dir / name).write_text(tracked.read_text())
         assert run("evaluate", "--gt", str(gt_dir), "--pred", str(pred_dir),
-                   "--jobs", "2", "--json") == 0
+                   "--json") == 0
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"s1.txt", "s2.txt", "OVERALL"}
         assert payload["OVERALL"]["FN"] == (payload["s1.txt"]["FN"]
                                             + payload["s2.txt"]["FN"])
+
+    def test_evaluate_directory_mode_empty_sequence(self, scenario, tmp_path):
+        gt, _ = scenario
+        gt_dir, pred_dir = tmp_path / "gts", tmp_path / "preds"
+        gt_dir.mkdir()
+        pred_dir.mkdir()
+        (gt_dir / "s1.txt").write_text(gt.read_text())
+        (pred_dir / "s1.txt").write_text(gt.read_text())
+        (gt_dir / "s2.txt").write_text("")
+        (pred_dir / "s2.txt").write_text("")
+        assert run("evaluate", "--gt", str(gt_dir), "--pred", str(pred_dir)) == EXIT_INPUT
+
+    def test_directory_report_equals_aggregate(self, scenario, tmp_path, capsys):
+        gt, dets = scenario
+        gt_dir, pred_dir = tmp_path / "gts", tmp_path / "preds"
+        gt_dir.mkdir()
+        pred_dir.mkdir()
+        tracked = tmp_path / "tracked.txt"
+        run("track", "--dets", str(dets), "--mode", "byte", "--out", str(tracked))
+        recs = motio.read_annotation_file(tracked)
+        (gt_dir / "a.txt").write_text(gt.read_text())
+        (pred_dir / "a.txt").write_text(tracked.read_text())
+        (gt_dir / "b.txt").write_text(gt.read_text())
+        motio.write_annotation_file(pred_dir / "b.txt", [r for r in recs if r.frame % 7])
+        assert run("evaluate", "--gt", str(gt_dir), "--pred", str(pred_dir), "--json") == 0
+        payload = json.loads(capsys.readouterr().out)
+        gts = [motio.read_annotation_file(gt_dir / n) for n in ("a.txt", "b.txt")]
+        preds = [motio.read_annotation_file(pred_dir / n) for n in ("a.txt", "b.txt")]
+        assert payload["OVERALL"] == aggregate(list(zip(gts, preds))).as_dict()
+        assert payload["b.txt"] == evaluate(gts[1], preds[1]).as_dict()
 
     def test_mixed_dir_and_file_rejected(self, scenario, tmp_path):
         gt, _ = scenario
@@ -126,6 +175,26 @@ class TestTrackEvaluate:
         cfg.write_text("not_a_key=1\n")
         assert run("track", "--dets", str(dets), "--config", str(cfg),
                    "--out", str(tmp_path / "o.txt")) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("line", ["max_age=1.5", "mode=sort_reid", "iou_gate=nan",
+                                      "embedding_gate=0.4", "n_init"])
+    def test_bad_tracker_config_line(self, scenario, tmp_path, line):
+        _, dets = scenario
+        cfg = tmp_path / "trk.cfg"
+        cfg.write_text(line + "\n")
+        assert run("track", "--dets", str(dets), "--config", str(cfg),
+                   "--out", str(tmp_path / "o.txt")) == EXIT_CONFIG
+
+    def test_missing_tracker_config_file(self, scenario, tmp_path):
+        _, dets = scenario
+        assert run("track", "--dets", str(dets), "--config", str(tmp_path / "none.cfg"),
+                   "--out", str(tmp_path / "o.txt")) == EXIT_CONFIG
+
+    def test_nan_confidence_is_input_error(self, tmp_path, capsys):
+        dets = tmp_path / "dets.txt"
+        dets.write_text("1,1,0,0,10,10,0.9,1,1\n2,1,0,0,10,10,nan,1,1\n")
+        assert run("track", "--dets", str(dets), "--out", str(tmp_path / "o.txt")) == EXIT_INPUT
+        assert "line 2" in capsys.readouterr().err
 
     def test_bad_tracker_config_value(self, scenario, tmp_path):
         _, dets = scenario
@@ -173,9 +242,9 @@ class TestGenMotion:
         assert run("gen-motion", "--frames-dir", str(frames),
                    "--out-dir", str(out)) == 0
         first_diff = maps.load_map(out / "diff_0001.bin")
-        assert np.all(first_diff.data == 0)
+        assert np.all(first_diff == 0)
         second = maps.load_map(out / "diff_0002.bin")
-        assert second.data.max() > 0
+        assert second.max() > 0
         flow_side = json.loads((out / "flow_0002.bin.json").read_text())
         assert flow_side["channels"] == 2
 
@@ -215,6 +284,27 @@ class TestFuseDemo:
         run("fuse-demo", "--stack-dir", str(stack), "--alpha2", "0.0",
             "--out", str(b))
         assert a.read_bytes() != b.read_bytes()
+
+    @pytest.mark.parametrize("member,data", [
+        ("diff", np.zeros((5, 6))),        # size differs from rgb
+        ("flow", np.zeros((6, 5, 2))),     # size differs from rgb
+        ("flow", np.zeros((6, 6, 1))),     # not a (u, v) map
+        ("rgb", np.zeros((6, 6))),         # one channel
+    ])
+    def test_bad_stack_member(self, tmp_path, member, data):
+        stack = tmp_path / "stack"
+        self._write_stack(stack)
+        maps.save_map(stack / f"{member}.bin", data)
+        assert run("fuse-demo", "--stack-dir", str(stack),
+                   "--out", str(tmp_path / "o.bin")) == EXIT_INPUT
+
+    @pytest.mark.parametrize("sidecar", ['{"width": 6, "channels": 3}', "not json"])
+    def test_bad_sidecar(self, tmp_path, sidecar):
+        stack = tmp_path / "stack"
+        self._write_stack(stack)
+        (stack / "rgb.bin.json").write_text(sidecar)
+        assert run("fuse-demo", "--stack-dir", str(stack),
+                   "--out", str(tmp_path / "o.bin")) == EXIT_INPUT
 
     def test_missing_stack_member(self, tmp_path):
         stack = tmp_path / "stack"

@@ -117,11 +117,36 @@ class TestSynthAndFiles:
         arr = np.random.default_rng(5).random((6, 7, 3)).astype(np.float32)
         save_map(tmp_path / "m.bin", arr)
         back = load_map(tmp_path / "m.bin", (6, 7))
-        assert np.array_equal(back.data.astype(np.float32), arr)
+        assert np.array_equal(back.astype(np.float32), arr)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(MapError):
             load_map(tmp_path / "nope.bin")
+
+    def test_any_channel_count(self, tmp_path):
+        arr = np.random.default_rng(4).random((4, 5, 2)).astype(np.float32)
+        save_map(tmp_path / "m.bin", arr)
+        back = load_map(tmp_path / "m.bin")
+        assert back.shape == (4, 5, 2) and np.array_equal(back.astype(np.float32), arr)
+
+    @pytest.mark.parametrize("sidecar", [
+        '{"width": 4, "channels": 1}',
+        "not json",
+        "[4, 4, 1]",
+        '{"height": 4.0, "width": 4, "channels": 1}',
+        '{"height": -4, "width": -4, "channels": 1}',
+        '{"height": true, "width": 16, "channels": 1}',
+    ])
+    def test_bad_sidecar(self, tmp_path, sidecar):
+        save_map(tmp_path / "m.bin", np.zeros((4, 4)))
+        (tmp_path / "m.bin.json").write_text(sidecar)
+        with pytest.raises(MapError):
+            load_map(tmp_path / "m.bin")
+
+    def test_non_finite_payload(self, tmp_path):
+        save_map(tmp_path / "m.bin", np.full((2, 2), np.nan))
+        with pytest.raises(MapError):
+            load_map(tmp_path / "m.bin")
 
     def test_dims_mismatch(self, tmp_path):
         save_map(tmp_path / "m.bin", np.zeros((4, 4)))

@@ -86,6 +86,14 @@ class TestParse:
         with pytest.raises(AnnotationError, match="line 2"):
             parse_annotations(["1,1,1,1,1,1,1,1,1", "1,2,x,1,1,1,1,1,1"])
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("index", [6, 8])  # confidence, visibility
+    def test_non_finite_field(self, index, bad):
+        fields = "1,2,0,0,5,5,1,1,1".split(",")
+        fields[index] = bad
+        with pytest.raises(AnnotationError, match="line 2"):
+            parse_annotations(["1,1,0,0,5,5,1,1,1", ",".join(fields)])
+
     def test_duplicate_frame_id(self):
         with pytest.raises(AnnotationError, match="duplicate"):
             parse_annotations(["1,1,0,0,5,5,1,1,1", "1,1,9,9,5,5,1,1,1"])

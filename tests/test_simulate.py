@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from headtrack.geometry import BBox
-from headtrack.motio import AnnotationRecord
+from headtrack.motio import AnnotationRecord, ConfigError, read_config
 from headtrack.simulate import (
     NoiseModel,
     ScenarioConfig,
     SimError,
     corrupt,
-    read_config,
     simulate,
 )
 
@@ -183,6 +182,22 @@ class TestReadConfig:
         assert noise.miss_rate == 0.25
         assert noise.tp_score == (0.9, 0.05)
         assert noise.occlusion_drop == 0.4
+
+    @pytest.mark.parametrize("line", ["agent_cuont=5", "fps=nan", "heading_sigma=inf",
+                                      "agent_count=2.5", "arena=640", "arena=1,2,3",
+                                      "duration"])
+    def test_bad_lines_are_config_errors(self, tmp_path, line):
+        p = tmp_path / "bad.cfg"
+        p.write_text(line + "\n")
+        with pytest.raises(ConfigError):
+            read_config(p, ScenarioConfig)
+
+    def test_overrides(self, tmp_path):
+        p = tmp_path / "scen.cfg"
+        p.write_text("seed=3\nagent_count=4\n")
+        cfg = read_config(p, ScenarioConfig, seed=8, duration=None)
+        assert (cfg.seed, cfg.agent_count, cfg.duration) == (8, 4, ScenarioConfig().duration)
+        assert read_config(None, NoiseModel) == NoiseModel()
 
     def test_invalid_values_raise(self, tmp_path):
         p = tmp_path / "bad.cfg"

@@ -23,13 +23,13 @@ from headtrack.tracker import (
 )
 
 
-def make_track(bbox, tid=1, emb=None, status=TrackStatus.confirmed):
+def make_track(bbox, tid=1, status=TrackStatus.confirmed):
     mean, cov = KalmanModel().initiate(bbox)
-    return TrackState(tid, mean, cov, status=status, embedding=emb)
+    return TrackState(tid, mean, cov, status=status)
 
 
-def det(left, top, w=10, h=10, score=0.9, emb=None):
-    return Detection(BBox(left, top, w, h), score, emb)
+def det(left, top, w=10, h=10, score=0.9):
+    return Detection(BBox(left, top, w, h), score)
 
 
 class TestHungarian:
@@ -155,29 +155,6 @@ class TestAssociate:
         a = associate(tracks, dets, self.cfg)
         assert a.matches == [(0, 1), (1, 0)]
 
-    def test_reid_gate_forbids_mismatched_embedding(self):
-        e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        cfg = TrackerConfig(mode=Mode.sort_reid)
-        tracks = [make_track(BBox(0, 0, 10, 10), emb=e1)]
-        a = associate(tracks, [det(0, 0, emb=e2)], cfg)
-        assert a.matches == []
-        # same geometry without the embedding conflict matches fine
-        b = associate(tracks, [det(0, 0, emb=e1)], cfg)
-        assert b.matches == [(0, 0)]
-
-    def test_reid_breaks_geometric_tie(self):
-        e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        cfg = TrackerConfig(mode=Mode.sort_reid)
-        tracks = [make_track(BBox(0, 0, 10, 10), 1, emb=e1),
-                  make_track(BBox(0, 0, 10, 10), 2, emb=e2)]
-        dets = [det(0, 0, emb=e2), det(0, 0, emb=e1)]
-        a = associate(tracks, dets, cfg)
-        assert sorted(a.matches) == [(0, 1), (1, 0)]
-
-    def test_non_unit_embedding_rejected(self):
-        with pytest.raises(TrackerError):
-            det(0, 0, emb=np.array([2.0, 0.0]))
-
 
 class TestByteAssociate:
     cfg = TrackerConfig()
@@ -222,6 +199,13 @@ class TestLifecycle:
             out = t.step(f, [det(2.0 * f, 0)])
             assert [o.track_id for o in out] == [1]
         assert t.tracks[0].status is TrackStatus.confirmed
+
+    @pytest.mark.parametrize("start", [1, 101])
+    def test_warm_up_counts_from_first_frame(self, start):
+        # the same three detections give the same rows wherever the sequence starts
+        t = Tracker(TrackerConfig(n_init=3))
+        rows = [o for i in range(3) for o in t.step(start + i, [det(0, 0)])]
+        assert [(o.frame - start, o.track_id) for o in rows] == [(0, 1), (1, 1), (2, 1)]
 
     def test_tentative_removed_on_first_miss(self):
         t = Tracker(TrackerConfig(n_init=3))
