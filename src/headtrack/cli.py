@@ -189,7 +189,10 @@ def cmd_fuse_demo(args) -> int:
                              depth=maps.ImageFrame(m["depth"]),
                              density=maps.ImageFrame(m["density"]))
     if args.params:
-        params = load_params(args.params)
+        try:
+            params = load_params(args.params)
+        except (OSError, ValueError, KeyError, TypeError) as e:
+            raise InputError(f"--params {args.params}: {e!r}") from None
     else:
         params = FusionParams(FusionConfig(seed=args.seed or 0))
     params.set_coefficients(alpha1=args.alpha1, beta1=args.beta1,

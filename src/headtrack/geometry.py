@@ -1,12 +1,17 @@
 """Axis-aligned bounding box arithmetic.
 
 Boxes are continuous (sub-pixel) and stored as (left, top, width, height).
-Area is width * height with no +1 pixel convention.
+Area is width * height with no +1 pixel convention. `iou` scores one pair;
+`iou_matrix` scores every pair of two (N, 4) ltwh arrays with the same
+arithmetic, so both give bit-identical values.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -59,6 +64,25 @@ def iou(a: BBox, b: BBox) -> float:
     inter = intersection_area(a, b)
     union = a.area + b.area - inter
     return inter / union
+
+
+def ltwh_array(boxes: Iterable[BBox]) -> np.ndarray:
+    """An (N, 4) float64 array of (left, top, width, height) rows."""
+    return np.array([(b.left, b.top, b.width, b.height) for b in boxes],
+                    dtype=np.float64).reshape(-1, 4)
+
+
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of every row of a (N, 4) with every row of b (M, 4), both ltwh: an
+    (N, M) array whose every entry is bit-identical to `iou` of that pair."""
+    al, at, aw, ah = np.asarray(a, dtype=np.float64).T[:, :, None]
+    bl, bt, bw, bh = np.asarray(b, dtype=np.float64).T[:, None, :]
+    w = np.minimum(al + aw, bl + bw) - np.maximum(al, bl)
+    h = np.minimum(at + ah, bt + bh) - np.maximum(at, bt)
+    area_a, area_b = aw * ah, bw * bh
+    inter = np.where((w > 0) & (h > 0),
+                     np.minimum(np.minimum(w * h, area_a), area_b), 0.0)
+    return inter / (area_a + area_b - inter)
 
 
 def giou(a: BBox, b: BBox) -> float:

@@ -5,16 +5,23 @@ kept while their IoU stays above the threshold, the rest go through a
 minimum-cost assignment gated at the threshold. An ID switch is counted when
 a ground-truth identity's matched prediction differs from its last-ever
 matched prediction.
+
+A sequence is evaluated in one sweep over its frames: each frame's IoU matrix
+feeds the per-frame matching and adds to a (gt id, pred id) count of frames
+the pair overlaps in, on which one global assignment then gives the identity
+metrics.
 """
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
-from .geometry import BBox, iou
+from .geometry import BBox, iou, iou_matrix, ltwh_array
 from .motio import AnnotationRecord
 from .tracker import hungarian
 
@@ -48,10 +55,11 @@ class EvalAccumulator:
 
 
 def match_frame(gt: list[tuple[int, BBox]], pred: list[tuple[int, BBox]],
-                acc: EvalAccumulator) -> dict[int, int]:
+                acc: EvalAccumulator, ious: np.ndarray | None = None) -> dict[int, int]:
     """Match one frame's boxes and fold the result into the accumulator.
 
-    gt and pred are (id, bbox) lists. Returns the gt_id -> pred_id matching.
+    gt and pred are (id, bbox) lists; ious, if given, is their (len(gt),
+    len(pred)) IoU matrix. Returns the gt_id -> pred_id matching.
     """
     gt_ids = [g for g, _ in gt]
     pred_ids = [p for p, _ in pred]
@@ -66,17 +74,16 @@ def match_frame(gt: list[tuple[int, BBox]], pred: list[tuple[int, BBox]],
         if g in gt_boxes and p in pred_boxes and iou(gt_boxes[g], pred_boxes[p]) >= thr:
             pairs[g] = p
 
-    free_gt = [g for g in gt_ids if g not in pairs]
+    free_gt = [i for i, g in enumerate(gt_ids) if g not in pairs]
     used_pred = set(pairs.values())
-    free_pred = [p for p in pred_ids if p not in used_pred]
+    free_pred = [j for j, p in enumerate(pred_ids) if p not in used_pred]
     if free_gt and free_pred:
-        cost = np.ones((len(free_gt), len(free_pred)))
-        for i, g in enumerate(free_gt):
-            for j, p in enumerate(free_pred):
-                cost[i, j] = 1.0 - iou(gt_boxes[g], pred_boxes[p])
+        if ious is None:
+            ious = iou_matrix(ltwh_array(b for _, b in gt), ltwh_array(b for _, b in pred))
+        cost = 1.0 - ious[np.ix_(free_gt, free_pred)]
         for i, j in hungarian(cost).matches:
             if cost[i, j] <= 1.0 - thr:
-                pairs[free_gt[i]] = free_pred[j]
+                pairs[gt_ids[free_gt[i]]] = pred_ids[free_pred[j]]
 
     for g, p in pairs.items():
         if g in acc.last_match and acc.last_match[g] != p:
@@ -117,45 +124,33 @@ def track_quality(coverage: dict[int, float]) -> tuple[int, int, int]:
     return mt, len(coverage) - mt - ml, ml
 
 
-def _trajectories(records: list[AnnotationRecord]) -> dict[int, dict[int, BBox]]:
-    out: dict[int, dict[int, BBox]] = {}
-    for r in records:
-        out.setdefault(r.track_id, {})[r.frame] = r.bbox
-    return out
-
-
 def _id_counts(gt: list[AnnotationRecord], pred: list[AnnotationRecord],
                iou_threshold: float) -> tuple[int, int, int]:
     """(IDTP, IDFP, IDFN) from the optimal global trajectory pairing."""
-    gt_traj = _trajectories(gt)
-    pred_traj = _trajectories(pred)
-    g_ids, p_ids = list(gt_traj), list(pred_traj)
+    counts = sequence_counts(gt, pred, iou_threshold)
+    return counts["IDTP"], counts["IDFP"], counts["IDFN"]
+
+
+def _id_assignment(overlap: Counter, gt_len: Counter, pred_len: Counter) -> int:
+    """IDTP: the most frames matched under a one-to-one pairing of gt and pred
+    ids, given each pair's count of overlapping frames and each id's length."""
+    g_ids, p_ids = list(gt_len), list(pred_len)
     ng, np_ = len(g_ids), len(p_ids)
-    total_gt, total_pred = len(gt), len(pred)
+    g_row = {g: i for i, g in enumerate(g_ids)}
+    p_col = {p: j for j, p in enumerate(p_ids)}
+    ov = np.zeros((ng, np_), dtype=np.int64)
+    for (g, p), n in overlap.items():
+        ov[g_row[g], p_col[p]] = n
+    g_frames = np.array([gt_len[g] for g in g_ids], dtype=np.int64)
+    p_frames = np.array([pred_len[p] for p in p_ids], dtype=np.int64)
 
-    overlap = np.zeros((ng, np_), dtype=np.int64)
-    for i, g in enumerate(g_ids):
-        for j, p in enumerate(p_ids):
-            overlap[i, j] = sum(
-                1 for f, gb in gt_traj[g].items()
-                if f in pred_traj[p] and iou(gb, pred_traj[p][f]) >= iou_threshold)
-
-    big = float(total_gt + total_pred + 1)
     n = ng + np_
-    cost = np.full((n, n), big)
-    for i, g in enumerate(g_ids):
-        for j, p in enumerate(p_ids):
-            cost[i, j] = len(gt_traj[g]) + len(pred_traj[p]) - 2 * overlap[i, j]
-        cost[i, np_ + i] = len(gt_traj[g])     # leave this gt track unmatched
-    for j, p in enumerate(p_ids):
-        cost[ng + j, j] = len(pred_traj[p])    # leave this pred track unmatched
+    cost = np.full((n, n), float(g_frames.sum() + p_frames.sum() + 1))
+    cost[:ng, :np_] = g_frames[:, None] + p_frames[None, :] - 2 * ov
+    cost[np.arange(ng), np_ + np.arange(ng)] = g_frames   # leave this gt track unmatched
+    cost[ng + np.arange(np_), np.arange(np_)] = p_frames  # leave this pred track unmatched
     cost[ng:, np_:] = 0.0
-
-    idtp = 0
-    for i, j in hungarian(cost).matches:
-        if i < ng and j < np_:
-            idtp += int(overlap[i, j])
-    return idtp, total_pred - idtp, total_gt - idtp
+    return sum(int(ov[i, j]) for i, j in hungarian(cost).matches if i < ng and j < np_)
 
 
 def id_metrics(gt: list[AnnotationRecord], pred: list[AnnotationRecord],
@@ -181,26 +176,19 @@ def detection_ap(gt: dict[int, list[BBox]], preds: list[tuple[int, float, BBox]]
     if n_gt == 0:
         raise MetricsError("empty ground truth")
     order = sorted(range(len(preds)), key=lambda i: (-preds[i][1], preds[i][0], i))
-    matched: dict[int, set[int]] = {f: set() for f in gt}
-    tp_flags = []
+    ranked: dict[int, list[int]] = {}   # frame -> its preds, best first
     for i in order:
-        frame, _, box = preds[i]
-        best, best_j = 0.0, -1
-        for j, gb in enumerate(gt.get(frame, [])):
-            if j in matched.get(frame, set()):
-                continue
-            v = iou(box, gb)
-            if v > best:
-                best, best_j = v, j
-        if best >= iou_threshold and best_j >= 0:
-            matched[frame].add(best_j)
-            tp_flags.append(1)
-        else:
-            tp_flags.append(0)
-    tp_cum = np.cumsum(tp_flags)
-    n = np.arange(1, len(tp_flags) + 1)
-    precision = tp_cum / n if len(tp_flags) else np.array([])
-    recall = tp_cum / n_gt if len(tp_flags) else np.array([])
+        ranked.setdefault(preds[i][0], []).append(i)
+    tp = np.zeros(len(preds), dtype=bool)
+    for frame, idx in ranked.items():
+        ious = iou_matrix(ltwh_array(preds[i][2] for i in idx), ltwh_array(gt.get(frame, [])))
+        for i, row in zip(idx, ious):
+            if row.size and 0 < row.max() >= iou_threshold:
+                ious[:, row.argmax()] = 0.0   # a gt box is matched at most once
+                tp[i] = True
+    tp_cum = np.cumsum(tp[order])
+    precision = tp_cum / np.arange(1, len(preds) + 1)
+    recall = tp_cum / n_gt
     ap = 0.0
     for r in np.linspace(0.0, 1.0, 101):
         mask = recall >= r - 1e-12
@@ -248,23 +236,37 @@ class MotReport:
 _CLEAR_COUNTS = ("tp", "fp", "fn", "idsw", "total_gt", "total_pred")
 
 
+def _by_frame(records: list[AnnotationRecord]) -> dict[int, list[tuple[int, BBox]]]:
+    """frame -> (id, bbox) list in id order, so that results do not depend on
+    the order of records in a file."""
+    out: dict[int, list[tuple[int, BBox]]] = {}
+    for r in records:
+        out.setdefault(r.frame, []).append((r.track_id, r.bbox))
+    for boxes in out.values():
+        boxes.sort(key=itemgetter(0))
+    return out
+
+
 def sequence_counts(gt: list[AnnotationRecord], pred: list[AnnotationRecord],
                     iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> Counter:
-    """One matching pass over a sequence (the union of frames present in gt or
-    pred): the raw counts that every MotReport column derives from."""
+    """One sweep over a sequence (the union of frames present in gt or pred):
+    the raw counts that every MotReport column derives from."""
+    if not (math.isfinite(iou_threshold) and 0 < iou_threshold <= 1):
+        raise MetricsError(f"IoU threshold must be in (0, 1], got {iou_threshold}")
     acc = EvalAccumulator(iou_threshold=iou_threshold)
-    by_frame_gt: dict[int, list[tuple[int, BBox]]] = {}
-    by_frame_pred: dict[int, list[tuple[int, BBox]]] = {}
-    for r in gt:
-        by_frame_gt.setdefault(r.frame, []).append((r.track_id, r.bbox))
-    for r in pred:
-        by_frame_pred.setdefault(r.frame, []).append((r.track_id, r.bbox))
-    for f in sorted(set(by_frame_gt) | set(by_frame_pred)):
-        match_frame(by_frame_gt.get(f, []), by_frame_pred.get(f, []), acc)
+    overlap: Counter = Counter()   # (gt id, pred id) -> frames with IoU >= threshold
+    by_frame_gt, by_frame_pred = _by_frame(gt), _by_frame(pred)
+    for f in sorted(by_frame_gt.keys() | by_frame_pred.keys()):
+        g, p = by_frame_gt.get(f, []), by_frame_pred.get(f, [])
+        ious = iou_matrix(ltwh_array(b for _, b in g), ltwh_array(b for _, b in p))
+        match_frame(g, p, acc, ious)
+        gi, pj = np.nonzero(ious >= iou_threshold)
+        overlap.update((g[i][0], p[j][0]) for i, j in zip(gi.tolist(), pj.tolist()))
     counts = Counter({k: getattr(acc, k) for k in _CLEAR_COUNTS})
     counts.update(dict(zip(("MT", "PT", "ML"), track_quality(acc.coverage()))))
-    ids = id_metrics(gt, pred, iou_threshold)
-    counts.update({k: ids[k] for k in ("IDTP", "IDFP", "IDFN")})
+    idtp = _id_assignment(overlap, Counter(r.track_id for r in gt),
+                          Counter(r.track_id for r in pred))
+    counts.update(IDTP=idtp, IDFP=len(pred) - idtp, IDFN=len(gt) - idtp)
     return counts
 
 

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BBox, iou
+# `iou` stays importable here: benchmarks/tracing.py counts calls at this site
+from .geometry import BBox, iou, iou_matrix, ltwh_array  # noqa: F401
 from .motio import AnnotationRecord, SequenceMeta
 
 OCCLUSION_IOU = 0.3  # pairwise GT overlap that triggers the score multiplier
@@ -138,11 +139,9 @@ def corrupt(gt: list[AnnotationRecord], noise: NoiseModel) -> dict[int, list]:
     out: dict[int, list[Detection]] = {}
     for frame in sorted(by_frame):
         recs = by_frame[frame]
-        occluded = [False] * len(recs)
-        for i in range(len(recs)):
-            for j in range(i + 1, len(recs)):
-                if iou(recs[i].bbox, recs[j].bbox) > OCCLUSION_IOU:
-                    occluded[i] = occluded[j] = True
+        boxes = ltwh_array(r.bbox for r in recs)
+        overlaps = np.triu(iou_matrix(boxes, boxes) > OCCLUSION_IOU, k=1)
+        occluded = (overlaps.any(axis=0) | overlaps.any(axis=1)).tolist()
         dets: list[Detection] = []
         for rec, occ in zip(recs, occluded):
             if noise.miss_rate > 0 and rng.random() < noise.miss_rate:

@@ -10,7 +10,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import BBox, iou
+from .geometry import BBox, iou, iou_matrix, ltwh_array
 from .motio import AnnotationRecord
 
 
@@ -158,20 +158,16 @@ def hungarian(cost: np.ndarray) -> Assignment:
         raise TrackerError("cost matrix must be finite")
     if 0 in cost.shape:
         return Assignment([], list(range(cost.shape[0])), list(range(cost.shape[1])))
-    rows, cols = linear_sum_assignment(cost)
-    matches = sorted(zip(rows.tolist(), cols.tolist()))
-    return Assignment(matches,
-                      [r for r in range(cost.shape[0]) if r not in set(rows)],
-                      [c for c in range(cost.shape[1]) if c not in set(cols)])
+    rows, cols = (x.tolist() for x in linear_sum_assignment(cost))
+    matched_rows, matched_cols = set(rows), set(cols)
+    return Assignment(sorted(zip(rows, cols)),
+                      [r for r in range(cost.shape[0]) if r not in matched_rows],
+                      [c for c in range(cost.shape[1]) if c not in matched_cols])
 
 
 def _cost_matrix(tracks: Sequence[TrackState], dets: Sequence[Detection]) -> np.ndarray:
-    cost = np.zeros((len(tracks), len(dets)))
-    for ti, t in enumerate(tracks):
-        tb = t.bbox
-        for di, d in enumerate(dets):
-            cost[ti, di] = 1.0 - iou(tb, d.bbox)
-    return cost
+    return 1.0 - iou_matrix(ltwh_array(t.bbox for t in tracks),
+                            ltwh_array(d.bbox for d in dets))
 
 
 def associate(tracks: Sequence[TrackState], dets: Sequence[Detection],

@@ -5,6 +5,7 @@ import pytest
 
 from headtrack import maps, motio
 from headtrack.cli import EXIT_CONFIG, EXIT_INPUT, main
+from headtrack.fusion import FusionConfig, FusionParams, save_params
 from headtrack.metrics import aggregate, evaluate
 from headtrack.motio import FieldOrder
 
@@ -110,6 +111,12 @@ class TestTrackEvaluate:
         text = capsys.readouterr().out
         assert text.splitlines()[0].startswith("Sequence")
         assert "MOTA" in text
+
+    @pytest.mark.parametrize("thr", ["nan", "inf", "-1", "0", "1.5"])
+    def test_evaluate_bad_iou_threshold(self, scenario, thr):
+        gt, _ = scenario
+        assert run("evaluate", "--gt", str(gt), "--pred", str(gt),
+                   "--iou", thr) == EXIT_INPUT
 
     def test_evaluate_directory_mode(self, scenario, tmp_path, capsys):
         gt, dets = scenario
@@ -304,6 +311,36 @@ class TestFuseDemo:
         self._write_stack(stack)
         (stack / "rgb.bin.json").write_text(sidecar)
         assert run("fuse-demo", "--stack-dir", str(stack),
+                   "--out", str(tmp_path / "o.bin")) == EXIT_INPUT
+
+    def test_params_round_trip(self, tmp_path):
+        stack = tmp_path / "stack"
+        self._write_stack(stack)
+        save_params(tmp_path / "params", FusionParams(FusionConfig(seed=5)))
+        a, b = tmp_path / "a.bin", tmp_path / "b.bin"
+        assert run("fuse-demo", "--stack-dir", str(stack), "--params", str(tmp_path / "params"),
+                   "--out", str(a)) == 0
+        assert run("fuse-demo", "--stack-dir", str(stack), "--seed", "5", "--out", str(b)) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("manifest", [
+        None,                                  # directory does not exist
+        "",                                    # directory without manifest.json
+        "not json",
+        '{"parameters": []}',                  # no "config"
+        '{"config": {}}',                      # no "parameters"
+        '{"config": {"chanels": 4}, "parameters": []}',
+        "[]",
+    ])
+    def test_bad_params(self, tmp_path, manifest):
+        stack = tmp_path / "stack"
+        self._write_stack(stack)
+        params = tmp_path / "params"
+        if manifest is not None:
+            params.mkdir()
+            if manifest:
+                (params / "manifest.json").write_text(manifest)
+        assert run("fuse-demo", "--stack-dir", str(stack), "--params", str(params),
                    "--out", str(tmp_path / "o.bin")) == EXIT_INPUT
 
     def test_missing_stack_member(self, tmp_path):

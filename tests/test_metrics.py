@@ -1,7 +1,10 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from headtrack.geometry import BBox, iou
 from headtrack.metrics import (
@@ -15,6 +18,7 @@ from headtrack.metrics import (
     evaluate,
     id_metrics,
     match_frame,
+    sequence_counts,
     track_quality,
 )
 from headtrack.motio import AnnotationRecord
@@ -175,6 +179,47 @@ class TestIdMetrics:
         assert m["IDTP"] == 60
 
 
+def detection_ap_loop(gt, preds, thr=0.5):
+    """The scalar oracle: greedy matching in score order, one `iou` at a time."""
+    order = sorted(range(len(preds)), key=lambda i: (-preds[i][1], preds[i][0], i))
+    matched = {f: set() for f in gt}
+    flags = []
+    for i in order:
+        frame, _, box = preds[i]
+        best, best_j = 0.0, -1
+        for j, gb in enumerate(gt.get(frame, [])):
+            if j not in matched.get(frame, set()) and iou(box, gb) > best:
+                best, best_j = iou(box, gb), j
+        flags.append(best >= thr and best_j >= 0)
+        if flags[-1]:
+            matched[frame].add(best_j)
+    tp_cum = np.cumsum(flags)
+    precision = tp_cum / np.arange(1, len(flags) + 1)
+    recall = tp_cum / sum(len(v) for v in gt.values())
+    return sum(precision[recall >= r - 1e-12].max() if (recall >= r - 1e-12).any() else 0.0
+               for r in np.linspace(0.0, 1.0, 101)) / 101.0
+
+
+GRID_BOX = st.builds(BBox, st.integers(0, 8), st.integers(0, 8), st.integers(2, 8),
+                     st.integers(2, 8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(gt=st.dictionaries(st.integers(1, 2), st.lists(GRID_BOX, min_size=1, max_size=4),
+                          min_size=1),
+       data=st.data(), thr=st.sampled_from([0.1, 0.5, 0.75]))
+def test_detection_ap_equals_scalar_loop(gt, data, thr):
+    # preds near a gt box (duplicates compete for it) or anywhere in frames 1-3
+    near = st.tuples(st.sampled_from([(f, b) for f, v in gt.items() for b in v]),
+                     st.integers(-2, 2), st.integers(-2, 2))
+    near = near.map(lambda t: (t[0][0], t[0][1].translate(t[1], t[2])))
+    located = st.one_of(near, st.tuples(st.integers(1, 3), GRID_BOX))
+    preds = data.draw(st.lists(st.tuples(located, st.sampled_from([0.2, 0.5, 0.9])),
+                               max_size=12))
+    preds = [(f, score, box) for (f, box), score in preds]
+    assert detection_ap(gt, preds, thr) == detection_ap_loop(gt, preds, thr)
+
+
 class TestDetectionAp:
     def test_interpolated_fixture(self):
         # flags (TP, FP, TP) over 2 gt boxes: precision envelope is 1.0 up
@@ -242,6 +287,24 @@ class TestEvaluate:
         loose = evaluate(gt, pred, iou_threshold=0.5)
         strict = evaluate(gt, pred, iou_threshold=0.75)
         assert strict.Rcll <= loose.Rcll
+
+    def test_tied_boxes_invariant_under_record_order(self):
+        # two preds tie for the gt box in frame 1; only pred 8 is left in frame 2
+        gt = [rec(1, 1, 10), rec(2, 1, 10)]
+        x, y, y2 = rec(1, 7, 8), rec(1, 8, 12), rec(2, 8, 12)
+        assert evaluate(gt, [x, y, y2]) == evaluate(gt, [y, x, y2])
+
+    @pytest.mark.parametrize("thr", [math.nan, math.inf, -1.0, 0.0, 1.5])
+    def test_bad_iou_threshold_rejected(self, thr):
+        gt = self._sequence(6)
+        with pytest.raises(MetricsError):
+            sequence_counts(gt, gt, thr)
+        with pytest.raises(MetricsError):
+            evaluate(gt, gt, iou_threshold=thr)
+
+    def test_iou_threshold_one_accepted(self):
+        gt = [rec(f, t, 30 * t + f) for f in range(1, 6) for t in (1, 2)]
+        assert evaluate(gt, list(gt), iou_threshold=1.0).MOTA == 1.0
 
     def test_aggregate_of_identical_sequences(self):
         gt = self._sequence(5)

@@ -1,5 +1,7 @@
 """Property tests: the CLI exit-code contract under fuzzed config files and map
-sidecars, and tracker invariance under a shift of every frame number."""
+sidecars, tracker invariance under a shift of every frame number, and the
+evaluator's symmetries: a sequence scored against itself, gt and pred swapped,
+and records shuffled within a file."""
 import dataclasses
 import json
 import tempfile
@@ -12,6 +14,8 @@ from hypothesis import strategies as st
 from headtrack import maps
 from headtrack.cli import main
 from headtrack.geometry import BBox
+from headtrack.metrics import evaluate
+from headtrack.motio import AnnotationRecord
 from headtrack.simulate import NoiseModel, ScenarioConfig
 from headtrack.tracker import Detection, Mode, TrackerConfig, run_tracker
 
@@ -119,3 +123,65 @@ def test_tracker_invariant_under_frame_shift(frames, shift, mode):
     base = run_tracker(frames, cfg)
     shifted = run_tracker({f + shift: dets for f, dets in frames.items()}, cfg)
     assert [o._replace(frame=o.frame - shift) for o in shifted] == base
+
+
+# Records on a small integer grid: one box per (frame, id) and no two equal
+# boxes in a frame. Overlaps, coincident costs and Hungarian ties are common.
+GRID_RECORDS = st.lists(
+    st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(0, 40), st.integers(0, 40),
+              st.integers(4, 16), st.integers(4, 16)),
+    min_size=1, max_size=30,
+    unique_by=(lambda t: t[:2], lambda t: (t[0], *t[2:])),
+).map(lambda rows: [AnnotationRecord(f, i, BBox(x, y, w, h)) for f, i, x, y, w, h in rows])
+
+
+@settings(max_examples=100, deadline=None)
+@given(gt=GRID_RECORDS)
+def test_evaluate_against_itself_is_perfect(gt):
+    r = evaluate(gt, list(gt))
+    assert (r.MOTA, r.IDF1, r.IDP, r.IDR, r.Rcll, r.Prcn) == (1.0,) * 6
+    assert (r.FP, r.FN, r.IDs) == (0, 0, 0)
+
+
+def noisy_pair(seed: int) -> tuple[list[AnnotationRecord], list[AnnotationRecord]]:
+    """Ground truth of a few crossing tracks and a tracker-like prediction:
+    jittered boxes, misses, an identity change and false positives, all at
+    real-valued coordinates so that no two matchings tie on cost."""
+    rng = np.random.default_rng(seed)
+    gt, pred = [], []
+    n_tracks, n_frames = int(rng.integers(1, 6)), int(rng.integers(1, 9))
+    start = rng.uniform(0, 60, (n_tracks, 2))
+    vel = rng.uniform(-4, 4, (n_tracks, 2))
+    size = rng.uniform(8, 16, n_tracks)
+    switch = rng.integers(1, n_frames + 1, n_tracks)   # frame a pred id changes
+    for f in range(1, n_frames + 1):
+        for t in range(n_tracks):
+            x, y = start[t] + vel[t] * f
+            gt.append(AnnotationRecord(f, t + 1, BBox(x, y, size[t], size[t])))
+            if rng.random() < 0.8:
+                dx, dy, dw = rng.normal(0, 1.5, 3)
+                pid = 100 + t if f < switch[t] else 200 + t
+                pred.append(AnnotationRecord(f, pid, BBox(x + dx, y + dy, size[t] + dw,
+                                                          size[t] + dw)))
+        for k in range(int(rng.integers(0, 3))):
+            pred.append(AnnotationRecord(f, 900 + k, BBox(*rng.uniform(0, 60, 2), 10, 10)))
+    return gt, pred
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_swapping_gt_and_pred_swaps_idp_idr_and_fp_fn(seed):
+    gt, pred = noisy_pair(seed)
+    if not pred:
+        return
+    a, b = evaluate(gt, pred), evaluate(pred, gt)
+    assert (a.IDP, a.IDR, a.FP, a.FN) == (b.IDR, b.IDP, b.FN, b.FP)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gt=GRID_RECORDS, pred=GRID_RECORDS, rnd=st.randoms(use_true_random=False))
+def test_report_invariant_under_record_shuffle(gt, pred, rnd):
+    shuffled_gt, shuffled_pred = list(gt), list(pred)
+    rnd.shuffle(shuffled_gt)
+    rnd.shuffle(shuffled_pred)
+    assert evaluate(shuffled_gt, shuffled_pred) == evaluate(gt, pred)

@@ -2,10 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from headtrack.geometry import BBox
+from headtrack.geometry import BBox, iou
 from headtrack.motio import AnnotationRecord, ConfigError, read_config
 from headtrack.simulate import (
+    OCCLUSION_IOU,
     NoiseModel,
     ScenarioConfig,
     SimError,
@@ -143,6 +146,22 @@ class TestCorrupt:
         dets = corrupt(gt, NoiseModel(occlusion_drop=0.5))
         scores = sorted(d.score for d in dets[1])
         assert scores == [0.5, 0.5, 1.0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 3), st.floats(0, 40), st.floats(0, 40),
+                              st.integers(4, 16), st.integers(4, 16)), max_size=25))
+    def test_occlusion_flags_equal_pairwise_loop(self, rows):
+        gt = [AnnotationRecord(f, i + 1, BBox(x, y, w, h))
+              for i, (f, x, y, w, h) in enumerate(rows)]
+        dets = corrupt(gt, NoiseModel(occlusion_drop=0.5))
+        for frame, ds in dets.items():
+            recs = [r for r in gt if r.frame == frame]
+            want = [False] * len(recs)
+            for i in range(len(recs)):
+                for j in range(i + 1, len(recs)):
+                    if iou(recs[i].bbox, recs[j].bbox) > OCCLUSION_IOU:
+                        want[i] = want[j] = True
+            assert [d.score == 0.5 for d in ds] == want
 
     def test_scores_clipped_to_unit_interval(self):
         gt = small_gt(4)

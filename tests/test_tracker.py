@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from headtrack.geometry import BBox, iou
 from headtrack.tracker import (
@@ -14,6 +16,7 @@ from headtrack.tracker import (
     TrackState,
     TrackStatus,
     _bbox_to_z,
+    _cost_matrix,
     _z_to_bbox,
     associate,
     byte_associate,
@@ -127,6 +130,22 @@ class TestKalman:
         mean, cov = km.update(mean, cov, BBox(4, 0, 10, 10))
         after = abs(mean[0] - _bbox_to_z(BBox(4, 0, 10, 10))[0])
         assert after < before
+
+
+BOXES = st.builds(BBox, st.floats(-20, 60), st.floats(-20, 60), st.floats(1, 20),
+                  st.floats(1, 20))
+
+
+@settings(max_examples=100, deadline=None)
+@given(track_boxes=st.lists(BOXES, max_size=6), det_boxes=st.lists(BOXES, max_size=6))
+def test_cost_matrix_equals_scalar_loop(track_boxes, det_boxes):
+    tracks = [make_track(b) for b in track_boxes]
+    dets = [Detection(b, 0.9) for b in det_boxes]
+    want = np.zeros((len(tracks), len(dets)))
+    for ti, t in enumerate(tracks):
+        for di, d in enumerate(dets):
+            want[ti, di] = 1.0 - iou(t.bbox, d.bbox)
+    assert np.array_equal(_cost_matrix(tracks, dets), want)
 
 
 class TestAssociate:
