@@ -285,12 +285,29 @@ def save_params(dirpath, params: FusionParams) -> None:
 
 
 def load_params(dirpath) -> FusionParams:
+    """Read what `save_params` wrote. Raises ValueError unless the manifest
+    names exactly the parameters its config allocates, each with that shape
+    and a blob of that many float64 values."""
     d = Path(dirpath)
     manifest = json.loads((d / "manifest.json").read_text())
     params = FusionParams(FusionConfig(**manifest["config"]))
     named = params.named_parameters()
-    for entry in manifest["parameters"]:
+    entries = manifest["parameters"]
+    names = [entry["name"] for entry in entries]
+    if len(names) != len(named) or set(names) != set(named):
+        raise ValueError("manifest parameters are not the model's: "
+                         f"missing {sorted(set(named) - set(names))}, "
+                         f"unknown {sorted(map(str, set(names) - set(named)))}, "
+                         f"{len(names)} entries for {len(named)} parameters")
+    for entry in entries:
         t = named[entry["name"]]
-        raw = np.frombuffer((d / entry["file"]).read_bytes(), dtype="<f8")
-        t.data = raw.reshape(entry["shape"]).copy()
+        shape = tuple(entry["shape"])
+        if shape != t.data.shape:
+            raise ValueError(f"parameter {entry['name']}: stored shape {shape}, "
+                             f"the config gives {t.data.shape}")
+        blob = (d / entry["file"]).read_bytes()
+        if len(blob) != 8 * t.data.size:
+            raise ValueError(f"parameter {entry['name']}: {len(blob)} bytes in "
+                             f"{entry['file']}, shape {shape} needs {8 * t.data.size}")
+        t.data = np.frombuffer(blob, dtype="<f8").reshape(shape).copy()
     return params

@@ -50,9 +50,21 @@ class BBox:
         return BBox(self.left + dx, self.top + dy, self.width, self.height)
 
 
+def _overlap(lo_a: float, len_a: float, lo_b: float, len_b: float) -> float:
+    """Length of the overlap of [lo_a, lo_a + len_a] and [lo_b, lo_b + len_b];
+    negative when they are apart. A contained interval overlaps by its own
+    length, which `(lo + len) - lo` may miss by a rounding."""
+    hi_a, hi_b = lo_a + len_a, lo_b + len_b
+    if lo_a <= lo_b and hi_b <= hi_a:
+        return len_b
+    if lo_b <= lo_a and hi_a <= hi_b:
+        return len_a
+    return min(hi_a, hi_b) - max(lo_a, lo_b)
+
+
 def intersection_area(a: BBox, b: BBox) -> float:
-    w = min(a.right, b.right) - max(a.left, b.left)
-    h = min(a.bottom, b.bottom) - max(a.top, b.top)
+    w = _overlap(a.left, a.width, b.left, b.width)
+    h = _overlap(a.top, a.height, b.top, b.height)
     if w <= 0 or h <= 0:
         return 0.0
     # rounding in right/bottom can push w*h a hair past the smaller box
@@ -72,13 +84,22 @@ def ltwh_array(boxes: Iterable[BBox]) -> np.ndarray:
                     dtype=np.float64).reshape(-1, 4)
 
 
+def _overlap_array(lo_a: np.ndarray, len_a: np.ndarray,
+                   lo_b: np.ndarray, len_b: np.ndarray) -> np.ndarray:
+    """`_overlap` elementwise, with the same branches in the same order."""
+    hi_a, hi_b = lo_a + len_a, lo_b + len_b
+    return np.where((lo_a <= lo_b) & (hi_b <= hi_a), len_b,
+                    np.where((lo_b <= lo_a) & (hi_a <= hi_b), len_a,
+                             np.minimum(hi_a, hi_b) - np.maximum(lo_a, lo_b)))
+
+
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """IoU of every row of a (N, 4) with every row of b (M, 4), both ltwh: an
     (N, M) array whose every entry is bit-identical to `iou` of that pair."""
     al, at, aw, ah = np.asarray(a, dtype=np.float64).T[:, :, None]
     bl, bt, bw, bh = np.asarray(b, dtype=np.float64).T[:, None, :]
-    w = np.minimum(al + aw, bl + bw) - np.maximum(al, bl)
-    h = np.minimum(at + ah, bt + bh) - np.maximum(at, bt)
+    w = _overlap_array(al, aw, bl, bw)
+    h = _overlap_array(at, ah, bt, bh)
     area_a, area_b = aw * ah, bw * bh
     inter = np.where((w > 0) & (h > 0),
                      np.minimum(np.minimum(w * h, area_a), area_b), 0.0)

@@ -10,7 +10,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import BBox, iou, iou_matrix, ltwh_array
+# `iou` stays importable here: benchmarks/tracing.py counts calls at this site
+from .geometry import BBox, iou, iou_matrix, ltwh_array  # noqa: F401
 from .motio import AnnotationRecord
 
 
@@ -60,15 +61,43 @@ class TrackerConfig:
             raise TrackerError("max_age and n_init must be >= 1")
 
 
+def _ltwh_to_z(a: np.ndarray) -> np.ndarray:
+    """(..., 4) ltwh rows -> (..., 4) (cx, cy, aspect, height) rows."""
+    left, top, w, h = np.moveaxis(a, -1, 0)
+    return np.stack([left + w / 2.0, top + h / 2.0, w / h, h], axis=-1)
+
+
+def _z_to_ltwh(z: np.ndarray) -> np.ndarray:
+    """(..., 4) (cx, cy, aspect, height) rows -> (..., 4) ltwh rows, with
+    width and height clamped to at least 1e-6."""
+    h = np.maximum(z[..., 3], 1e-6)
+    w = np.maximum(z[..., 2] * h, 1e-6)
+    return np.stack([z[..., 0] - w / 2.0, z[..., 1] - h / 2.0, w, h], axis=-1)
+
+
 def _bbox_to_z(b: BBox) -> np.ndarray:
-    cx, cy = b.center
-    return np.array([cx, cy, b.width / b.height, b.height])
+    return _ltwh_to_z(ltwh_array([b])[0])
 
 
 def _z_to_bbox(z: np.ndarray) -> BBox:
-    h = max(z[3], 1e-6)
-    w = max(z[2] * h, 1e-6)
-    return BBox(z[0] - w / 2.0, z[1] - h / 2.0, w, h)
+    return BBox(*_z_to_ltwh(z).tolist())
+
+
+def _diag(d: np.ndarray) -> np.ndarray:
+    """(..., n) -> (..., n, n) with d on each diagonal and zeros elsewhere."""
+    n = d.shape[-1]
+    out = np.zeros(d.shape + (n,))
+    out[..., np.arange(n), np.arange(n)] = d
+    return out
+
+
+def _mv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Matrix-vector product over leading batch dimensions of a and x."""
+    return (a @ x[..., None])[..., 0]
+
+
+def _sym(cov: np.ndarray) -> np.ndarray:
+    return (cov + cov.swapaxes(-1, -2)) / 2.0
 
 
 class KalmanModel:
@@ -76,6 +105,8 @@ class KalmanModel:
 
     Noise scales are proportional to the box height, following the
     SORT/DeepSORT convention. F, Q, R can be overridden for testing.
+    `predict` and `update` take any leading batch dimensions: mean (..., 8)
+    and cov (..., 8, 8) filter one track or a stack of N tracks at once.
     """
 
     STD_POS = 1.0 / 20.0
@@ -98,37 +129,45 @@ class KalmanModel:
                10 * self.STD_VEL * h, 10 * self.STD_VEL * h, 1e-5, 10 * self.STD_VEL * h]
         return mean, np.diag(np.square(std))
 
-    def _process_noise(self, h: float) -> np.ndarray:
+    def _process_noise(self, h: np.ndarray) -> np.ndarray:
         if self.Q is not None:
             return self.Q
-        std = [self.STD_POS * h, self.STD_POS * h, 1e-2, self.STD_POS * h,
-               self.STD_VEL * h, self.STD_VEL * h, 1e-5, self.STD_VEL * h]
-        return np.diag(np.square(std))
+        pos, vel = self.STD_POS * h, self.STD_VEL * h
+        aspect, aspect_vel = np.full_like(h, 1e-2), np.full_like(h, 1e-5)
+        std = np.stack([pos, pos, aspect, pos, vel, vel, aspect_vel, vel], axis=-1)
+        return _diag(np.square(std))
 
-    def _obs_noise(self, h: float) -> np.ndarray:
+    def _obs_noise(self, h: np.ndarray) -> np.ndarray:
         if self.R is not None:
             return self.R
-        std = [self.STD_POS * h, self.STD_POS * h, 1e-1, self.STD_POS * h]
-        return np.diag(np.square(std))
+        pos = self.STD_POS * h
+        std = np.stack([pos, pos, np.full_like(h, 1e-1), pos], axis=-1)
+        return _diag(np.square(std))
 
     def predict(self, mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        mean = self.F @ mean
-        cov = self.F @ cov @ self.F.T + self._process_noise(mean[3])
-        return mean, (cov + cov.T) / 2.0
+        mean = _mv(self.F, mean)
+        cov = self.F @ cov @ self.F.T + self._process_noise(mean[..., 3])
+        return mean, _sym(cov)
 
     def update(self, mean: np.ndarray, cov: np.ndarray,
-               measurement: BBox) -> tuple[np.ndarray, np.ndarray]:
-        z = _bbox_to_z(measurement)
-        R = self._obs_noise(mean[3])
-        S = self.H @ cov @ self.H.T + R
+               measurement: BBox | Sequence[BBox]) -> tuple[np.ndarray, np.ndarray]:
+        """One measurement per state: a BBox for mean (8,), or a sequence of
+        N boxes for mean (N, 8)."""
+        boxes = [measurement] if isinstance(measurement, BBox) else measurement
+        z = _ltwh_to_z(ltwh_array(boxes)).reshape(mean.shape[:-1] + (4,))
+        R = self._obs_noise(mean[..., 3])
+        H = self.H
+        S = H @ cov @ H.T + R
         try:
-            K = np.linalg.solve(S.T, (cov @ self.H.T).T).T
+            K = np.linalg.solve(S.swapaxes(-1, -2),
+                                (cov @ H.T).swapaxes(-1, -2)).swapaxes(-1, -2)
         except np.linalg.LinAlgError as e:
             raise TrackerError(f"singular innovation covariance: {e}") from None
-        mean = mean + K @ (z - self.H @ mean)
-        ikh = np.eye(8) - K @ self.H
-        cov = ikh @ cov @ ikh.T + K @ R @ K.T  # Joseph form keeps PSD
-        return mean, (cov + cov.T) / 2.0
+        mean = mean + _mv(K, z - _mv(H, mean))
+        ikh = np.eye(8) - K @ H
+        # Joseph form keeps PSD
+        cov = ikh @ cov @ ikh.swapaxes(-1, -2) + K @ R @ K.swapaxes(-1, -2)
+        return mean, _sym(cov)
 
 
 @dataclass
@@ -143,6 +182,11 @@ class TrackState:
     @property
     def bbox(self) -> BBox:
         return _z_to_bbox(self.mean[:4])
+
+
+def _stacked(tracks: Sequence[TrackState]) -> tuple[np.ndarray, np.ndarray]:
+    """The tracks' means (N, 8) and covariances (N, 8, 8), one row per track."""
+    return np.stack([t.mean for t in tracks]), np.stack([t.cov for t in tracks])
 
 
 class Assignment(NamedTuple):
@@ -165,18 +209,25 @@ def hungarian(cost: np.ndarray) -> Assignment:
                       [c for c in range(cost.shape[1]) if c not in matched_cols])
 
 
+def _iou_matrix(tracks: Sequence[TrackState], dets: Sequence[Detection]) -> np.ndarray:
+    """IoU of every track's predicted box (`TrackState.bbox`, read from the
+    stacked means) with every detection box."""
+    z = np.array([t.mean[:4] for t in tracks]).reshape(-1, 4)
+    return iou_matrix(_z_to_ltwh(z), ltwh_array(d.bbox for d in dets))
+
+
 def _cost_matrix(tracks: Sequence[TrackState], dets: Sequence[Detection]) -> np.ndarray:
-    return 1.0 - iou_matrix(ltwh_array(t.bbox for t in tracks),
-                            ltwh_array(d.bbox for d in dets))
+    return 1.0 - _iou_matrix(tracks, dets)
 
 
 def associate(tracks: Sequence[TrackState], dets: Sequence[Detection],
               cfg: TrackerConfig) -> Assignment:
     """Hungarian on 1 - IoU; assigned pairs below the IoU gate are unmatched."""
-    result = hungarian(_cost_matrix(tracks, dets))
+    ious = _iou_matrix(tracks, dets)
+    result = hungarian(1.0 - ious)
     matches, um_t, um_d = [], list(result.unmatched_tracks), list(result.unmatched_dets)
     for ti, di in result.matches:
-        if iou(tracks[ti].bbox, dets[di].bbox) < cfg.iou_gate:
+        if ious[ti, di] < cfg.iou_gate:
             um_t.append(ti)
             um_d.append(di)
         else:
@@ -241,11 +292,14 @@ class Tracker:
         self._last_frame = frame
         warm_up = frame - self._first_frame < self.cfg.n_init
 
-        for t in self.tracks:
-            t.mean, t.cov = self.kalman.predict(t.mean, t.cov)
-            if not np.all(np.isfinite(t.mean)):
-                t.status = TrackStatus.removed
-        self.tracks = [t for t in self.tracks if t.status is not TrackStatus.removed]
+        if self.tracks:
+            means, covs = self.kalman.predict(*_stacked(self.tracks))
+            finite = np.isfinite(means).all(axis=1).tolist()
+            for t, mean, cov, ok in zip(self.tracks, means, covs, finite):
+                t.mean, t.cov = mean, cov
+                if not ok:
+                    t.status = TrackStatus.removed
+            self.tracks = [t for t in self.tracks if t.status is not TrackStatus.removed]
 
         if self.cfg.mode is Mode.byte:
             result = byte_associate(self.tracks, detections, self.cfg)
@@ -258,9 +312,14 @@ class Tracker:
                                 [keep[i] for i in sub.unmatched_dets])
 
         outputs: list[TrackOutput] = []
-        for ti, di in result.matches:
-            t, d = self.tracks[ti], detections[di]
-            t.mean, t.cov = self.kalman.update(t.mean, t.cov, d.bbox)
+        matched = [self.tracks[ti] for ti, _ in result.matches]
+        if matched:
+            means, covs = self.kalman.update(*_stacked(matched),
+                                             [detections[di].bbox for _, di in result.matches])
+            for t, mean, cov in zip(matched, means, covs):
+                t.mean, t.cov = mean, cov
+        for t, (_, di) in zip(matched, result.matches):
+            d = detections[di]
             t.hits += 1
             t.time_since_update = 0
             if t.status is TrackStatus.tentative and t.hits >= self.cfg.n_init:

@@ -343,6 +343,49 @@ class TestFuseDemo:
         assert run("fuse-demo", "--stack-dir", str(stack), "--params", str(params),
                    "--out", str(tmp_path / "o.bin")) == EXIT_INPUT
 
+    @staticmethod
+    def _set_channels(m, d):
+        m["config"]["channels"] = 2      # stored shapes are for 4 channels
+
+    @staticmethod
+    def _permute_shape(m, d):
+        m["parameters"][0]["shape"] = m["parameters"][0]["shape"][::-1]   # same size
+
+    @staticmethod
+    def _truncate_blob(m, d):
+        blob = d / m["parameters"][0]["file"]
+        blob.write_bytes(blob.read_bytes()[:-8])
+
+    @staticmethod
+    def _extend_blob(m, d):
+        blob = d / m["parameters"][-1]["file"]
+        blob.write_bytes(blob.read_bytes() + bytes(8))
+
+    @staticmethod
+    def _drop_entry(m, d):
+        del m["parameters"][0]
+
+    @staticmethod
+    def _duplicate_entry(m, d):
+        m["parameters"][0] = dict(m["parameters"][1])
+
+    @staticmethod
+    def _rename_entry(m, d):
+        m["parameters"][0]["name"] = "extractor.rgb.9.weight"
+
+    @pytest.mark.parametrize("edit", ["_set_channels", "_permute_shape", "_truncate_blob",
+                                      "_extend_blob", "_drop_entry", "_duplicate_entry",
+                                      "_rename_entry"])
+    def test_params_disagreeing_with_manifest(self, tmp_path, edit):
+        stack, params = tmp_path / "stack", tmp_path / "params"
+        self._write_stack(stack)
+        save_params(params, FusionParams())
+        manifest = json.loads((params / "manifest.json").read_text())
+        getattr(self, edit)(manifest, params)
+        (params / "manifest.json").write_text(json.dumps(manifest))
+        assert run("fuse-demo", "--stack-dir", str(stack), "--params", str(params),
+                   "--out", str(tmp_path / "o.bin")) == EXIT_INPUT
+
     def test_missing_stack_member(self, tmp_path):
         stack = tmp_path / "stack"
         self._write_stack(stack)

@@ -42,6 +42,18 @@ def test_iou_identity():
     assert iou(a, a) == 1.0
 
 
+@given(boxes)
+def test_iou_with_itself_is_exactly_one(b):
+    assert iou(b, b) == 1.0
+    assert iou_matrix(ltwh_array([b]), ltwh_array([b]))[0, 0] == 1.0
+
+
+def test_iou_with_itself_inexact_bottom_edge():
+    # (top + height) - top is 11.999999999999993 here, not 12
+    b = BBox(173.49288612410342, 60.70472404915453, 12, 12)
+    assert iou(b, b) == 1.0
+
+
 def test_iou_disjoint():
     assert iou(BBox(0, 0, 10, 10), BBox(100, 100, 5, 5)) == 0.0
 

@@ -288,6 +288,11 @@ class TestEvaluate:
         strict = evaluate(gt, pred, iou_threshold=0.75)
         assert strict.Rcll <= loose.Rcll
 
+    def test_perfect_prediction_at_threshold_one(self):
+        gt = self._sequence(6)
+        r = evaluate(gt, list(gt), iou_threshold=1.0)
+        assert r.MOTA == 1.0 and (r.FP, r.FN, r.IDs) == (0, 0, 0)
+
     def test_tied_boxes_invariant_under_record_order(self):
         # two preds tie for the gt box in frame 1; only pred 8 is left in frame 2
         gt = [rec(1, 1, 10), rec(2, 1, 10)]

@@ -1,7 +1,8 @@
 """Property tests: the CLI exit-code contract under fuzzed config files and map
-sidecars, tracker invariance under a shift of every frame number, and the
-evaluator's symmetries: a sequence scored against itself, gt and pred swapped,
-and records shuffled within a file."""
+sidecars, tracker invariance under a shift of every frame number and under a
+permutation of each frame's detections, and the evaluator's symmetries: a
+sequence scored against itself, gt and pred swapped, and records shuffled
+within a file."""
 import dataclasses
 import json
 import tempfile
@@ -16,7 +17,7 @@ from headtrack.cli import main
 from headtrack.geometry import BBox
 from headtrack.metrics import evaluate
 from headtrack.motio import AnnotationRecord
-from headtrack.simulate import NoiseModel, ScenarioConfig
+from headtrack.simulate import NoiseModel, ScenarioConfig, corrupt, simulate
 from headtrack.tracker import Detection, Mode, TrackerConfig, run_tracker
 
 FUZZ = settings(max_examples=40, deadline=None)
@@ -123,6 +124,35 @@ def test_tracker_invariant_under_frame_shift(frames, shift, mode):
     base = run_tracker(frames, cfg)
     shifted = run_tracker({f + shift: dets for f, dets in frames.items()}, cfg)
     assert [o._replace(frame=o.frame - shift) for o in shifted] == base
+
+
+def relabelling(a, b):
+    """The one-to-one map from a's track ids to b's under which the two
+    tracker outputs are equal, or None. Rows are keyed by (frame, box, score):
+    real-valued simulated detections never repeat within a frame."""
+    rows_a = {(o.frame, o.bbox, o.score): o.track_id for o in a}
+    rows_b = {(o.frame, o.bbox, o.score): o.track_id for o in b}
+    if len(rows_a) != len(a) or rows_a.keys() != rows_b.keys():
+        return None
+    ids = {}
+    for key, tid in rows_a.items():
+        if ids.setdefault(tid, rows_b[key]) != rows_b[key]:
+            return None
+    return ids if len(set(ids.values())) == len(ids) else None
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), mode=st.sampled_from(list(Mode)))
+def test_tracker_invariant_under_detection_permutation(seed, mode):
+    gt, _ = simulate(ScenarioConfig(agent_count=40, duration=40, seed=seed))
+    frames = corrupt(gt, NoiseModel(miss_rate=0.1, fp_rate=3.0, center_jitter=1.5,
+                                    size_jitter=1.0, tp_score=(0.8, 0.15),
+                                    occlusion_drop=0.5, seed=seed))
+    rng = np.random.default_rng(seed)
+    permuted = {f: [dets[i] for i in rng.permutation(len(dets))] for f, dets in frames.items()}
+    cfg = TrackerConfig(mode=mode)
+    base = run_tracker(frames, cfg)
+    assert base and relabelling(base, run_tracker(permuted, cfg)) is not None
 
 
 # Records on a small integer grid: one box per (frame, id) and no two equal

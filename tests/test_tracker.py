@@ -136,6 +136,131 @@ BOXES = st.builds(BBox, st.floats(-20, 60), st.floats(-20, 60), st.floats(1, 20)
                   st.floats(1, 20))
 
 
+def oracle_noise(fixed, std):
+    return fixed if fixed is not None else np.diag(np.square(std))
+
+
+def oracle_predict(km, mean, cov):
+    """The per-track filter step, one (8,) state at a time: the oracle of the
+    batched `KalmanModel.predict`."""
+    mean = km.F @ mean
+    p, v = km.STD_POS * mean[3], km.STD_VEL * mean[3]
+    cov = km.F @ cov @ km.F.T + oracle_noise(km.Q, [p, p, 1e-2, p, v, v, 1e-5, v])
+    return mean, (cov + cov.T) / 2.0
+
+
+def oracle_update(km, mean, cov, b):
+    """The per-track update, one (8,) state and one box at a time."""
+    z = np.array([b.left + b.width / 2.0, b.top + b.height / 2.0, b.width / b.height,
+                  b.height])
+    p = km.STD_POS * mean[3]
+    R = oracle_noise(km.R, [p, p, 1e-1, p])
+    S = km.H @ cov @ km.H.T + R
+    K = np.linalg.solve(S.T, (cov @ km.H.T).T).T
+    mean = mean + K @ (z - km.H @ mean)
+    ikh = np.eye(8) - K @ km.H
+    cov = ikh @ cov @ ikh.T + K @ R @ K.T
+    return mean, (cov + cov.T) / 2.0
+
+
+def filter_both(km, boxes, seed, cycles):
+    """Run predict/update cycles on all boxes at once and one track at a time;
+    yield (batched, per-track) stacked states after every step."""
+    rng = np.random.default_rng(seed)
+    states = [km.initiate(b) for b in boxes]
+    means, covs = np.stack([m for m, _ in states]), np.stack([c for _, c in states])
+    for _ in range(cycles):
+        means, covs = km.predict(means, covs)
+        states = [oracle_predict(km, m, c) for m, c in states]
+        yield (means, covs), states
+        shift = rng.normal(0.0, 2.0, (len(boxes), 2))
+        meas = [b.translate(dx, dy) for b, (dx, dy) in zip(boxes, shift)]
+        means, covs = km.update(means, covs, meas)
+        states = [oracle_update(km, m, c, b) for (m, c), b in zip(states, meas)]
+        yield (means, covs), states
+
+
+class TestBatchedKalman:
+    @pytest.mark.parametrize("n", [1, 100])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_default_model_equals_per_track_filter(self, n, data, seed):
+        boxes = data.draw(st.lists(BOXES, min_size=n, max_size=n))
+        for (means, covs), states in filter_both(KalmanModel(), boxes, seed, cycles=5):
+            assert np.array_equal(means, np.stack([m for m, _ in states]))
+            assert np.array_equal(covs, np.stack([c for _, c in states]))
+
+    @settings(max_examples=50, deadline=None)
+    @given(box=BOXES, seed=st.integers(0, 2 ** 32 - 1))
+    def test_one_unbatched_state_equals_per_track_filter(self, box, seed):
+        km = KalmanModel()
+        mean, cov = km.initiate(box)
+        want = mean, cov
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            mean, cov = km.predict(mean, cov)
+            want = oracle_predict(km, *want)
+            meas = box.translate(*rng.normal(0.0, 2.0, 2))
+            mean, cov = km.update(mean, cov, meas)
+            want = oracle_update(km, *want, meas)
+            assert mean.shape == (8,) and cov.shape == (8, 8)
+            assert np.array_equal(mean, want[0]) and np.array_equal(cov, want[1])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_custom_model_close_to_per_track_filter(self, seed):
+        rng = np.random.default_rng(seed)
+        F = np.eye(8) + rng.normal(0.0, 0.1, (8, 8))
+        a, b = rng.normal(0.0, 0.3, (8, 8)), rng.normal(0.0, 0.3, (4, 4))
+        km = KalmanModel(F=F, Q=a @ a.T + 0.1 * np.eye(8), R=b @ b.T + 0.5 * np.eye(4))
+        boxes = [BBox(*rng.uniform(0, 200, 2), *rng.uniform(5, 30, 2)) for _ in range(30)]
+        for (means, covs), states in filter_both(km, boxes, seed, cycles=5):
+            assert np.allclose(means, np.stack([m for m, _ in states]), rtol=1e-9, atol=1e-9)
+            assert np.allclose(covs, np.stack([c for _, c in states]), rtol=1e-9, atol=1e-9)
+
+    def test_one_singular_innovation_in_batch_raises(self):
+        km = KalmanModel(R=np.zeros((4, 4)))
+        states = [km.initiate(BBox(10.0 * i, 0, 10, 10)) for i in range(4)]
+        means, covs = np.stack([m for m, _ in states]), np.stack([c for _, c in states])
+        covs[2] = 0.0
+        with pytest.raises(TrackerError):
+            km.update(means, covs, [BBox(10.0 * i, 1, 10, 10) for i in range(4)])
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in F
+    def test_non_finite_prediction_removes_only_that_track(self):
+        tracker = Tracker()
+        tracker.tracks = [make_track(BBox(40.0 * i, 0, 10, 10), tid=i + 1) for i in range(4)]
+        tracker.tracks[1].mean[4] = np.inf
+        tracker.step(1, [det(0, 0), det(80, 0)])
+        assert [t.track_id for t in tracker.tracks] == [1, 3, 4]
+        assert all(np.isfinite(t.mean).all() for t in tracker.tracks)
+
+
+def oracle_associate(tracks, dets, cfg):
+    """Association before the IoU matrix was read from the stacked means:
+    per-track `bbox`, scalar IoU costs and the scalar IoU gate."""
+    cost = np.array([[1.0 - iou(t.bbox, d.bbox) for d in dets] for t in tracks])
+    result = hungarian(cost.reshape(len(tracks), len(dets)))
+    gated = [(ti, di) for ti, di in result.matches
+             if iou(tracks[ti].bbox, dets[di].bbox) < cfg.iou_gate]
+    return ([m for m in result.matches if m not in gated],
+            sorted(result.unmatched_tracks + [ti for ti, _ in gated]),
+            sorted(result.unmatched_dets + [di for _, di in gated]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(track_boxes=st.lists(BOXES, max_size=8), det_boxes=st.lists(BOXES, max_size=8),
+       velocity=st.tuples(st.floats(-5, 5), st.floats(-5, 5)))
+def test_associate_equals_scalar_path(track_boxes, det_boxes, velocity):
+    km = KalmanModel()
+    tracks = [make_track(b, tid=i + 1) for i, b in enumerate(track_boxes)]
+    for t in tracks:
+        t.mean[4:6] = velocity
+        t.mean, t.cov = km.predict(t.mean, t.cov)
+    dets = [Detection(b, 0.9) for b in det_boxes]
+    cfg = TrackerConfig()
+    assert tuple(associate(tracks, dets, cfg)) == oracle_associate(tracks, dets, cfg)
+
+
 @settings(max_examples=100, deadline=None)
 @given(track_boxes=st.lists(BOXES, max_size=6), det_boxes=st.lists(BOXES, max_size=6))
 def test_cost_matrix_equals_scalar_loop(track_boxes, det_boxes):
