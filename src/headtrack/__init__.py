@@ -8,4 +8,4 @@ a synthetic crowd simulator for end-to-end testing.
 
 __version__ = "0.1.0"
 
-from .geometry import BBox, aspect_ratio, giou, iou  # noqa: F401
+from .geometry import BBox, aspect_ratio, iou  # noqa: F401

@@ -34,18 +34,21 @@ class Tensor:
     def backward(self):
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar loss")
+        # depth-first post-order with an explicit stack: a recursive closure
+        # would refer to itself and keep the whole graph in a reference cycle
         topo: list[Tensor] = []
-        seen: set[int] = set()
-
-        def visit(t: Tensor):
-            if id(t) in seen:
-                return
-            seen.add(id(t))
-            for p in t._parents:
-                visit(p)
-            topo.append(t)
-
-        visit(self)
+        seen = {id(self)}
+        stack = [(self, iter(self._parents))]
+        while stack:
+            t, parents = stack[-1]
+            for p in parents:
+                if id(p) not in seen:
+                    seen.add(id(p))
+                    stack.append((p, iter(p._parents)))
+                    break
+            else:
+                stack.pop()
+                topo.append(t)
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
         for t in reversed(topo):
             g = grads.pop(id(t), None)

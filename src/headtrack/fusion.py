@@ -43,10 +43,6 @@ class ConvBlock:
     bias: Tensor
 
     @property
-    def out_channels(self) -> int:
-        return self.weight.shape[0]
-
-    @property
     def in_channels(self) -> int:
         return self.weight.shape[1]
 

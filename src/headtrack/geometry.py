@@ -106,19 +106,6 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return inter / (area_a + area_b - inter)
 
 
-def giou(a: BBox, b: BBox) -> float:
-    """Generalized IoU: iou minus (hull area - union area) / hull area.
-
-    Lies in (-1, 1]; equals iou when the enclosing hull is exactly the union.
-    """
-    inter = intersection_area(a, b)
-    union = a.area + b.area - inter
-    hull_w = max(a.right, b.right) - min(a.left, b.left)
-    hull_h = max(a.bottom, b.bottom) - min(a.top, b.top)
-    hull = hull_w * hull_h
-    return inter / union - (hull - union) / hull
-
-
 def aspect_ratio(b: BBox) -> float:
     """Height divided by width."""
     return b.height / b.width

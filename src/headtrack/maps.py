@@ -146,44 +146,39 @@ def _downsample2(img: np.ndarray) -> np.ndarray:
     return img.reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))
 
 
-def _shift(img: np.ndarray, du: int, dv: int) -> np.ndarray:
-    """Shift forward by (du, dv) with edge replication: out[y, x] = img[y-dv, x-du]."""
-    h, w = img.shape
-    ys = np.clip(np.arange(h) - dv, 0, h - 1)
-    xs = np.clip(np.arange(w) - du, 0, w - 1)
-    return img[np.ix_(ys, xs)]
-
-
-def _sad_map(curr: np.ndarray, prev: np.ndarray, du: int, dv: int, block: int) -> np.ndarray:
-    diff = np.abs(curr - _shift(prev, du, dv))
-    return uniform_filter(diff, size=block, mode="nearest")
-
-
 def _match_level(curr: np.ndarray, prev: np.ndarray, init_u: np.ndarray,
                  init_v: np.ndarray, cfg: FlowConfig) -> tuple[np.ndarray, np.ndarray]:
+    """One SAD block-matching pass over every displacement any pixel may take.
+
+    A pixel may take a displacement within search_radius of zero or of its own
+    initial estimate, so a bad coarse-level guess cannot push the refinement
+    out of reach. Displacements are visited once each in the global order
+    (u^2 + v^2, u, v), so each pixel keeps the first strict minimum over its
+    own candidates: ties go to the smaller magnitude, then lexicographic (u, v).
+    """
     r = cfg.search_radius
-    offsets = [(du, dv) for dv in range(-r, r + 1) for du in range(-r, r + 1)]
+    window = [(du, dv) for dv in range(-r, r + 1) for du in range(-r, r + 1)]
+    starts = np.unique(np.stack([init_u, init_v], axis=-1).reshape(-1, 2), axis=0)
+    cands = sorted({(u0 + du, v0 + dv) for u0, v0 in [(0, 0), *starts.astype(int).tolist()]
+                    for du, dv in window},
+                   key=lambda d: (d[0] * d[0] + d[1] * d[1], d[0], d[1]))
+    # edge-padded prev: the slice below is prev shifted forward by (u, v),
+    # out[y, x] = prev[clip(y - v), clip(x - u)]
+    pad = max(max(abs(u), abs(v)) for u, v in cands)
+    padded = np.pad(prev, pad, mode="edge")
+    h, w = curr.shape
     best_cost = np.full(curr.shape, np.inf)
     best_u = np.zeros(curr.shape)
     best_v = np.zeros(curr.shape)
-    sad_cache: dict[tuple[int, int], np.ndarray] = {}
-    pairs = np.stack([init_u, init_v], axis=-1).reshape(-1, 2)
-    for u0, v0 in np.unique(pairs, axis=0):
-        mask = (init_u == u0) & (init_v == v0)
-        # search around the initial estimate and around zero displacement, so
-        # a bad coarse-level guess cannot push the refinement out of reach;
-        # ties broken toward smaller displacement magnitude, then lexicographic (u, v)
-        cands = {(u0 + du, v0 + dv) for du, dv in offsets}
-        cands |= {(du, dv) for du, dv in offsets}
-        cands = sorted(cands, key=lambda d: (d[0] * d[0] + d[1] * d[1], d[0], d[1]))
-        for u, v in cands:
-            key = (int(u), int(v))
-            if key not in sad_cache:
-                sad_cache[key] = _sad_map(curr, prev, key[0], key[1], cfg.block_size)
-            better = mask & (sad_cache[key] < best_cost)
-            best_cost[better] = sad_cache[key][better]
-            best_u[better] = u
-            best_v[better] = v
+    for u, v in cands:
+        shifted = padded[pad - v:pad - v + h, pad - u:pad - u + w]
+        sad = uniform_filter(np.abs(curr - shifted), size=cfg.block_size, mode="nearest")
+        better = sad < best_cost
+        if max(abs(u), abs(v)) > r:  # outside the zero window: near the estimate only
+            better &= (np.abs(init_u - u) <= r) & (np.abs(init_v - v) <= r)
+        best_cost[better] = sad[better]
+        best_u[better] = u
+        best_v[better] = v
     return best_u, best_v
 
 

@@ -13,7 +13,6 @@ metrics.
 """
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -217,9 +216,6 @@ class MotReport:
 
     def as_dict(self) -> dict:
         return {k: getattr(self, k) for k in (*self.COLUMNS, "FP", "FN")}
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict())
 
     def format_row(self, name: str = "") -> str:
         cells = []

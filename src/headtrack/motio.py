@@ -96,8 +96,9 @@ def parse_annotations(lines: Iterable[str],
                       order: FieldOrder = FieldOrder.paper_order) -> list[AnnotationRecord]:
     """Parse annotation lines into records, preserving file order.
 
-    Raises AnnotationError with the 1-based line number on malformed input or
-    on a duplicate (frame, track_id) pair.
+    Raises AnnotationError with the 1-based line number on malformed input, on
+    a box whose edges, area or aspect ratio leave the float range, or on a
+    duplicate (frame, track_id) pair.
     """
     records: list[AnnotationRecord] = []
     seen: set[tuple[int, int]] = set()
@@ -130,6 +131,12 @@ def parse_annotations(lines: Iterable[str],
                                    conf, int(cat), vis)
         except ValueError as e:
             raise AnnotationError(f"line {lineno}: {e}") from None
+        # what IoU, the tracker state and the ratio histogram derive from the
+        # box must neither overflow nor underflow
+        if not (0.0 < w * h < math.inf and all(
+                math.isfinite(v) for v in (left + w, top + h, w / h, h / w * 10.0))):
+            raise AnnotationError(f"line {lineno}: box edge, area or aspect ratio "
+                                  "out of float range")
         records.append(rec)
     return records
 
@@ -194,15 +201,6 @@ def resample_framerate(records: list[AnnotationRecord], factor: int) -> list[Ann
             out.append(AnnotationRecord((r.frame - 1) // factor + 1, r.track_id,
                                         r.bbox, r.confidence, r.category, r.visibility))
     return out
-
-
-def split_frames(records: list[AnnotationRecord],
-                 frame_count: int) -> tuple[list[AnnotationRecord], list[AnnotationRecord]]:
-    """Per-sequence 1:1 frame split: first half of the frames is the train part."""
-    cut = frame_count // 2
-    train = [r for r in records if r.frame <= cut]
-    test = [r for r in records if r.frame > cut]
-    return train, test
 
 
 def read_kv(path) -> dict[str, str]:

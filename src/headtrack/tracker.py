@@ -216,10 +216,6 @@ def _iou_matrix(tracks: Sequence[TrackState], dets: Sequence[Detection]) -> np.n
     return iou_matrix(_z_to_ltwh(z), ltwh_array(d.bbox for d in dets))
 
 
-def _cost_matrix(tracks: Sequence[TrackState], dets: Sequence[Detection]) -> np.ndarray:
-    return 1.0 - _iou_matrix(tracks, dets)
-
-
 def associate(tracks: Sequence[TrackState], dets: Sequence[Detection],
               cfg: TrackerConfig) -> Assignment:
     """Hungarian on 1 - IoU; assigned pairs below the IoU gate are unmatched."""

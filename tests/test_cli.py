@@ -203,6 +203,18 @@ class TestTrackEvaluate:
         assert run("track", "--dets", str(dets), "--out", str(tmp_path / "o.txt")) == EXIT_INPUT
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["track", "evaluate", "stats"])
+    @pytest.mark.parametrize("box", ["1e308,0,1e308,10", "0,0,1e-200,1e-200",
+                                     "0,0,5e-324,0.5"])
+    def test_out_of_range_box_is_input_error(self, tmp_path, capsys, command, box):
+        ann = tmp_path / "ann.txt"
+        ann.write_text(f"1,1,0,0,10,10,1,1,1\n1,2,{box},1,1,1\n")
+        argv = {"track": ["--dets", str(ann), "--out", str(tmp_path / "o.txt")],
+                "evaluate": ["--gt", str(ann), "--pred", str(ann)],
+                "stats": ["--ann", str(ann)]}[command]
+        assert run(command, *argv) == EXIT_INPUT
+        assert "line 2" in capsys.readouterr().err
+
     def test_bad_tracker_config_value(self, scenario, tmp_path):
         _, dets = scenario
         cfg = tmp_path / "trk.cfg"

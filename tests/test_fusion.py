@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -42,7 +44,7 @@ def set_identity(block):
     """Center-tap identity: output channel j copies input channel j % in_ch."""
     k = block.weight.shape[-1]
     block.weight.data = np.zeros_like(block.weight.data)
-    for j in range(block.out_channels):
+    for j in range(block.weight.shape[0]):
         block.weight.data[j, j % block.in_channels, k // 2, k // 2] = 1.0
     block.bias.data = np.zeros_like(block.bias.data)
 
@@ -333,6 +335,21 @@ class TestBackward:
                    _backward=lambda g: (g * np.inf,))
         with pytest.raises(FloatingPointError):
             ad.tsum(y).backward()
+
+    def test_graph_freed_without_cycle_collector(self):
+        # backward must not leave a reference cycle holding the graph: once
+        # the output is dropped, reference counting alone frees every tensor
+        p = FusionParams(FusionConfig(seed=21))
+        s = mkstack(np.random.default_rng(21), h=24, w=32)
+        gc.collect()
+        gc.disable()
+        try:
+            out = forward(s, p)
+            ad.tsum(toy_head(out, p)).backward()
+            del out
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def test_params_round_trip(tmp_path):

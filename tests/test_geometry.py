@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from headtrack.geometry import BBox, aspect_ratio, giou, iou, iou_matrix, ltwh_array
+from headtrack.geometry import BBox, aspect_ratio, iou, iou_matrix, ltwh_array
 
 boxes = st.builds(
     BBox,
@@ -63,16 +63,6 @@ def test_iou_half_overlap():
     assert iou(BBox(0, 0, 10, 10), BBox(5, 0, 10, 10)) == pytest.approx(1 / 3)
 
 
-def test_giou_identity():
-    a = BBox(1, 2, 5, 5)
-    assert giou(a, a) == 1.0
-
-
-def test_giou_disjoint_penalty():
-    # unit boxes one apart: IoU 0, hull 3x1, gap 1 -> -1/3
-    assert giou(BBox(0, 0, 1, 1), BBox(2, 0, 1, 1)) == pytest.approx(-1 / 3)
-
-
 @given(boxes, boxes)
 def test_iou_symmetric_and_bounded(a, b):
     v = iou(a, b)
@@ -80,16 +70,9 @@ def test_iou_symmetric_and_bounded(a, b):
     assert 0.0 <= v <= 1.0
 
 
-@given(boxes, boxes)
-def test_giou_le_iou_and_symmetric(a, b):
-    assert giou(a, b) == pytest.approx(giou(b, a))
-    assert giou(a, b) <= iou(a, b) + 1e-12
-
-
 @given(boxes, boxes, st.floats(-50, 50), st.floats(-50, 50))
 def test_translation_invariance(a, b, dx, dy):
     assert iou(a.translate(dx, dy), b.translate(dx, dy)) == pytest.approx(iou(a, b))
-    assert giou(a.translate(dx, dy), b.translate(dx, dy)) == pytest.approx(giou(a, b))
 
 
 def test_aspect_ratio():

@@ -1,6 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.ndimage import uniform_filter
 
+from headtrack import maps
 from headtrack.geometry import BBox
 from headtrack.maps import (
     FlowConfig,
@@ -88,6 +94,86 @@ class TestOpticalFlow:
     def test_even_block_rejected(self):
         with pytest.raises(MapError):
             FlowConfig(block_size=4)
+
+
+# The per-estimate block matcher that the single ordered pass replaced, kept
+# unchanged as the oracle: every distinct initial estimate searches its own
+# window and the zero window, with a SAD map cache shared between estimates.
+def _shift(img: np.ndarray, du: int, dv: int) -> np.ndarray:
+    """Shift forward by (du, dv) with edge replication: out[y, x] = img[y-dv, x-du]."""
+    h, w = img.shape
+    ys = np.clip(np.arange(h) - dv, 0, h - 1)
+    xs = np.clip(np.arange(w) - du, 0, w - 1)
+    return img[np.ix_(ys, xs)]
+
+
+def _sad_map(curr: np.ndarray, prev: np.ndarray, du: int, dv: int, block: int) -> np.ndarray:
+    diff = np.abs(curr - _shift(prev, du, dv))
+    return uniform_filter(diff, size=block, mode="nearest")
+
+
+def _match_level(curr: np.ndarray, prev: np.ndarray, init_u: np.ndarray,
+                 init_v: np.ndarray, cfg: FlowConfig) -> tuple[np.ndarray, np.ndarray]:
+    r = cfg.search_radius
+    offsets = [(du, dv) for dv in range(-r, r + 1) for du in range(-r, r + 1)]
+    best_cost = np.full(curr.shape, np.inf)
+    best_u = np.zeros(curr.shape)
+    best_v = np.zeros(curr.shape)
+    sad_cache: dict[tuple[int, int], np.ndarray] = {}
+    pairs = np.stack([init_u, init_v], axis=-1).reshape(-1, 2)
+    for u0, v0 in np.unique(pairs, axis=0):
+        mask = (init_u == u0) & (init_v == v0)
+        # search around the initial estimate and around zero displacement, so
+        # a bad coarse-level guess cannot push the refinement out of reach;
+        # ties broken toward smaller displacement magnitude, then lexicographic (u, v)
+        cands = {(u0 + du, v0 + dv) for du, dv in offsets}
+        cands |= {(du, dv) for du, dv in offsets}
+        cands = sorted(cands, key=lambda d: (d[0] * d[0] + d[1] * d[1], d[0], d[1]))
+        for u, v in cands:
+            key = (int(u), int(v))
+            if key not in sad_cache:
+                sad_cache[key] = _sad_map(curr, prev, key[0], key[1], cfg.block_size)
+            better = mask & (sad_cache[key] < best_cost)
+            best_cost[better] = sad_cache[key][better]
+            best_u[better] = u
+            best_v[better] = v
+    return best_u, best_v
+
+
+def reference_flow(curr: ImageFrame, prev: ImageFrame, cfg: FlowConfig) -> FlowField:
+    """optical_flow's pyramid with the oracle matcher at every level."""
+    with mock.patch.object(maps, "_match_level", _match_level):
+        return optical_flow(curr, prev, cfg)
+
+
+@st.composite
+def frame_pairs(draw):
+    """A random frame pair and flow config. The current frame is the previous
+    one moved by a few pixels plus noise, or unrelated to it; quantising both to
+    a few grey levels makes many displacements tie on SAD."""
+    cfg = FlowConfig(block_size=draw(st.sampled_from([3, 5, 7])),
+                     search_radius=draw(st.integers(1, 4)), levels=draw(st.integers(1, 3)))
+    h = draw(st.integers(cfg.block_size, 26))
+    w = draw(st.integers(cfg.block_size, 26))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    prev = rng.random((h, w))
+    if draw(st.booleans()):
+        curr = np.roll(prev, (draw(st.integers(-5, 5)), draw(st.integers(-5, 5))), axis=(0, 1))
+        curr = curr + draw(st.sampled_from([0.0, 0.05, 0.3])) * rng.random((h, w))
+    else:
+        curr = rng.random((h, w))
+    levels = draw(st.sampled_from([None, 2, 3, 4]))
+    if levels is not None:
+        prev, curr = (np.round(a * (levels - 1)) / (levels - 1) for a in (prev, curr))
+    return gray(curr), gray(prev), cfg
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair=frame_pairs())
+def test_optical_flow_equals_per_estimate_matcher(pair):
+    curr, prev, cfg = pair
+    got, want = optical_flow(curr, prev, cfg), reference_flow(curr, prev, cfg)
+    assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v)
 
 
 class TestDensity:

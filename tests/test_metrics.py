@@ -339,5 +339,5 @@ class TestReport:
 
     def test_json_round_trip(self):
         import json
-        d = json.loads(self._report().to_json())
+        d = json.loads(json.dumps(self._report().as_dict()))
         assert d["MOTA"] == 0.675 and d["FP"] == 10 and d["FN"] == 20

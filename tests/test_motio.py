@@ -12,7 +12,6 @@ from headtrack.motio import (
     parse_annotations,
     read_sequence_meta,
     resample_framerate,
-    split_frames,
     write_annotations,
     write_sequence_meta,
 )
@@ -94,6 +93,16 @@ class TestParse:
         with pytest.raises(AnnotationError, match="line 2"):
             parse_annotations(["1,1,0,0,5,5,1,1,1", ",".join(fields)])
 
+    @pytest.mark.parametrize("line", ["1,1,1e308,0,1e308,10,1,1,1",   # right edge
+                                      "1,1,0,1e308,10,1e308,1,1,1",    # bottom edge
+                                      "1,1,0,0,1e200,1e200,1,1,1",     # area
+                                      "1,1,0,0,1e-200,1e-200,1,1,1",   # area underflows
+                                      "1,1,0,0,5e-324,0.5,1,1,1",      # height / width
+                                      "1,1,0,0,1e300,1e-300,1,1,1"])   # width / height
+    def test_out_of_range_box(self, line):
+        with pytest.raises(AnnotationError, match="line 2"):
+            parse_annotations(["1,2,0,0,5,5,1,1,1", line])
+
     def test_duplicate_frame_id(self):
         with pytest.raises(AnnotationError, match="duplicate"):
             parse_annotations(["1,1,0,0,5,5,1,1,1", "1,1,9,9,5,5,1,1,1"])
@@ -162,12 +171,6 @@ class TestStats:
                 AnnotationRecord(1, 2, BBox(0, 0, 10, 12))]  # 1.2
         stats = compute_stats(recs, 1)
         assert stats.ratio_histogram == {5: 1, 12: 1}
-
-    def test_split_frames_half(self):
-        recs = [AnnotationRecord(f, 1, BBox(0, 0, 5, 5)) for f in range(1, 11)]
-        train, test = split_frames(recs, 10)
-        assert [r.frame for r in train] == list(range(1, 6))
-        assert [r.frame for r in test] == list(range(6, 11))
 
 
 class TestResample:

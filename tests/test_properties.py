@@ -1,5 +1,5 @@
-"""Property tests: the CLI exit-code contract under fuzzed config files and map
-sidecars, tracker invariance under a shift of every frame number and under a
+"""Property tests: the CLI exit-code contract under fuzzed config files, map
+sidecars and annotation files, tracker invariance under a shift of every frame number and under a
 permutation of each frame's detections, and the evaluator's symmetries: a
 sequence scored against itself, gt and pred swapped, and records shuffled
 within a file."""
@@ -108,6 +108,35 @@ def test_gen_motion_sidecar_exit_code(sidecar):
         (frames / "f_2.bin.json").write_text(sidecar)
         assert main(["gen-motion", "--frames-dir", str(frames),
                      "--out-dir", str(Path(d) / "out")]) in (0, 2)
+
+
+# a line is mostly well-formed (small integer id and frame, 7 numeric fields)
+# so that the fuzzed floats reach geometry, tracking and evaluation; huge, tiny,
+# negative and non-finite values all come from st.floats()
+FLOAT_FIELD = st.one_of(st.floats().map(repr), st.integers(-5, 40).map(str),
+                        st.sampled_from(["1e308", "-1e308", "1e-308", "5e-324", "0.5"]))
+ANNOTATION_LINE = st.one_of(
+    st.tuples(st.integers(1, 3).map(str), st.integers(1, 4).map(str),
+              *[FLOAT_FIELD] * 7).map(",".join),
+    st.lists(st.one_of(FLOAT_FIELD, st.sampled_from(["", "x", "1.5"])),
+             min_size=8, max_size=10).map(",".join),
+)
+ANNOTATION_FILE = st.lists(ANNOTATION_LINE, max_size=4).map(
+    lambda lines: "".join(line + "\n" for line in ["1,1,0,0,10,10,0.9,1,1", *lines]))
+
+
+@FUZZ
+@given(gt=ANNOTATION_FILE, pred=ANNOTATION_FILE)
+def test_annotation_file_exit_code(gt, pred):
+    with tempfile.TemporaryDirectory() as d:
+        d = Path(d)
+        (d / "gt.txt").write_text(gt)
+        (d / "pred.txt").write_text(pred)
+        assert main(["track", "--dets", str(d / "pred.txt"),
+                     "--out", str(d / "out.txt")]) in (0, 2, 3)
+        assert main(["evaluate", "--gt", str(d / "gt.txt"),
+                     "--pred", str(d / "pred.txt")]) in (0, 2, 3)
+        assert main(["stats", "--ann", str(d / "gt.txt")]) in (0, 2, 3)
 
 
 DETECTION = st.builds(lambda x, y, w, h, s: Detection(BBox(x, y, w, h), s),

@@ -16,7 +16,7 @@ from headtrack.tracker import (
     TrackState,
     TrackStatus,
     _bbox_to_z,
-    _cost_matrix,
+    _iou_matrix,
     _z_to_bbox,
     associate,
     byte_associate,
@@ -270,7 +270,7 @@ def test_cost_matrix_equals_scalar_loop(track_boxes, det_boxes):
     for ti, t in enumerate(tracks):
         for di, d in enumerate(dets):
             want[ti, di] = 1.0 - iou(t.bbox, d.bbox)
-    assert np.array_equal(_cost_matrix(tracks, dets), want)
+    assert np.array_equal(1.0 - _iou_matrix(tracks, dets), want)
 
 
 class TestAssociate:
