@@ -149,12 +149,6 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     return Tensor(x.data[idx], _parents=(x,), _backward=backward)
 
 
-def _im2col(xp: np.ndarray, k: int, h: int, w: int) -> np.ndarray:
-    # xp: (Cin, h + k - 1, w + k - 1) -> (Cin * k * k, h * w)
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
-    return win.transpose(0, 3, 4, 1, 2).reshape(-1, h * w)
-
-
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Same-padded stride-1 convolution; x (Cin, H, W), weight (Cout, Cin, k, k)."""
     cout, cin, k, k2 = weight.shape
@@ -164,21 +158,31 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise ValueError(f"input has {x.shape[0]} channels, kernel expects {cin}")
     _, h, w = x.shape
     pad = k // 2
-    xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad)))
-    cols = _im2col(xp, k, h, w)
-    w_mat = weight.data.reshape(cout, -1)
-    out_data = (w_mat @ cols + bias.data[:, None]).reshape(cout, h, w)
+    # Zero-padded rows of width wp, one extra zero row, flattened: output
+    # (y, x) reads tap (ki, kj) at xf[:, (y + ki) * wp + x + kj], so each tap
+    # is the contiguous slice at offset ki * wp + kj. The columns x >= w of
+    # each output row wrap into the next row and are cropped.
+    wp = w + 2 * pad
+    n = h * wp
+    xp = np.zeros((cin, h + 2 * pad + 1, wp))
+    xp[:, pad:pad + h, pad:pad + w] = x.data
+    xf = xp.reshape(cin, -1)
+    taps = [(ki, kj, ki * wp + kj) for ki in range(k) for kj in range(k)]
+    acc = np.zeros((cout, n))
+    for ki, kj, o in taps:
+        acc += weight.data[:, :, ki, kj] @ xf[:, o:o + n]
+    out_data = acc.reshape(cout, h, wp)[:, :, :w] + bias.data[:, None, None]
 
     def backward(g):
-        g_mat = g.reshape(cout, -1)
-        d_weight = (g_mat @ cols.T).reshape(weight.shape)
-        d_bias = g_mat.sum(axis=1)
-        d_cols = (w_mat.T @ g_mat).reshape(cin, k, k, h, w)
-        d_xp = np.zeros_like(xp)
-        for ki in range(k):
-            for kj in range(k):
-                d_xp[:, ki:ki + h, kj:kj + w] += d_cols[:, ki, kj]
-        d_x = d_xp[:, pad:pad + h, pad:pad + w] if pad else d_xp
-        return (d_x, d_weight, d_bias)
+        gp = np.zeros((cout, h, wp))
+        gp[:, :, :w] = g
+        gf = gp.reshape(cout, n)
+        d_weight = np.empty_like(weight.data)
+        d_xf = np.zeros_like(xf)
+        for ki, kj, o in taps:
+            d_weight[:, :, ki, kj] = gf @ xf[:, o:o + n].T
+            d_xf[:, o:o + n] += weight.data[:, :, ki, kj].T @ gf
+        d_x = d_xf.reshape(xp.shape)[:, pad:pad + h, pad:pad + w]
+        return (d_x, d_weight, g.reshape(cout, -1).sum(axis=1))
 
     return Tensor(out_data, _parents=(x, weight, bias), _backward=backward)

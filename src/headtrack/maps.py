@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.ndimage import uniform_filter
+from scipy.ndimage import uniform_filter1d
 
 from .geometry import BBox
 
@@ -156,30 +156,52 @@ def _match_level(curr: np.ndarray, prev: np.ndarray, init_u: np.ndarray,
     (u^2 + v^2, u, v), so each pixel keeps the first strict minimum over its
     own candidates: ties go to the smaller magnitude, then lexicographic (u, v).
     """
-    r = cfg.search_radius
+    r, half = cfg.search_radius, cfg.block_size // 2
+    h, w = curr.shape
     window = [(du, dv) for dv in range(-r, r + 1) for du in range(-r, r + 1)]
-    starts = np.unique(np.stack([init_u, init_v], axis=-1).reshape(-1, 2), axis=0)
-    cands = sorted({(u0 + du, v0 + dv) for u0, v0 in [(0, 0), *starts.astype(int).tolist()]
-                    for du, dv in window},
-                   key=lambda d: (d[0] * d[0] + d[1] * d[1], d[0], d[1]))
+    starts, which = np.unique(np.stack([init_u, init_v], axis=-1).reshape(-1, 2), axis=0,
+                              return_inverse=True)
+    which = which.reshape(h, w)
+    cands = np.array(sorted({(u0 + du, v0 + dv)
+                             for u0, v0 in [(0, 0), *starts.astype(int).tolist()]
+                             for du, dv in window},
+                            key=lambda d: (d[0] * d[0] + d[1] * d[1], d[0], d[1])))
+    # near[i, e]: pixels whose estimate is starts[e] may take cands[i]; every
+    # pixel may take a displacement in the zero window. A displacement is
+    # matched only in the rectangle rows [y0, y1) x columns [0, x1) spanned by
+    # the pixels that may take it.
+    zero = np.abs(cands).max(axis=1) <= r
+    near = np.all(np.abs(cands[:, None, :] - starts[None, :, :]) <= r, axis=-1)
+    near[zero] = True
+    ys, xs = np.indices((h, w))
+    n = len(starts)
+    lo_y, hi_y, hi_x = np.full(n, h), np.zeros(n, int), np.zeros(n, int)
+    np.minimum.at(lo_y, which, ys)
+    np.maximum.at(hi_y, which, ys + 1)
+    np.maximum.at(hi_x, which, xs + 1)
+    y0 = np.where(near, lo_y, h).min(axis=1)
+    y1 = np.where(near, hi_y, 0).max(axis=1)
+    x1 = np.where(near, hi_x, 0).max(axis=1)
     # edge-padded prev: the slice below is prev shifted forward by (u, v),
     # out[y, x] = prev[clip(y - v), clip(x - u)]
-    pad = max(max(abs(u), abs(v)) for u, v in cands)
+    pad = int(np.abs(cands).max())
     padded = np.pad(prev, pad, mode="edge")
-    h, w = curr.shape
     best_cost = np.full(curr.shape, np.inf)
-    best_u = np.zeros(curr.shape)
-    best_v = np.zeros(curr.shape)
-    for u, v in cands:
-        shifted = padded[pad - v:pad - v + h, pad - u:pad - u + w]
-        sad = uniform_filter(np.abs(curr - shifted), size=cfg.block_size, mode="nearest")
-        better = sad < best_cost
-        if max(abs(u), abs(v)) > r:  # outside the zero window: near the estimate only
-            better &= (np.abs(init_u - u) <= r) & (np.abs(init_v - v) <= r)
-        best_cost[better] = sad[better]
-        best_u[better] = u
-        best_v[better] = v
-    return best_u, best_v
+    best = np.zeros(curr.shape, dtype=np.intp)
+    for i, (u, v, ya, yb, xb) in enumerate(np.column_stack([cands, y0, y1, x1]).tolist()):
+        # uniform_filter1d is a running sum from the start of each line, so a
+        # prefix of a line filters to the same bits as the whole line
+        ry, rx = min(h, yb + half), min(w, xb + half)
+        diff = np.abs(curr[:ry, :rx] - padded[pad - v:pad - v + ry, pad - u:pad - u + rx])
+        sad = uniform_filter1d(diff, cfg.block_size, axis=0, mode="nearest")[ya:yb]
+        sad = uniform_filter1d(sad, cfg.block_size, axis=1, mode="nearest")[:, :xb]
+        cost = best_cost[ya:yb, :xb]
+        better = sad < cost
+        if not zero[i]:
+            better &= near[i][which[ya:yb, :xb]]
+        np.copyto(cost, sad, where=better)
+        np.copyto(best[ya:yb, :xb], i, where=better)
+    return cands[best, 0].astype(np.float64), cands[best, 1].astype(np.float64)
 
 
 def optical_flow(curr: ImageFrame, prev: ImageFrame, cfg: FlowConfig | None = None) -> FlowField:

@@ -131,10 +131,12 @@ def parse_annotations(lines: Iterable[str],
                                    conf, int(cat), vis)
         except ValueError as e:
             raise AnnotationError(f"line {lineno}: {e}") from None
-        # what IoU, the tracker state and the ratio histogram derive from the
-        # box must neither overflow nor underflow
+        # what IoU, the tracker state and noise (std proportional to the box
+        # size, squared) and the ratio histogram derive from the box must
+        # neither overflow nor underflow
         if not (0.0 < w * h < math.inf and all(
-                math.isfinite(v) for v in (left + w, top + h, w / h, h / w * 10.0))):
+                math.isfinite(v) for v in (left + w, top + h, w / h, h / w * 10.0,
+                                           w * w, h * h))):
             raise AnnotationError(f"line {lineno}: box edge, area or aspect ratio "
                                   "out of float range")
         records.append(rec)
@@ -152,7 +154,13 @@ def write_annotations(records: Iterable[AnnotationRecord],
             head = (r.frame, r.track_id)
         vals = (*head, b.left, b.top, b.width, b.height,
                 r.confidence, r.category, r.visibility)
-        yield ",".join(_format_number(float(v)) for v in vals) + "\n"
+        fields = [_format_number(float(v)) for v in vals]
+        # a width or height below 0.005 would be written as 0.00 and read back
+        # as a degenerate box, so it is written exactly
+        for i in (4, 5):
+            if fields[i] == "0.00":
+                fields[i] = repr(float(vals[i]))
+        yield ",".join(fields) + "\n"
 
 
 def read_annotation_file(path, order: FieldOrder = FieldOrder.paper_order) -> list[AnnotationRecord]:

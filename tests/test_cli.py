@@ -205,7 +205,7 @@ class TestTrackEvaluate:
 
     @pytest.mark.parametrize("command", ["track", "evaluate", "stats"])
     @pytest.mark.parametrize("box", ["1e308,0,1e308,10", "0,0,1e-200,1e-200",
-                                     "0,0,5e-324,0.5"])
+                                     "0,0,5e-324,0.5", "0,0,1e-100,1e200"])
     def test_out_of_range_box_is_input_error(self, tmp_path, capsys, command, box):
         ann = tmp_path / "ann.txt"
         ann.write_text(f"1,1,0,0,10,10,1,1,1\n1,2,{box},1,1,1\n")
@@ -242,6 +242,15 @@ class TestResample:
         recs = motio.read_annotation_file(out, FieldOrder.paper_order)
         assert max(r.frame for r in recs) == 100
         assert len(recs) == 20 * 100
+
+    @pytest.mark.parametrize("command", ["resample", "track"])
+    def test_tiny_width_output_reads_back(self, tmp_path, command):
+        ann, out = tmp_path / "ann.txt", tmp_path / "o.txt"
+        ann.write_text("".join(f"1,{f},0,0,0.004,10,1,1,1\n" for f in (1, 2, 3)))
+        argv = {"resample": ["--ann", str(ann), "--factor", "1"],
+                "track": ["--dets", str(ann)]}[command]
+        assert run(command, *argv, "--out", str(out)) == 0
+        assert run("stats", "--ann", str(out)) == 0
 
     def test_bad_factor(self, scenario, tmp_path):
         gt, _ = scenario

@@ -2,6 +2,8 @@ import gc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from headtrack import autodiff as ad
 from headtrack.autodiff import Tensor
@@ -350,6 +352,68 @@ class TestBackward:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+# The im2col convolution that the shifted-slice conv2d replaced, kept
+# unchanged as the oracle.
+def _im2col(xp: np.ndarray, k: int, h: int, w: int) -> np.ndarray:
+    # xp: (Cin, h + k - 1, w + k - 1) -> (Cin * k * k, h * w)
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
+    return win.transpose(0, 3, 4, 1, 2).reshape(-1, h * w)
+
+
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """Same-padded stride-1 convolution; x (Cin, H, W), weight (Cout, Cin, k, k)."""
+    cout, cin, k, k2 = weight.shape
+    if k != k2 or k % 2 == 0:
+        raise ValueError("kernel must be square with odd size")
+    if x.shape[0] != cin:
+        raise ValueError(f"input has {x.shape[0]} channels, kernel expects {cin}")
+    _, h, w = x.shape
+    pad = k // 2
+    xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad)))
+    cols = _im2col(xp, k, h, w)
+    w_mat = weight.data.reshape(cout, -1)
+    out_data = (w_mat @ cols + bias.data[:, None]).reshape(cout, h, w)
+
+    def backward(g):
+        g_mat = g.reshape(cout, -1)
+        d_weight = (g_mat @ cols.T).reshape(weight.shape)
+        d_bias = g_mat.sum(axis=1)
+        d_cols = (w_mat.T @ g_mat).reshape(cin, k, k, h, w)
+        d_xp = np.zeros_like(xp)
+        for ki in range(k):
+            for kj in range(k):
+                d_xp[:, ki:ki + h, kj:kj + w] += d_cols[:, ki, kj]
+        d_x = d_xp[:, pad:pad + h, pad:pad + w] if pad else d_xp
+        return (d_x, d_weight, d_bias)
+
+    return Tensor(out_data, _parents=(x, weight, bias), _backward=backward)
+
+
+CONV_CASES = st.tuples(st.integers(1, 6), st.integers(1, 6), st.sampled_from([1, 3, 5]),
+                       st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=CONV_CASES)
+@example(case=(5, 5, 3, 12, 1, 0))  # conv_attention's pooled (C, H, 1)
+@example(case=(5, 5, 3, 1, 12, 1))  # and (C, 1, W)
+def test_conv2d_equals_im2col_conv(case):
+    # summation order differs, so equal only up to rounding
+    cin, cout, k, h, w, seed = case
+    rng = np.random.default_rng(seed)
+    arrays = [rng.standard_normal(shape) for shape in ((cin, h, w), (cout, cin, k, k), (cout,))]
+    g = Tensor(rng.standard_normal((cout, h, w)))
+    results = []
+    for conv in (ad.conv2d, conv2d):
+        inputs = [Tensor(a, requires_grad=True) for a in arrays]
+        out = conv(*inputs)
+        ad.tsum(ad.mul(out, g)).backward()
+        results.append([out.data] + [t.grad for t in inputs])
+    for got, want in zip(*results):
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def test_params_round_trip(tmp_path):

@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import uniform_filter
 
@@ -146,22 +146,40 @@ def reference_flow(curr: ImageFrame, prev: ImageFrame, cfg: FlowConfig) -> FlowF
         return optical_flow(curr, prev, cfg)
 
 
+def corner_patch(h: int, w: int, dy: int, dx: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """A textured 6x6 patch near the top-left corner moved by (dx, dy) over a
+    static background: displacements far from zero are only near estimates in
+    that corner, so the rectangles they are matched in are strict prefixes."""
+    rng = np.random.default_rng(seed)
+    prev = 0.1 * rng.random((h, w))
+    curr = prev.copy()
+    patch = rng.random((6, 6))
+    prev[2:8, 2:8] = patch
+    curr[2 + dy:8 + dy, 2 + dx:8 + dx] = patch
+    return curr, prev
+
+
 @st.composite
 def frame_pairs(draw):
     """A random frame pair and flow config. The current frame is the previous
-    one moved by a few pixels plus noise, or unrelated to it; quantising both to
-    a few grey levels makes many displacements tie on SAD."""
+    one moved by a few pixels plus noise, unrelated to it, or a corner patch
+    moved over a static background; quantising both to a few grey levels makes
+    many displacements tie on SAD."""
     cfg = FlowConfig(block_size=draw(st.sampled_from([3, 5, 7])),
                      search_radius=draw(st.integers(1, 4)), levels=draw(st.integers(1, 3)))
-    h = draw(st.integers(cfg.block_size, 26))
-    w = draw(st.integers(cfg.block_size, 26))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["shift", "unrelated", "corner"]))
+    h = draw(st.integers(16 if kind == "corner" else cfg.block_size, 26))
+    w = draw(st.integers(16 if kind == "corner" else cfg.block_size, 26))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
     prev = rng.random((h, w))
-    if draw(st.booleans()):
+    if kind == "shift":
         curr = np.roll(prev, (draw(st.integers(-5, 5)), draw(st.integers(-5, 5))), axis=(0, 1))
         curr = curr + draw(st.sampled_from([0.0, 0.05, 0.3])) * rng.random((h, w))
-    else:
+    elif kind == "unrelated":
         curr = rng.random((h, w))
+    else:
+        curr, prev = corner_patch(h, w, draw(st.integers(0, 6)), draw(st.integers(0, 6)), seed)
     levels = draw(st.sampled_from([None, 2, 3, 4]))
     if levels is not None:
         prev, curr = (np.round(a * (levels - 1)) / (levels - 1) for a in (prev, curr))
@@ -170,6 +188,9 @@ def frame_pairs(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(pair=frame_pairs())
+@example(pair=(*map(gray, corner_patch(24, 26, 6, 6, 0)), FlowConfig(5, 2, 3)))
+@example(pair=(*map(gray, corner_patch(24, 26, 3, 2, 0)), FlowConfig(3, 2, 2)))
+@example(pair=(*map(gray, corner_patch(20, 18, 2, 4, 0)), FlowConfig(3, 2, 2)))
 def test_optical_flow_equals_per_estimate_matcher(pair):
     curr, prev, cfg = pair
     got, want = optical_flow(curr, prev, cfg), reference_flow(curr, prev, cfg)

@@ -98,7 +98,9 @@ class TestParse:
                                       "1,1,0,0,1e200,1e200,1,1,1",     # area
                                       "1,1,0,0,1e-200,1e-200,1,1,1",   # area underflows
                                       "1,1,0,0,5e-324,0.5,1,1,1",      # height / width
-                                      "1,1,0,0,1e300,1e-300,1,1,1"])   # width / height
+                                      "1,1,0,0,1e300,1e-300,1,1,1",    # width / height
+                                      "1,1,0,0,1e-100,1e200,1,1,1",    # height squared
+                                      "1,1,0,0,1e200,1e-100,1,1,1"])   # width squared
     def test_out_of_range_box(self, line):
         with pytest.raises(AnnotationError, match="line 2"):
             parse_annotations(["1,2,0,0,5,5,1,1,1", line])
@@ -116,6 +118,12 @@ class TestWrite:
     def test_fractional_formatting(self):
         rec = AnnotationRecord(1, 1, BBox(57.25, 86, 28, 32), 1, 1, 1)
         assert list(write_annotations([rec]))[0].startswith("1,1,57.25,")
+
+    @pytest.mark.parametrize("w, h", [(0.004, 10), (10, 0.001), (1e-100, 5), (0.0049, 0.0001)])
+    def test_tiny_extent_round_trips(self, w, h):
+        # two decimals would write these as 0.00, which no parser accepts
+        rec = AnnotationRecord(1, 1, BBox(0.25, 3, w, h), 1, 1, 1)
+        assert parse_annotations(write_annotations([rec])) == [rec]
 
     @pytest.mark.parametrize("order", list(FieldOrder))
     def test_round_trip_random(self, order):

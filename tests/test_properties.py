@@ -6,10 +6,11 @@ within a file."""
 import dataclasses
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from headtrack import maps
@@ -127,8 +128,12 @@ ANNOTATION_FILE = st.lists(ANNOTATION_LINE, max_size=4).map(
 
 @FUZZ
 @given(gt=ANNOTATION_FILE, pred=ANNOTATION_FILE)
+# a height whose square overflows the tracker's noise, over three frames
+@example(gt="1,1,0,0,10,10,0.9,1,1\n",
+         pred="".join(f"1,{f},0,0,1e-100,1e200,1,1,1\n" for f in (1, 2, 3)))
 def test_annotation_file_exit_code(gt, pred):
-    with tempfile.TemporaryDirectory() as d:
+    with tempfile.TemporaryDirectory() as d, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         d = Path(d)
         (d / "gt.txt").write_text(gt)
         (d / "pred.txt").write_text(pred)
