@@ -97,8 +97,9 @@ def parse_annotations(lines: Iterable[str],
     """Parse annotation lines into records, preserving file order.
 
     Raises AnnotationError with the 1-based line number on malformed input, on
-    a box whose edges, area or aspect ratio leave the float range, or on a
-    duplicate (frame, track_id) pair.
+    a box whose edges, area or aspect ratio leave the float range, on a
+    category that is not an integer of magnitude below 1e15, on a visibility
+    outside [0, 1], or on a duplicate (frame, track_id) pair.
     """
     records: list[AnnotationRecord] = []
     seen: set[tuple[int, int]] = set()
@@ -122,6 +123,12 @@ def parse_annotations(lines: Iterable[str],
             raise AnnotationError(f"line {lineno}: non-finite field")
         if frame != int(frame) or tid != int(tid):
             raise AnnotationError(f"line {lineno}: frame and id must be integers")
+        # from 1e15 on, _format_number no longer writes a category back as an integer
+        if cat != int(cat) or abs(cat) >= 1e15:
+            raise AnnotationError(f"line {lineno}: category must be an integer "
+                                  "of magnitude below 1e15")
+        if not 0.0 <= vis <= 1.0:
+            raise AnnotationError(f"line {lineno}: visibility must be in [0, 1]")
         key = (int(frame), int(tid))
         if key in seen:
             raise AnnotationError(f"line {lineno}: duplicate (frame, id) pair {key}")

@@ -29,13 +29,6 @@ class Detection:
             raise TrackerError("detection score must be finite")
 
 
-class TrackStatus(Enum):
-    tentative = "tentative"
-    confirmed = "confirmed"
-    lost = "lost"
-    removed = "removed"
-
-
 class Mode(Enum):
     sort = "sort"
     byte = "byte"
@@ -61,26 +54,21 @@ class TrackerConfig:
             raise TrackerError("max_age and n_init must be >= 1")
 
 
-def _ltwh_to_z(a: np.ndarray) -> np.ndarray:
-    """(..., 4) ltwh rows -> (..., 4) (cx, cy, aspect, height) rows."""
+def _ltwh_to_z(a: BBox | np.ndarray) -> np.ndarray:
+    """(..., 4) ltwh rows, or one BBox, -> (..., 4) (cx, cy, aspect, height) rows."""
+    if isinstance(a, BBox):
+        a = ltwh_array([a])[0]
     left, top, w, h = np.moveaxis(a, -1, 0)
     return np.stack([left + w / 2.0, top + h / 2.0, w / h, h], axis=-1)
 
 
 def _z_to_ltwh(z: np.ndarray) -> np.ndarray:
     """(..., 4) (cx, cy, aspect, height) rows -> (..., 4) ltwh rows, with
-    width and height clamped to at least 1e-6."""
-    h = np.maximum(z[..., 3], 1e-6)
-    w = np.maximum(z[..., 2] * h, 1e-6)
+    width and height clamped to at least the smallest normal float."""
+    tiny = np.finfo(np.float64).tiny
+    h = np.maximum(z[..., 3], tiny)
+    w = np.maximum(z[..., 2] * h, tiny)
     return np.stack([z[..., 0] - w / 2.0, z[..., 1] - h / 2.0, w, h], axis=-1)
-
-
-def _bbox_to_z(b: BBox) -> np.ndarray:
-    return _ltwh_to_z(ltwh_array([b])[0])
-
-
-def _z_to_bbox(z: np.ndarray) -> BBox:
-    return BBox(*_z_to_ltwh(z).tolist())
 
 
 def _diag(d: np.ndarray) -> np.ndarray:
@@ -121,13 +109,15 @@ class KalmanModel:
         self.Q = Q if Q is None else np.asarray(Q, dtype=np.float64)
         self.R = R if R is None else np.asarray(R, dtype=np.float64)
 
-    def initiate(self, b: BBox) -> tuple[np.ndarray, np.ndarray]:
-        mean = np.zeros(8)
-        mean[:4] = _bbox_to_z(b)
-        h = b.height
-        std = [2 * self.STD_POS * h, 2 * self.STD_POS * h, 1e-2, 2 * self.STD_POS * h,
-               10 * self.STD_VEL * h, 10 * self.STD_VEL * h, 1e-5, 10 * self.STD_VEL * h]
-        return mean, np.diag(np.square(std))
+    def initiate(self, measurement: BBox | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A state at rest on each measurement: mean (8,) and cov (8, 8) for a
+        BBox, or mean (N, 8) and cov (N, 8, 8) for (N, 4) ltwh rows."""
+        z = _ltwh_to_z(measurement)
+        h = z[..., 3]
+        pos, vel = 2 * self.STD_POS * h, 10 * self.STD_VEL * h
+        std = np.stack([pos, pos, np.full_like(h, 1e-2), pos,
+                        vel, vel, np.full_like(h, 1e-5), vel], axis=-1)
+        return np.concatenate([z, np.zeros_like(z)], axis=-1), _diag(np.square(std))
 
     def _process_noise(self, h: np.ndarray) -> np.ndarray:
         if self.Q is not None:
@@ -150,11 +140,10 @@ class KalmanModel:
         return mean, _sym(cov)
 
     def update(self, mean: np.ndarray, cov: np.ndarray,
-               measurement: BBox | Sequence[BBox]) -> tuple[np.ndarray, np.ndarray]:
-        """One measurement per state: a BBox for mean (8,), or a sequence of
-        N boxes for mean (N, 8)."""
-        boxes = [measurement] if isinstance(measurement, BBox) else measurement
-        z = _ltwh_to_z(ltwh_array(boxes)).reshape(mean.shape[:-1] + (4,))
+               measurement: BBox | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One measurement per state: a BBox for mean (8,), or (N, 4) ltwh
+        rows for mean (N, 8)."""
+        z = _ltwh_to_z(measurement)
         R = self._obs_noise(mean[..., 3])
         H = self.H
         S = H @ cov @ H.T + R
@@ -168,25 +157,6 @@ class KalmanModel:
         # Joseph form keeps PSD
         cov = ikh @ cov @ ikh.swapaxes(-1, -2) + K @ R @ K.swapaxes(-1, -2)
         return mean, _sym(cov)
-
-
-@dataclass
-class TrackState:
-    track_id: int
-    mean: np.ndarray
-    cov: np.ndarray
-    status: TrackStatus = TrackStatus.tentative
-    hits: int = 1
-    time_since_update: int = 0
-
-    @property
-    def bbox(self) -> BBox:
-        return _z_to_bbox(self.mean[:4])
-
-
-def _stacked(tracks: Sequence[TrackState]) -> tuple[np.ndarray, np.ndarray]:
-    """The tracks' means (N, 8) and covariances (N, 8, 8), one row per track."""
-    return np.stack([t.mean for t in tracks]), np.stack([t.cov for t in tracks])
 
 
 class Assignment(NamedTuple):
@@ -209,17 +179,10 @@ def hungarian(cost: np.ndarray) -> Assignment:
                       [c for c in range(cost.shape[1]) if c not in matched_cols])
 
 
-def _iou_matrix(tracks: Sequence[TrackState], dets: Sequence[Detection]) -> np.ndarray:
-    """IoU of every track's predicted box (`TrackState.bbox`, read from the
-    stacked means) with every detection box."""
-    z = np.array([t.mean[:4] for t in tracks]).reshape(-1, 4)
-    return iou_matrix(_z_to_ltwh(z), ltwh_array(d.bbox for d in dets))
-
-
-def associate(tracks: Sequence[TrackState], dets: Sequence[Detection],
-              cfg: TrackerConfig) -> Assignment:
-    """Hungarian on 1 - IoU; assigned pairs below the IoU gate are unmatched."""
-    ious = _iou_matrix(tracks, dets)
+def associate(tracks: np.ndarray, dets: np.ndarray, cfg: TrackerConfig) -> Assignment:
+    """Hungarian on 1 - IoU of the tracks' predicted (N, 4) ltwh boxes and the
+    (M, 4) detection boxes; assigned pairs below the IoU gate are unmatched."""
+    ious = iou_matrix(tracks, dets)
     result = hungarian(1.0 - ious)
     matches, um_t, um_d = [], list(result.unmatched_tracks), list(result.unmatched_dets)
     for ti, di in result.matches:
@@ -231,19 +194,21 @@ def associate(tracks: Sequence[TrackState], dets: Sequence[Detection],
     return Assignment(matches, sorted(um_t), sorted(um_d))
 
 
-def byte_associate(tracks: Sequence[TrackState], dets: Sequence[Detection],
+def byte_associate(tracks: np.ndarray, dets: np.ndarray, scores: np.ndarray,
                    cfg: TrackerConfig) -> Assignment:
-    """Two-stage association: high-score detections first, then the low-score
-    band against the remaining tracks. Detections below the low threshold are
-    discarded; only leftover high-score detections may spawn tracks.
+    """Two-stage association of (N, 4) predicted boxes with (M, 4) detection
+    boxes scored by (M,) scores: high-score detections first, then the
+    low-score band against the remaining tracks. Detections below the low
+    threshold are discarded; only leftover high-score detections may spawn
+    tracks.
     """
-    high_idx = [i for i, d in enumerate(dets) if d.score >= cfg.high_score_thresh]
-    low_idx = [i for i, d in enumerate(dets)
-               if cfg.low_score_thresh <= d.score < cfg.high_score_thresh]
-    stage1 = associate(tracks, [dets[i] for i in high_idx], cfg)
+    high_idx = np.flatnonzero(scores >= cfg.high_score_thresh).tolist()
+    low_idx = np.flatnonzero((cfg.low_score_thresh <= scores)
+                             & (scores < cfg.high_score_thresh)).tolist()
+    stage1 = associate(tracks, dets[high_idx], cfg)
     matches = [(ti, high_idx[di]) for ti, di in stage1.matches]
     remaining = stage1.unmatched_tracks
-    stage2 = associate([tracks[i] for i in remaining], [dets[i] for i in low_idx], cfg)
+    stage2 = associate(tracks[remaining], dets[low_idx], cfg)
     matches += [(remaining[ti], low_idx[di]) for ti, di in stage2.matches]
     unmatched_tracks = [remaining[i] for i in stage2.unmatched_tracks]
     spawnable = [high_idx[i] for i in stage1.unmatched_dets]
@@ -258,21 +223,28 @@ class TrackOutput(NamedTuple):
 
 
 class Tracker:
-    """Single-sequence tracker; step() must be called with increasing frames."""
+    """Single-sequence tracker; step() must be called with increasing frames.
+
+    Live tracks are parallel arrays in spawn order, which is track-id order:
+    `tracks` (N,) ids, `mean` (N, 8) and `cov` (N, 8, 8) Kalman states,
+    `hits` (N,) matches including the spawn, `age` (N,) frames since the last
+    match and `confirmed` (N,) whether the track was ever confirmed. A track
+    that was never confirmed is tentative and dies on its first miss; a
+    confirmed track with age > 0 is lost and dies once age exceeds max_age.
+    """
 
     def __init__(self, cfg: TrackerConfig | None = None,
                  kalman: KalmanModel | None = None):
         self.cfg = cfg or TrackerConfig()
         self.kalman = kalman or KalmanModel()
-        self.tracks: list[TrackState] = []
+        self.tracks = np.zeros(0, dtype=np.int64)
+        self.mean, self.cov = np.zeros((0, 8)), np.zeros((0, 8, 8))
+        self.hits = np.zeros(0, dtype=np.int64)
+        self.age = np.zeros(0, dtype=np.int64)
+        self.confirmed = np.zeros(0, dtype=bool)
         self._next_id = 1
         self._first_frame: int | None = None
         self._last_frame = 0
-
-    def _spawn(self, det: Detection) -> None:
-        mean, cov = self.kalman.initiate(det.bbox)
-        self.tracks.append(TrackState(self._next_id, mean, cov))
-        self._next_id += 1
 
     def step(self, frame: int, detections: Sequence[Detection]) -> list[TrackOutput]:
         """Predict, associate, update, and run the track lifecycle for one frame.
@@ -287,63 +259,54 @@ class Tracker:
             self._first_frame = frame
         self._last_frame = frame
         warm_up = frame - self._first_frame < self.cfg.n_init
+        boxes = ltwh_array(d.bbox for d in detections)
+        scores = np.array([d.score for d in detections], dtype=np.float64)
 
-        if self.tracks:
-            means, covs = self.kalman.predict(*_stacked(self.tracks))
-            finite = np.isfinite(means).all(axis=1).tolist()
-            for t, mean, cov, ok in zip(self.tracks, means, covs, finite):
-                t.mean, t.cov = mean, cov
-                if not ok:
-                    t.status = TrackStatus.removed
-            self.tracks = [t for t in self.tracks if t.status is not TrackStatus.removed]
+        if len(self.tracks):
+            self.mean, self.cov = self.kalman.predict(self.mean, self.cov)
+        finite = np.isfinite(self.mean).all(axis=1)  # the other tracks are dropped
+        live = np.flatnonzero(finite)
+        predicted = _z_to_ltwh(self.mean[live, :4])
 
         if self.cfg.mode is Mode.byte:
-            result = byte_associate(self.tracks, detections, self.cfg)
+            cols = np.arange(len(boxes))
+            result = byte_associate(predicted, boxes, scores, self.cfg)
         else:
-            keep = [i for i, d in enumerate(detections)
-                    if d.score >= self.cfg.high_score_thresh]
-            sub = associate(self.tracks, [detections[i] for i in keep], self.cfg)
-            result = Assignment([(ti, keep[di]) for ti, di in sub.matches],
-                                sub.unmatched_tracks,
-                                [keep[i] for i in sub.unmatched_dets])
+            cols = np.flatnonzero(scores >= self.cfg.high_score_thresh)
+            result = associate(predicted, boxes[cols], self.cfg)
+        ti, di = np.array(result.matches, dtype=np.intp).reshape(-1, 2).T
+        ti, di = live[ti], cols[di]
+        spawned = cols[np.array(result.unmatched_dets, dtype=np.intp)]
 
-        outputs: list[TrackOutput] = []
-        matched = [self.tracks[ti] for ti, _ in result.matches]
-        if matched:
-            means, covs = self.kalman.update(*_stacked(matched),
-                                             [detections[di].bbox for _, di in result.matches])
-            for t, mean, cov in zip(matched, means, covs):
-                t.mean, t.cov = mean, cov
-        for t, (_, di) in zip(matched, result.matches):
-            d = detections[di]
-            t.hits += 1
-            t.time_since_update = 0
-            if t.status is TrackStatus.tentative and t.hits >= self.cfg.n_init:
-                t.status = TrackStatus.confirmed
-            elif t.status is TrackStatus.lost:
-                t.status = TrackStatus.confirmed
-            if t.status is TrackStatus.confirmed or warm_up:
-                outputs.append(TrackOutput(frame, t.track_id, d.bbox, d.score))
+        if len(ti):
+            self.mean[ti], self.cov[ti] = self.kalman.update(self.mean[ti], self.cov[ti],
+                                                             boxes[di])
+        matched = np.zeros(len(self.tracks), dtype=bool)
+        matched[ti] = True
+        self.hits += matched
+        self.age = np.where(matched, 0, self.age + 1)
+        self.confirmed |= matched & (self.hits >= self.cfg.n_init)
+        emit = self.confirmed[ti] | warm_up
+        out_ids, out_dets = self.tracks[ti[emit]], di[emit]
 
-        for ti in result.unmatched_tracks:
-            t = self.tracks[ti]
-            t.time_since_update += 1
-            if t.status is TrackStatus.tentative:
-                t.status = TrackStatus.removed
-            elif t.status is TrackStatus.confirmed:
-                t.status = TrackStatus.lost
-            if t.status is TrackStatus.lost and t.time_since_update > self.cfg.max_age:
-                t.status = TrackStatus.removed
+        new_ids = np.arange(self._next_id, self._next_id + len(spawned))
+        self._next_id += len(spawned)
+        if warm_up:  # emit fresh tracks too
+            out_ids = np.concatenate([out_ids, new_ids])
+            out_dets = np.concatenate([out_dets, spawned])
 
-        for di in result.unmatched_dets:
-            self._spawn(detections[di])
-            t = self.tracks[-1]
-            if warm_up:  # emit fresh tracks too
-                outputs.append(TrackOutput(frame, t.track_id,
-                                           detections[di].bbox, detections[di].score))
-
-        self.tracks = [t for t in self.tracks if t.status is not TrackStatus.removed]
-        return sorted(outputs, key=lambda o: o.track_id)
+        keep = finite & (matched | (self.confirmed & (self.age <= self.cfg.max_age)))
+        mean, cov = self.kalman.initiate(boxes[spawned])
+        n = len(spawned)
+        self.tracks = np.concatenate([self.tracks[keep], new_ids])
+        self.mean = np.concatenate([self.mean[keep], mean])
+        self.cov = np.concatenate([self.cov[keep], cov])
+        self.hits = np.concatenate([self.hits[keep], np.ones(n, dtype=np.int64)])
+        self.age = np.concatenate([self.age[keep], np.zeros(n, dtype=np.int64)])
+        self.confirmed = np.concatenate([self.confirmed[keep], np.zeros(n, dtype=bool)])
+        # matched tracks come in id order, and every spawned id is larger
+        return [TrackOutput(frame, i, detections[d].bbox, detections[d].score)
+                for i, d in zip(out_ids.tolist(), out_dets.tolist())]
 
 
 def run_tracker(frames: dict[int, list[Detection]],

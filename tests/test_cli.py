@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -214,6 +215,30 @@ class TestTrackEvaluate:
                 "stats": ["--ann", str(ann)]}[command]
         assert run(command, *argv) == EXIT_INPUT
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["track", "evaluate", "stats", "resample"])
+    @pytest.mark.parametrize("tail", ["1,1.5,2.5", "1,1e300,1", "1,1,-3"])
+    def test_bad_category_or_visibility_is_input_error(self, tmp_path, capsys, command, tail):
+        ann = tmp_path / "ann.txt"
+        ann.write_text(f"1,1,0,0,10,10,1,1,1\n1,2,0,0,10,10,{tail}\n")
+        argv = {"track": ["--dets", str(ann), "--out", str(tmp_path / "o.txt")],
+                "evaluate": ["--gt", str(ann), "--pred", str(ann)],
+                "stats": ["--ann", str(ann)],
+                "resample": ["--ann", str(ann), "--factor", "1",
+                             "--out", str(tmp_path / "o.txt")]}[command]
+        assert run(command, *argv) == EXIT_INPUT
+        assert "line 2" in capsys.readouterr().err
+        assert not (tmp_path / "o.txt").exists()
+
+    @pytest.mark.parametrize("size", ["1e-10,10", "1e-300,1e-5"])
+    def test_thin_box_keeps_its_id(self, tmp_path, size):
+        dets, out = tmp_path / "dets.txt", tmp_path / "o.txt"
+        dets.write_text("".join(f"1,{f},0,0,{size},1,1,1\n" for f in range(1, 5)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("track", "--dets", str(dets), "--out", str(out)) == 0
+        recs = motio.read_annotation_file(out, FieldOrder.paper_order)
+        assert [(r.frame, r.track_id) for r in recs] == [(f, 1) for f in range(1, 5)]
 
     def test_bad_tracker_config_value(self, scenario, tmp_path):
         _, dets = scenario

@@ -100,7 +100,12 @@ class TestParse:
                                       "1,1,0,0,5e-324,0.5,1,1,1",      # height / width
                                       "1,1,0,0,1e300,1e-300,1,1,1",    # width / height
                                       "1,1,0,0,1e-100,1e200,1,1,1",    # height squared
-                                      "1,1,0,0,1e200,1e-100,1,1,1"])   # width squared
+                                      "1,1,0,0,1e200,1e-100,1,1,1",    # width squared
+                                      "1,1,0,0,10,10,1,1.5,1",         # fractional category
+                                      "1,1,0,0,10,10,1,1e300,1",       # category too large
+                                      "1,1,0,0,10,10,1,-1e15,1",       # ... or too negative
+                                      "1,1,0,0,10,10,1,1,-3",          # visibility below 0
+                                      "1,1,0,0,10,10,1,1,2.5"])        # visibility above 1
     def test_out_of_range_box(self, line):
         with pytest.raises(AnnotationError, match="line 2"):
             parse_annotations(["1,2,0,0,5,5,1,1,1", line])

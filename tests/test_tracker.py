@@ -1,23 +1,23 @@
 import itertools
+from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from headtrack.geometry import BBox, iou
+from headtrack.geometry import BBox, iou, iou_matrix, ltwh_array
 from headtrack.tracker import (
     Detection,
     KalmanModel,
     Mode,
+    TrackOutput,
     Tracker,
     TrackerConfig,
     TrackerError,
-    TrackState,
-    TrackStatus,
-    _bbox_to_z,
-    _iou_matrix,
-    _z_to_bbox,
+    _ltwh_to_z,
+    _z_to_ltwh,
     associate,
     byte_associate,
     hungarian,
@@ -26,13 +26,19 @@ from headtrack.tracker import (
 )
 
 
-def make_track(bbox, tid=1, status=TrackStatus.confirmed):
-    mean, cov = KalmanModel().initiate(bbox)
-    return TrackState(tid, mean, cov, status=status)
+def tracks_at(*boxes):
+    """The (N, 4) predicted ltwh rows of tracks just initiated on the boxes."""
+    mean, _ = KalmanModel().initiate(ltwh_array(boxes))
+    return _z_to_ltwh(mean[:, :4])
 
 
 def det(left, top, w=10, h=10, score=0.9):
     return Detection(BBox(left, top, w, h), score)
+
+
+def det_rows(dets):
+    """The (M, 4) ltwh rows and (M,) scores of a list of detections."""
+    return ltwh_array(d.bbox for d in dets), np.array([d.score for d in dets])
 
 
 class TestHungarian:
@@ -76,9 +82,8 @@ class TestHungarian:
 class TestKalman:
     def test_state_round_trip(self):
         b = BBox(12.5, 40.0, 30.0, 44.0)
-        back = _z_to_bbox(_bbox_to_z(b))
-        for attr in ("left", "top", "width", "height"):
-            assert getattr(back, attr) == pytest.approx(getattr(b, attr))
+        back = _z_to_ltwh(_ltwh_to_z(b))
+        assert back.tolist() == pytest.approx([b.left, b.top, b.width, b.height])
 
     def test_scalar_closed_form(self):
         # diagonal F/Q/R decouple the 4 observed dims into independent
@@ -90,7 +95,7 @@ class TestKalman:
         p0 = np.diag(cov)[:4].copy()
         mean, cov = km.predict(mean, cov)
         assert np.allclose(np.diag(cov)[:4], p0 + q)
-        z = _bbox_to_z(b1)
+        z = _ltwh_to_z(b1)
         m_prev = mean[:4].copy()
         p_pred = p0 + q
         mean, cov = km.update(mean, cov, b1)
@@ -126,9 +131,9 @@ class TestKalman:
         km = KalmanModel()
         mean, cov = km.initiate(BBox(0, 0, 10, 10))
         mean, cov = km.predict(mean, cov)
-        before = abs(mean[0] - _bbox_to_z(BBox(4, 0, 10, 10))[0])
+        before = abs(mean[0] - _ltwh_to_z(BBox(4, 0, 10, 10))[0])
         mean, cov = km.update(mean, cov, BBox(4, 0, 10, 10))
-        after = abs(mean[0] - _bbox_to_z(BBox(4, 0, 10, 10))[0])
+        after = abs(mean[0] - _ltwh_to_z(BBox(4, 0, 10, 10))[0])
         assert after < before
 
 
@@ -138,6 +143,15 @@ BOXES = st.builds(BBox, st.floats(-20, 60), st.floats(-20, 60), st.floats(1, 20)
 
 def oracle_noise(fixed, std):
     return fixed if fixed is not None else np.diag(np.square(std))
+
+
+def oracle_initiate(km, b):
+    """The per-box initiation, one BBox at a time: the oracle of the batched
+    `KalmanModel.initiate`."""
+    mean = np.zeros(8)
+    mean[:4] = [b.left + b.width / 2.0, b.top + b.height / 2.0, b.width / b.height, b.height]
+    p, v = 2 * km.STD_POS * b.height, 10 * km.STD_VEL * b.height
+    return mean, np.diag(np.square([p, p, 1e-2, p, v, v, 1e-5, v]))
 
 
 def oracle_predict(km, mean, cov):
@@ -164,18 +178,19 @@ def oracle_update(km, mean, cov, b):
 
 
 def filter_both(km, boxes, seed, cycles):
-    """Run predict/update cycles on all boxes at once and one track at a time;
-    yield (batched, per-track) stacked states after every step."""
+    """Initiate, then run predict/update cycles, on all boxes at once and one
+    track at a time; yield (batched, per-track) states after every step."""
     rng = np.random.default_rng(seed)
-    states = [km.initiate(b) for b in boxes]
-    means, covs = np.stack([m for m, _ in states]), np.stack([c for _, c in states])
+    means, covs = km.initiate(ltwh_array(boxes))
+    states = [oracle_initiate(km, b) for b in boxes]
+    yield (means, covs), states
     for _ in range(cycles):
         means, covs = km.predict(means, covs)
         states = [oracle_predict(km, m, c) for m, c in states]
         yield (means, covs), states
         shift = rng.normal(0.0, 2.0, (len(boxes), 2))
         meas = [b.translate(dx, dy) for b, (dx, dy) in zip(boxes, shift)]
-        means, covs = km.update(means, covs, meas)
+        means, covs = km.update(means, covs, ltwh_array(meas))
         states = [oracle_update(km, m, c, b) for (m, c), b in zip(states, meas)]
         yield (means, covs), states
 
@@ -195,7 +210,8 @@ class TestBatchedKalman:
     def test_one_unbatched_state_equals_per_track_filter(self, box, seed):
         km = KalmanModel()
         mean, cov = km.initiate(box)
-        want = mean, cov
+        want = oracle_initiate(km, box)
+        assert np.array_equal(mean, want[0]) and np.array_equal(cov, want[1])
         rng = np.random.default_rng(seed)
         for _ in range(5):
             mean, cov = km.predict(mean, cov)
@@ -219,32 +235,38 @@ class TestBatchedKalman:
 
     def test_one_singular_innovation_in_batch_raises(self):
         km = KalmanModel(R=np.zeros((4, 4)))
-        states = [km.initiate(BBox(10.0 * i, 0, 10, 10)) for i in range(4)]
-        means, covs = np.stack([m for m, _ in states]), np.stack([c for _, c in states])
+        means, covs = km.initiate(ltwh_array(BBox(10.0 * i, 0, 10, 10) for i in range(4)))
         covs[2] = 0.0
         with pytest.raises(TrackerError):
-            km.update(means, covs, [BBox(10.0 * i, 1, 10, 10) for i in range(4)])
+            km.update(means, covs, ltwh_array(BBox(10.0 * i, 1, 10, 10) for i in range(4)))
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in F
     def test_non_finite_prediction_removes_only_that_track(self):
-        tracker = Tracker()
-        tracker.tracks = [make_track(BBox(40.0 * i, 0, 10, 10), tid=i + 1) for i in range(4)]
-        tracker.tracks[1].mean[4] = np.inf
-        tracker.step(1, [det(0, 0), det(80, 0)])
-        assert [t.track_id for t in tracker.tracks] == [1, 3, 4]
-        assert all(np.isfinite(t.mean).all() for t in tracker.tracks)
+        tracker = Tracker(TrackerConfig(n_init=2))
+        for f in (1, 2):
+            tracker.step(f, [det(40.0 * i, 0) for i in range(4)])
+        assert tracker.confirmed.all()
+        tracker.mean[1, 4] = np.inf
+        tracker.step(3, [det(0, 0), det(80, 0)])
+        assert tracker.tracks.tolist() == [1, 3, 4]
+        assert tracker.age.tolist() == [0, 0, 1]
+        assert np.isfinite(tracker.mean).all() and np.isfinite(tracker.cov).all()
 
 
-def oracle_associate(tracks, dets, cfg):
-    """Association before the IoU matrix was read from the stacked means:
-    per-track `bbox`, scalar IoU costs and the scalar IoU gate."""
-    cost = np.array([[1.0 - iou(t.bbox, d.bbox) for d in dets] for t in tracks])
-    result = hungarian(cost.reshape(len(tracks), len(dets)))
+def oracle_associate(track_boxes, det_boxes, cfg):
+    """Association one pair at a time: scalar IoU costs and the scalar IoU
+    gate on BBoxes, the oracle of `associate` on arrays."""
+    cost = np.array([[1.0 - iou(t, d) for d in det_boxes] for t in track_boxes])
+    result = hungarian(cost.reshape(len(track_boxes), len(det_boxes)))
     gated = [(ti, di) for ti, di in result.matches
-             if iou(tracks[ti].bbox, dets[di].bbox) < cfg.iou_gate]
+             if iou(track_boxes[ti], det_boxes[di]) < cfg.iou_gate]
     return ([m for m in result.matches if m not in gated],
             sorted(result.unmatched_tracks + [ti for ti, _ in gated]),
             sorted(result.unmatched_dets + [di for _, di in gated]))
+
+
+def as_bboxes(rows):
+    return [BBox(*row) for row in rows.tolist()]
 
 
 @settings(max_examples=100, deadline=None)
@@ -252,86 +274,80 @@ def oracle_associate(tracks, dets, cfg):
        velocity=st.tuples(st.floats(-5, 5), st.floats(-5, 5)))
 def test_associate_equals_scalar_path(track_boxes, det_boxes, velocity):
     km = KalmanModel()
-    tracks = [make_track(b, tid=i + 1) for i, b in enumerate(track_boxes)]
-    for t in tracks:
-        t.mean[4:6] = velocity
-        t.mean, t.cov = km.predict(t.mean, t.cov)
-    dets = [Detection(b, 0.9) for b in det_boxes]
+    mean, cov = km.initiate(ltwh_array(track_boxes))
+    mean[:, 4:6] = velocity
+    mean, cov = km.predict(mean, cov)
+    predicted, dets = _z_to_ltwh(mean[:, :4]), ltwh_array(det_boxes)
     cfg = TrackerConfig()
-    assert tuple(associate(tracks, dets, cfg)) == oracle_associate(tracks, dets, cfg)
+    assert tuple(associate(predicted, dets, cfg)) == oracle_associate(
+        as_bboxes(predicted), det_boxes, cfg)
 
 
 @settings(max_examples=100, deadline=None)
 @given(track_boxes=st.lists(BOXES, max_size=6), det_boxes=st.lists(BOXES, max_size=6))
 def test_cost_matrix_equals_scalar_loop(track_boxes, det_boxes):
-    tracks = [make_track(b) for b in track_boxes]
-    dets = [Detection(b, 0.9) for b in det_boxes]
-    want = np.zeros((len(tracks), len(dets)))
-    for ti, t in enumerate(tracks):
-        for di, d in enumerate(dets):
-            want[ti, di] = 1.0 - iou(t.bbox, d.bbox)
-    assert np.array_equal(1.0 - _iou_matrix(tracks, dets), want)
+    predicted = tracks_at(*track_boxes)
+    want = np.zeros((len(track_boxes), len(det_boxes)))
+    for ti, t in enumerate(as_bboxes(predicted)):
+        for di, d in enumerate(det_boxes):
+            want[ti, di] = 1.0 - iou(t, d)
+    assert np.array_equal(1.0 - iou_matrix(predicted, ltwh_array(det_boxes)), want)
 
 
 class TestAssociate:
     cfg = TrackerConfig()
 
     def test_perfect_overlap(self):
-        tracks = [make_track(BBox(0, 0, 10, 10))]
-        a = associate(tracks, [det(0, 0)], self.cfg)
+        a = associate(tracks_at(BBox(0, 0, 10, 10)), det_rows([det(0, 0)])[0], self.cfg)
         assert a.matches == [(0, 0)]
 
     def test_iou_gate_blocks_weak_pair(self):
-        tracks = [make_track(BBox(0, 0, 10, 10))]
         # overlap exists but IoU ~ 0.08, below the 0.3 gate
-        a = associate(tracks, [det(8, 0)], self.cfg)
+        a = associate(tracks_at(BBox(0, 0, 10, 10)), det_rows([det(8, 0)])[0], self.cfg)
         assert a.matches == []
         assert a.unmatched_tracks == [0] and a.unmatched_dets == [0]
 
     def test_disjoint(self):
-        tracks = [make_track(BBox(0, 0, 10, 10))]
-        a = associate(tracks, [det(200, 200)], self.cfg)
+        a = associate(tracks_at(BBox(0, 0, 10, 10)), det_rows([det(200, 200)])[0], self.cfg)
         assert a.matches == []
 
     def test_two_way_preference(self):
-        tracks = [make_track(BBox(0, 0, 10, 10), 1), make_track(BBox(50, 0, 10, 10), 2)]
-        dets = [det(51, 0), det(1, 0)]
-        a = associate(tracks, dets, self.cfg)
+        tracks = tracks_at(BBox(0, 0, 10, 10), BBox(50, 0, 10, 10))
+        a = associate(tracks, det_rows([det(51, 0), det(1, 0)])[0], self.cfg)
         assert a.matches == [(0, 1), (1, 0)]
 
 
 class TestByteAssociate:
     cfg = TrackerConfig()
 
+    def byte(self, dets, tracks=(BBox(0, 0, 10, 10),)):
+        return byte_associate(tracks_at(*tracks), *det_rows(dets), self.cfg)
+
     def test_equals_single_stage_when_all_high(self):
         rng = np.random.default_rng(1)
-        tracks = [make_track(BBox(40 * i, 0, 12, 12), i + 1) for i in range(4)]
+        tracks = [BBox(40 * i, 0, 12, 12) for i in range(4)]
         dets = [det(40 * i + rng.uniform(-2, 2), rng.uniform(-2, 2), 12, 12,
                     score=0.7 + 0.05 * i) for i in range(4)]
-        assert byte_associate(tracks, dets, self.cfg) == associate(tracks, dets, self.cfg)
+        assert self.byte(dets, tracks) == associate(tracks_at(*tracks), det_rows(dets)[0],
+                                                    self.cfg)
 
     def test_low_score_sustains_track_without_spawning(self):
-        tracks = [make_track(BBox(0, 0, 10, 10))]
-        a = byte_associate(tracks, [det(0, 0, score=0.3)], self.cfg)
+        a = self.byte([det(0, 0, score=0.3)])
         assert a.matches == [(0, 0)]
         assert a.unmatched_dets == []  # low-score dets never spawn
 
     def test_below_low_threshold_discarded(self):
-        tracks = [make_track(BBox(0, 0, 10, 10))]
-        a = byte_associate(tracks, [det(0, 0, score=0.05)], self.cfg)
+        a = self.byte([det(0, 0, score=0.05)])
         assert a.matches == []
         assert a.unmatched_tracks == [0] and a.unmatched_dets == []
 
     def test_high_takes_priority_over_low(self):
-        tracks = [make_track(BBox(0, 0, 10, 10))]
-        dets = [det(1, 0, score=0.3), det(2, 0, score=0.9)]
-        a = byte_associate(tracks, dets, self.cfg)
+        a = self.byte([det(1, 0, score=0.3), det(2, 0, score=0.9)])
         assert a.matches == [(0, 1)]
 
     def test_only_leftover_high_spawnable(self):
-        tracks = [make_track(BBox(0, 0, 10, 10))]
-        dets = [det(0, 0, score=0.9), det(100, 100, score=0.9), det(200, 200, score=0.3)]
-        a = byte_associate(tracks, dets, self.cfg)
+        a = self.byte([det(0, 0, score=0.9), det(100, 100, score=0.9),
+                       det(200, 200, score=0.3)])
         assert a.matches == [(0, 0)]
         assert a.unmatched_dets == [1]
 
@@ -342,7 +358,7 @@ class TestLifecycle:
         for f in (1, 2, 3, 4):
             out = t.step(f, [det(2.0 * f, 0)])
             assert [o.track_id for o in out] == [1]
-        assert t.tracks[0].status is TrackStatus.confirmed
+        assert t.confirmed.tolist() == [True] and t.age.tolist() == [0]
 
     @pytest.mark.parametrize("start", [1, 101])
     def test_warm_up_counts_from_first_frame(self, start):
@@ -354,20 +370,21 @@ class TestLifecycle:
     def test_tentative_removed_on_first_miss(self):
         t = Tracker(TrackerConfig(n_init=3))
         t.step(1, [det(0, 0)])
+        assert t.confirmed.tolist() == [False]
         t.step(2, [])
-        assert t.tracks == []
+        assert len(t.tracks) == 0
 
     def test_confirmed_survives_misses_until_max_age(self):
         t = Tracker(TrackerConfig(n_init=2, max_age=2))
         t.step(1, [det(0, 0)])
         t.step(2, [det(0, 0)])
-        assert t.tracks[0].status is TrackStatus.confirmed
-        t.step(3, [])
-        assert t.tracks[0].status is TrackStatus.lost
+        assert t.confirmed.tolist() == [True] and t.age.tolist() == [0]
+        t.step(3, [])  # lost: confirmed, missed for one frame
+        assert t.confirmed.tolist() == [True] and t.age.tolist() == [1]
         t.step(4, [])
         assert len(t.tracks) == 1
         t.step(5, [])
-        assert t.tracks == []
+        assert len(t.tracks) == 0
 
     def test_lost_track_reclaims_identity(self):
         t = Tracker(TrackerConfig(n_init=2, max_age=5))
@@ -376,7 +393,7 @@ class TestLifecycle:
         t.step(3, [])
         out = t.step(4, [det(0, 0)])
         assert [o.track_id for o in out] == [1]
-        assert t.tracks[0].status is TrackStatus.confirmed
+        assert t.confirmed.tolist() == [True] and t.age.tolist() == [0]
 
     def test_new_identity_after_removal(self):
         t = Tracker(TrackerConfig(n_init=1, max_age=1))
@@ -398,7 +415,7 @@ class TestLifecycle:
     def test_low_score_ignored_in_sort_mode(self):
         t = Tracker(TrackerConfig(n_init=1))
         out = t.step(1, [det(0, 0, score=0.3)])
-        assert out == [] and t.tracks == []
+        assert out == [] and len(t.tracks) == 0
 
 
 def random_frames(seed, n_frames=30, n_agents=5):
@@ -434,6 +451,160 @@ class TestSequences:
         assert recs[0].frame == out[0].frame
         assert recs[0].bbox == out[0].bbox
         assert all(r.category == 1 for r in recs[:10])
+
+
+class TrackStatus(Enum):
+    tentative = "tentative"
+    confirmed = "confirmed"
+    lost = "lost"
+    removed = "removed"
+
+
+@dataclass
+class TrackState:
+    track_id: int
+    mean: np.ndarray
+    cov: np.ndarray
+    status: TrackStatus = TrackStatus.tentative
+    hits: int = 1
+    time_since_update: int = 0
+
+    @property
+    def bbox(self) -> BBox:
+        return BBox(*_z_to_ltwh(self.mean[:4]).tolist())
+
+
+def _stacked(tracks):
+    """The tracks' means (N, 8) and covariances (N, 8, 8), one row per track."""
+    return np.stack([t.mean for t in tracks]), np.stack([t.cov for t in tracks])
+
+
+def oracle_byte_associate(tracks, dets, cfg):
+    """Two-stage association over lists of tracks and detections, with
+    `oracle_associate` for each stage."""
+    high_idx = [i for i, d in enumerate(dets) if d.score >= cfg.high_score_thresh]
+    low_idx = [i for i, d in enumerate(dets)
+               if cfg.low_score_thresh <= d.score < cfg.high_score_thresh]
+    m1, remaining, um1 = oracle_associate([t.bbox for t in tracks],
+                                          [dets[i].bbox for i in high_idx], cfg)
+    matches = [(ti, high_idx[di]) for ti, di in m1]
+    m2, um2, _ = oracle_associate([tracks[i].bbox for i in remaining],
+                                  [dets[i].bbox for i in low_idx], cfg)
+    matches += [(remaining[ti], low_idx[di]) for ti, di in m2]
+    return (sorted(matches), sorted(remaining[i] for i in um2),
+            sorted(high_idx[i] for i in um1))
+
+
+class OracleTracker:
+    """The tracker as a list of per-track objects with a four-valued status,
+    run through per-object loops: the oracle of the array-state `Tracker`."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.kalman = KalmanModel()
+        self.tracks: list[TrackState] = []
+        self._next_id = 1
+        self._first_frame = None
+
+    def step(self, frame, detections):
+        if self._first_frame is None:
+            self._first_frame = frame
+        warm_up = frame - self._first_frame < self.cfg.n_init
+
+        if self.tracks:
+            means, covs = self.kalman.predict(*_stacked(self.tracks))
+            finite = np.isfinite(means).all(axis=1).tolist()
+            for t, mean, cov, ok in zip(self.tracks, means, covs, finite):
+                t.mean, t.cov = mean, cov
+                if not ok:
+                    t.status = TrackStatus.removed
+            self.tracks = [t for t in self.tracks if t.status is not TrackStatus.removed]
+
+        if self.cfg.mode is Mode.byte:
+            matches, unmatched_tracks, unmatched_dets = oracle_byte_associate(
+                self.tracks, detections, self.cfg)
+        else:
+            keep = [i for i, d in enumerate(detections)
+                    if d.score >= self.cfg.high_score_thresh]
+            sub, unmatched_tracks, sub_dets = oracle_associate(
+                [t.bbox for t in self.tracks], [detections[i].bbox for i in keep], self.cfg)
+            matches = [(ti, keep[di]) for ti, di in sub]
+            unmatched_dets = [keep[i] for i in sub_dets]
+
+        outputs = []
+        matched = [self.tracks[ti] for ti, _ in matches]
+        if matched:
+            means, covs = self.kalman.update(
+                *_stacked(matched), ltwh_array(detections[di].bbox for _, di in matches))
+            for t, mean, cov in zip(matched, means, covs):
+                t.mean, t.cov = mean, cov
+        for t, (_, di) in zip(matched, matches):
+            d = detections[di]
+            t.hits += 1
+            t.time_since_update = 0
+            if t.status is TrackStatus.tentative and t.hits >= self.cfg.n_init:
+                t.status = TrackStatus.confirmed
+            elif t.status is TrackStatus.lost:
+                t.status = TrackStatus.confirmed
+            if t.status is TrackStatus.confirmed or warm_up:
+                outputs.append(TrackOutput(frame, t.track_id, d.bbox, d.score))
+
+        for ti in unmatched_tracks:
+            t = self.tracks[ti]
+            t.time_since_update += 1
+            if t.status is TrackStatus.tentative:
+                t.status = TrackStatus.removed
+            elif t.status is TrackStatus.confirmed:
+                t.status = TrackStatus.lost
+            if t.status is TrackStatus.lost and t.time_since_update > self.cfg.max_age:
+                t.status = TrackStatus.removed
+
+        for di in unmatched_dets:
+            d = detections[di]
+            self.tracks.append(TrackState(self._next_id, *self.kalman.initiate(d.bbox)))
+            self._next_id += 1
+            if warm_up:  # emit fresh tracks too
+                outputs.append(TrackOutput(frame, self.tracks[-1].track_id, d.bbox, d.score))
+
+        self.tracks = [t for t in self.tracks if t.status is not TrackStatus.removed]
+        return sorted(outputs, key=lambda o: o.track_id)
+
+
+def score(rng):
+    """A score with two decimals, so that some land on the band thresholds."""
+    return round(float(rng.uniform(0, 1)), 2)
+
+
+@st.composite
+def detection_sequences(draw):
+    """A few heads moving at constant velocity with jitter, misses and clutter,
+    scored across the high, low and discarded bands, over frames with gaps."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    heads, n_frames = draw(st.integers(0, 8)), draw(st.integers(1, 25))
+    miss, clutter = draw(st.sampled_from([0.0, 0.2, 0.5])), draw(st.sampled_from([0, 1, 3]))
+    pos = rng.uniform(0, 120, (heads, 2))
+    vel = rng.normal(0, 2, (heads, 2))
+    size = rng.uniform(6, 20, heads)
+    frames, frame = {}, int(rng.integers(1, 50))
+    for _ in range(n_frames):
+        pos = pos + vel
+        dets = [Detection(BBox(*(p + rng.normal(0, 1, 2)), s, s), score(rng))
+                for p, s in zip(pos, size) if rng.random() >= miss]
+        dets += [Detection(BBox(*rng.uniform(0, 140, 2), *rng.uniform(5, 25, 2)), score(rng))
+                 for _ in range(rng.poisson(clutter))]
+        frames[frame] = [dets[i] for i in rng.permutation(len(dets))]
+        frame += int(rng.integers(1, 4))
+    return frames
+
+
+@settings(max_examples=150, deadline=None)
+@given(frames=detection_sequences(), mode=st.sampled_from(list(Mode)),
+       n_init=st.sampled_from([1, 2, 3]), max_age=st.sampled_from([1, 3, 30]))
+def test_run_tracker_equals_object_tracker(frames, mode, n_init, max_age):
+    cfg = TrackerConfig(mode=mode, n_init=n_init, max_age=max_age)
+    oracle = OracleTracker(cfg)
+    want = [o for f in sorted(frames) for o in oracle.step(f, frames[f])]
+    assert run_tracker(frames, cfg) == want
 
 
 class TestConfigValidation:
