@@ -52,7 +52,7 @@ print(f"density map mass: {density.data.sum():.4f} for {len(heads)} heads")
 
 # build_stack wires all five sources together for one frame.
 stack = build_stack(curr, prev,
-                    depth_provider=synth_depth_provider("vertical_gradient"),
+                    depth_provider=synth_depth_provider(),
                     density_provider=density_provider(heads))
 print(f"\nstack dimensions {stack.height}x{stack.width}:")
 for name in ("rgb", "diff", "depth", "density"):

@@ -15,7 +15,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
         self.data = np.asarray(data, dtype=np.float64)
         if not np.all(np.isfinite(self.data)):
-            raise ValueError("non-finite tensor data")
+            raise FloatingPointError("non-finite tensor data")
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self._parents = _parents

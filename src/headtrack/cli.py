@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, maps, motio, simulate
-from .fusion import FusionConfig, FusionParams, forward, load_params
+from .fusion import FusionConfig, FusionError, FusionParams, forward, load_params
 from .metrics import MetricsError, MotReport, evaluate, report, sequence_counts
 from .motio import AnnotationError, ConfigError, FieldOrder
 from .simulate import NoiseModel, ScenarioConfig
@@ -197,7 +197,11 @@ def cmd_fuse_demo(args) -> int:
         params = FusionParams(FusionConfig(seed=args.seed or 0))
     params.set_coefficients(alpha1=args.alpha1, beta1=args.beta1,
                             alpha2=args.alpha2, beta2=args.beta2)
-    out = forward(stack, params)
+    try:  # with the warnings off, an overflow still raises as a non-finite Tensor
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = forward(stack, params)
+    except FloatingPointError as e:
+        raise InputError(f"fusion of {args.stack_dir}: {e}") from None
     maps.save_map(args.out, out.data.transpose(1, 2, 0))
     _write_manifest(args.out, "fuse-demo", args)
     return 0
@@ -285,7 +289,7 @@ def main(argv=None) -> int:
     except (InputError, AnnotationError, maps.MapError, MetricsError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except ConfigError as e:
+    except (ConfigError, FusionError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as e:  # anything else is an internal invariant violation

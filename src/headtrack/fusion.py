@@ -16,7 +16,8 @@ the four scalar coefficients are checkable against finite differences.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ SOURCE_ORDER = ("diff", "flow", "rgb", "depth", "density")
 SOURCE_CHANNELS = {"diff": 1, "flow": 2, "rgb": 3, "depth": 1, "density": 1}
 MOTION_GROUPS = 2   # diff, flow
 STATIC_GROUPS = 3   # rgb, depth, density
+COEFFICIENTS = ("alpha1", "beta1", "alpha2", "beta2")
 
 
 class FusionError(ValueError):
@@ -42,10 +44,6 @@ class ConvBlock:
     weight: Tensor
     bias: Tensor
 
-    @property
-    def in_channels(self) -> int:
-        return self.weight.shape[1]
-
     def __call__(self, x: Tensor) -> Tensor:
         return ad.conv2d(x, self.weight, self.bias)
 
@@ -58,74 +56,59 @@ class FusionConfig:
     init_std: float = 0.01
     seed: int = 0
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise FusionError(f"seed must be >= 0, got {self.seed}")
+
 
 class FusionParams:
-    """All learnable state of the fusion pipeline, addressable by name."""
+    """All learnable state of the fusion pipeline, addressable by name. Each
+    tensor is registered as it is drawn, so the names are in RNG draw order."""
 
     def __init__(self, cfg: FusionConfig | None = None):
         self.cfg = cfg or FusionConfig()
-        c, k = self.cfg.channels, self.cfg.kernel
+        c, k, f = self.cfg.channels, self.cfg.kernel, self.cfg.fuse_channels
         rng = np.random.default_rng(self.cfg.seed)
+        self._params: dict[str, Tensor] = {}
 
-        def block(cin, cout, ksize):
+        def block(name, cin, cout, ksize=k):
             w = Tensor(rng.normal(0.0, self.cfg.init_std, (cout, cin, ksize, ksize)),
                        requires_grad=True)
             b = Tensor(np.zeros(cout), requires_grad=True)
+            self._params[f"{name}.weight"], self._params[f"{name}.bias"] = w, b
             return ConvBlock(w, b)
 
-        self.extractors = {name: [block(SOURCE_CHANNELS[name], c, k), block(c, c, k)]
+        self.extractors = {name: [block(f"extractor.{name}.0", SOURCE_CHANNELS[name], c),
+                                  block(f"extractor.{name}.1", c, c)]
                            for name in SOURCE_ORDER}
         cat = 5 * c
-        self.attn_convs = [block(cat, cat, k), block(cat, cat, k)]
-        self.coa_conv = block(cat, cat, 1)
-        self.cha_conv = block(cat, cat, 1)
-        self.mask_convs = [block(cat, cat, k), block(cat, cat, k)]
-        self.regroup = {name: [block(c, c, k), block(c, c, k)] for name in SOURCE_ORDER}
-        self.proj_motion = block(MOTION_GROUPS * c, self.cfg.fuse_channels, 1)
-        self.proj_static = block(STATIC_GROUPS * c, self.cfg.fuse_channels, 1)
-        self.head_conv = block(self.cfg.fuse_channels, 1, 1)
-        self.alpha1 = Tensor(np.float64(1.0), requires_grad=True)
-        self.beta1 = Tensor(np.float64(1.0), requires_grad=True)
-        self.alpha2 = Tensor(np.float64(1.0), requires_grad=True)
-        self.beta2 = Tensor(np.float64(1.0), requires_grad=True)
+        self.attn_convs = [block(f"attn.{i}", cat, cat) for i in range(2)]
+        self.coa_conv = block("coa", cat, cat, 1)
+        self.cha_conv = block("cha", cat, cat, 1)
+        self.mask_convs = [block(f"mask.{i}", cat, cat) for i in range(2)]
+        self.regroup = {name: [block(f"regroup.{name}.{i}", c, c) for i in range(2)]
+                        for name in SOURCE_ORDER}
+        self.proj_motion = block("proj_motion", MOTION_GROUPS * c, f, 1)
+        self.proj_static = block("proj_static", STATIC_GROUPS * c, f, 1)
+        self.head_conv = block("head", f, 1, 1)
+        for name in COEFFICIENTS:
+            self._params[name] = Tensor(np.float64(1.0), requires_grad=True)
+            setattr(self, name, self._params[name])
 
     def named_parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-
-        def put(prefix, blk):
-            out[f"{prefix}.weight"] = blk.weight
-            out[f"{prefix}.bias"] = blk.bias
-
-        for name in SOURCE_ORDER:
-            for i, blk in enumerate(self.extractors[name]):
-                put(f"extractor.{name}.{i}", blk)
-        for i, blk in enumerate(self.attn_convs):
-            put(f"attn.{i}", blk)
-        put("coa", self.coa_conv)
-        put("cha", self.cha_conv)
-        for i, blk in enumerate(self.mask_convs):
-            put(f"mask.{i}", blk)
-        for name in SOURCE_ORDER:
-            for i, blk in enumerate(self.regroup[name]):
-                put(f"regroup.{name}.{i}", blk)
-        put("proj_motion", self.proj_motion)
-        put("proj_static", self.proj_static)
-        put("head", self.head_conv)
-        out["alpha1"] = self.alpha1
-        out["beta1"] = self.beta1
-        out["alpha2"] = self.alpha2
-        out["beta2"] = self.beta2
-        return out
+        return dict(self._params)
 
     def zero_grad(self):
-        for t in self.named_parameters().values():
+        for t in self._params.values():
             t.zero_grad()
 
     def set_coefficients(self, alpha1=None, beta1=None, alpha2=None, beta2=None):
-        for name, v in (("alpha1", alpha1), ("beta1", beta1),
-                        ("alpha2", alpha2), ("beta2", beta2)):
-            if v is not None:
-                getattr(self, name).data = np.asarray(np.float64(v))
+        given = {name: v for name, v in zip(COEFFICIENTS, (alpha1, beta1, alpha2, beta2))
+                 if v is not None}
+        if not all(map(math.isfinite, given.values())):
+            raise FusionError(f"coefficients must be finite, got {given}")
+        for name, v in given.items():
+            self._params[name].data = np.asarray(np.float64(v))
 
 
 def stack_to_tensors(stack: SourceStack) -> dict[str, Tensor]:
@@ -144,12 +127,8 @@ def extract_and_concat(stack: SourceStack, params: FusionParams) -> Tensor:
     tensors = stack_to_tensors(stack)
     feats = []
     for name in SOURCE_ORDER:
-        x = tensors[name]
         blk1, blk2 = params.extractors[name]
-        if x.shape[0] != blk1.in_channels:
-            raise FusionError(f"source {name!r} has {x.shape[0]} channels, "
-                              f"extractor expects {blk1.in_channels}")
-        feats.append(blk2(blk1(x)))
+        feats.append(blk2(blk1(tensors[name])))
     return ad.concat(feats, axis=0)
 
 
@@ -266,12 +245,7 @@ def save_params(dirpath, params: FusionParams) -> None:
     """One raw float64 blob per named parameter plus a JSON manifest."""
     d = Path(dirpath)
     d.mkdir(parents=True, exist_ok=True)
-    manifest = {"config": {"channels": params.cfg.channels,
-                           "fuse_channels": params.cfg.fuse_channels,
-                           "kernel": params.cfg.kernel,
-                           "init_std": params.cfg.init_std,
-                           "seed": params.cfg.seed},
-                "parameters": []}
+    manifest = {"config": asdict(params.cfg), "parameters": []}
     for name, t in params.named_parameters().items():
         fname = name.replace(".", "_") + ".bin"
         (d / fname).write_bytes(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
@@ -283,7 +257,7 @@ def save_params(dirpath, params: FusionParams) -> None:
 def load_params(dirpath) -> FusionParams:
     """Read what `save_params` wrote. Raises ValueError unless the manifest
     names exactly the parameters its config allocates, each with that shape
-    and a blob of that many float64 values."""
+    and a blob of that many finite float64 values."""
     d = Path(dirpath)
     manifest = json.loads((d / "manifest.json").read_text())
     params = FusionParams(FusionConfig(**manifest["config"]))
@@ -305,5 +279,9 @@ def load_params(dirpath) -> FusionParams:
         if len(blob) != 8 * t.data.size:
             raise ValueError(f"parameter {entry['name']}: {len(blob)} bytes in "
                              f"{entry['file']}, shape {shape} needs {8 * t.data.size}")
-        t.data = np.frombuffer(blob, dtype="<f8").reshape(shape).copy()
+        data = np.frombuffer(blob, dtype="<f8")
+        if not np.all(np.isfinite(data)):
+            raise ValueError(f"parameter {entry['name']}: {entry['file']} holds a "
+                             "non-finite value")
+        t.data = data.reshape(shape).copy()
     return params

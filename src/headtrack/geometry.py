@@ -27,8 +27,8 @@ class BBox:
         for v in (self.left, self.top, self.width, self.height):
             if not math.isfinite(v):
                 raise ValueError(f"non-finite box coordinate: {self!r}")
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError(f"degenerate box (width/height must be > 0): {self!r}")
+        if self.width <= 0 or self.height <= 0 or not self.width * self.height > 0:
+            raise ValueError(f"degenerate box (width, height and area must be > 0): {self!r}")
 
     @property
     def right(self) -> float:

@@ -263,19 +263,20 @@ def density_from_boxes(boxes: list[BBox], dims: tuple[int, int]) -> ImageFrame:
     return ImageFrame(out)
 
 
-def synth_depth(dims: tuple[int, int], mode: str = "vertical_gradient") -> ImageFrame:
+def synth_depth(dims: tuple[int, int]) -> ImageFrame:
+    """Depth rising linearly from 0 on the top row to 1 on the bottom row."""
     h, w = dims
-    if mode == "constant":
-        return ImageFrame(np.full((h, w), 0.5))
-    if mode == "vertical_gradient":
-        col = np.arange(h) / (h - 1) if h > 1 else np.zeros(1)
-        return ImageFrame(np.tile(col[:, None], (1, w)))
-    raise MapError(f"unknown depth mode {mode!r}")
+    col = np.arange(h) / (h - 1) if h > 1 else np.zeros(1)
+    return ImageFrame(np.tile(col[:, None], (1, w)))
 
 
 def save_map(path, data: np.ndarray) -> None:
-    """Write a raw float32 map with its JSON sidecar."""
-    arr = np.asarray(data, dtype=np.float32)
+    """Write a raw float32 map with its JSON sidecar. Raises MapError, before
+    writing, on a value that is not finite as a float32."""
+    with np.errstate(over="ignore"):
+        arr = np.asarray(data, dtype=np.float32)
+    if not np.all(np.isfinite(arr)):
+        raise MapError(f"{path}: map has values that are not finite as float32")
     if arr.ndim == 2:
         arr = arr[:, :, None]
     planes = np.ascontiguousarray(arr.transpose(2, 0, 1))  # channel-major
@@ -285,9 +286,9 @@ def save_map(path, data: np.ndarray) -> None:
     Path(str(path) + ".json").write_text(json.dumps(sidecar))
 
 
-def load_map(path, dims: tuple[int, int] | None = None) -> np.ndarray:
+def load_map(path) -> np.ndarray:
     """Read a raw float32 map as a finite (H, W, C) float64 array with any
-    number of channels; dims, when given, must match the sidecar."""
+    number of channels."""
     path = Path(path)
     sidecar_path = Path(str(path) + ".json")
     if not path.exists() or not sidecar_path.exists():
@@ -299,8 +300,6 @@ def load_map(path, dims: tuple[int, int] | None = None) -> np.ndarray:
         raise MapError(f"{sidecar_path}: bad sidecar ({e!r})") from None
     if not all(type(v) is int and v >= 1 for v in (h, w, c)):
         raise MapError(f"{sidecar_path}: height, width and channels must be integers >= 1")
-    if dims is not None and (h, w) != tuple(dims):
-        raise MapError(f"map is {h}x{w}, expected {dims[0]}x{dims[1]}")
     raw = np.frombuffer(path.read_bytes(), dtype="<f4")
     if raw.size != h * w * c:
         raise MapError(f"map payload has {raw.size} floats, expected {h * w * c}")
@@ -312,40 +311,29 @@ def load_map(path, dims: tuple[int, int] | None = None) -> np.ndarray:
 Provider = Callable[[int, int], ImageFrame]
 
 
-def synth_depth_provider(mode: str = "vertical_gradient") -> Provider:
-    return lambda h, w: synth_depth((h, w), mode)
+def synth_depth_provider() -> Provider:
+    return lambda h, w: synth_depth((h, w))
 
 
 def density_provider(boxes: list[BBox]) -> Provider:
     return lambda h, w: density_from_boxes(boxes, (h, w))
 
 
-def motion_maps(curr: ImageFrame, prev: ImageFrame | None,
-                flow_cfg: FlowConfig | None = None) -> tuple[ImageFrame, FlowField]:
+def motion_maps(curr: ImageFrame, prev: ImageFrame | None) -> tuple[ImageFrame, FlowField]:
     """Frame difference and optical flow of curr against prev. With no
     predecessor frame both are zero maps (the neutral element for the
     downstream fusion)."""
     if prev is None:
         shape = (curr.height, curr.width)
         return ImageFrame(np.zeros(shape)), FlowField(np.zeros(shape), np.zeros(shape))
-    return frame_difference(curr, prev), optical_flow(curr, prev, flow_cfg)
+    return frame_difference(curr, prev), optical_flow(curr, prev)
 
 
 def build_stack(curr: ImageFrame, prev: ImageFrame | None,
-                depth_provider: Provider, density_provider: Provider,
-                flow_cfg: FlowConfig | None = None) -> SourceStack:
+                depth_provider: Provider, density_provider: Provider) -> SourceStack:
     """Assemble the five-source stack for one frame (see motion_maps)."""
-    h, w = curr.height, curr.width
-    diff, flow = motion_maps(curr, prev, flow_cfg)
-    maps = {}
-    for name, provider in (("depth", depth_provider), ("density", density_provider)):
-        try:
-            m = provider(h, w)
-        except Exception as e:
-            raise MapError(f"{name} provider failed: {e}") from e
-        if (m.height, m.width) != (h, w):
-            raise MapError(f"{name} provider returned {m.height}x{m.width}, expected {h}x{w}")
-        maps[name] = m
+    diff, flow = motion_maps(curr, prev)
     rgb = curr if curr.channels == 3 else ImageFrame(np.repeat(curr.data, 3, axis=2))
     return SourceStack(rgb=rgb, diff=diff, flow=flow,
-                       depth=maps["depth"], density=maps["density"])
+                       depth=depth_provider(curr.height, curr.width),
+                       density=density_provider(curr.height, curr.width))

@@ -139,9 +139,9 @@ def parse_annotations(lines: Iterable[str],
         except ValueError as e:
             raise AnnotationError(f"line {lineno}: {e}") from None
         # what IoU, the tracker state and noise (std proportional to the box
-        # size, squared) and the ratio histogram derive from the box must
-        # neither overflow nor underflow
-        if not (0.0 < w * h < math.inf and all(
+        # size, squared) and the ratio histogram derive from the box must not
+        # overflow; BBox has already rejected an area that underflows to 0
+        if not (w * h < math.inf and all(
                 math.isfinite(v) for v in (left + w, top + h, w / h, h / w * 10.0,
                                            w * w, h * h))):
             raise AnnotationError(f"line {lineno}: box edge, area or aspect ratio "

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -13,3 +14,15 @@ def test_benchmark_selftest_passes():
     proc = subprocess.run([sys.executable, "benchmarks/selftest.py"], cwd=ROOT,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
+def test_maps_fusion_golden_digest():
+    """maps_fusion seed 0 reproduces its golden digest, which hashes the fused
+    output and every parameter's gradient norm in registry order. run.py keeps
+    its temporary files under the ignored benchmarks/out/."""
+    proc = subprocess.run([sys.executable, "benchmarks/run.py", "--workload", "maps_fusion",
+                           "--seed", "0", "--seconds", "0"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert (result["correct"], result["failed"]) == (True, 0), proc.stdout[-2000:]

@@ -419,9 +419,25 @@ class TestFuseDemo:
     def _rename_entry(m, d):
         m["parameters"][0]["name"] = "extractor.rgb.9.weight"
 
+    @staticmethod
+    def _nan_value(m, d, name):
+        blob = d / next(e["file"] for e in m["parameters"] if e["name"] == name)
+        values = np.frombuffer(blob.read_bytes(), dtype="<f8").copy()
+        values[0] = np.nan
+        blob.write_bytes(values.tobytes())
+
+    @classmethod
+    def _nan_extractor_weight(cls, m, d):
+        cls._nan_value(m, d, "extractor.diff.0.weight")
+
+    @classmethod
+    def _nan_head_bias(cls, m, d):   # forward does not read it
+        cls._nan_value(m, d, "head.bias")
+
     @pytest.mark.parametrize("edit", ["_set_channels", "_permute_shape", "_truncate_blob",
                                       "_extend_blob", "_drop_entry", "_duplicate_entry",
-                                      "_rename_entry"])
+                                      "_rename_entry", "_nan_extractor_weight",
+                                      "_nan_head_bias"])
     def test_params_disagreeing_with_manifest(self, tmp_path, edit):
         stack, params = tmp_path / "stack", tmp_path / "params"
         self._write_stack(stack)
@@ -438,6 +454,22 @@ class TestFuseDemo:
         (stack / "depth.bin").unlink()
         assert run("fuse-demo", "--stack-dir", str(stack),
                    "--out", str(tmp_path / "o.bin")) == EXIT_INPUT
+
+    @pytest.mark.parametrize("flags,code", [
+        (("--alpha1", "nan"), EXIT_CONFIG),
+        (("--alpha1", "inf"), EXIT_CONFIG),
+        (("--beta2=-inf",), EXIT_CONFIG),
+        (("--seed", "-1"), EXIT_CONFIG),
+        (("--alpha1", "1e300"), EXIT_INPUT),   # overflows inside the fusion
+        (("--alpha2", "1e200"), EXIT_INPUT),   # overflows only the float32 output map
+    ])
+    def test_bad_flag_exit_code(self, tmp_path, flags, code):
+        stack, out = tmp_path / "stack", tmp_path / "o.bin"
+        self._write_stack(stack)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("fuse-demo", "--stack-dir", str(stack), *flags, "--out", str(out)) == code
+        assert not out.exists()
 
 
 class TestParser:

@@ -9,6 +9,7 @@ from headtrack import autodiff as ad
 from headtrack.autodiff import Tensor
 from headtrack.fusion import (
     SOURCE_ORDER,
+    ConvBlock,
     FusionConfig,
     FusionParams,
     conv_attention,
@@ -47,7 +48,7 @@ def set_identity(block):
     k = block.weight.shape[-1]
     block.weight.data = np.zeros_like(block.weight.data)
     for j in range(block.weight.shape[0]):
-        block.weight.data[j, j % block.in_channels, k // 2, k // 2] = 1.0
+        block.weight.data[j, j % block.weight.shape[1], k // 2, k // 2] = 1.0
     block.bias.data = np.zeros_like(block.bias.data)
 
 
@@ -58,6 +59,74 @@ def well_scaled_params(seed, init_std=0.15):
         if name.endswith("bias"):
             t.data = rng.normal(0.0, init_std, t.data.shape)
     return p
+
+
+# The registry's names in RNG draw order, as the hand-written list that the
+# registry replaced gave them; the maps_fusion digest hashes gradient norms
+# in this order.
+PARAMETER_NAMES = [
+    "extractor.diff.0.weight", "extractor.diff.0.bias",
+    "extractor.diff.1.weight", "extractor.diff.1.bias",
+    "extractor.flow.0.weight", "extractor.flow.0.bias",
+    "extractor.flow.1.weight", "extractor.flow.1.bias",
+    "extractor.rgb.0.weight", "extractor.rgb.0.bias",
+    "extractor.rgb.1.weight", "extractor.rgb.1.bias",
+    "extractor.depth.0.weight", "extractor.depth.0.bias",
+    "extractor.depth.1.weight", "extractor.depth.1.bias",
+    "extractor.density.0.weight", "extractor.density.0.bias",
+    "extractor.density.1.weight", "extractor.density.1.bias",
+    "attn.0.weight", "attn.0.bias",
+    "attn.1.weight", "attn.1.bias",
+    "coa.weight", "coa.bias",
+    "cha.weight", "cha.bias",
+    "mask.0.weight", "mask.0.bias",
+    "mask.1.weight", "mask.1.bias",
+    "regroup.diff.0.weight", "regroup.diff.0.bias",
+    "regroup.diff.1.weight", "regroup.diff.1.bias",
+    "regroup.flow.0.weight", "regroup.flow.0.bias",
+    "regroup.flow.1.weight", "regroup.flow.1.bias",
+    "regroup.rgb.0.weight", "regroup.rgb.0.bias",
+    "regroup.rgb.1.weight", "regroup.rgb.1.bias",
+    "regroup.depth.0.weight", "regroup.depth.0.bias",
+    "regroup.depth.1.weight", "regroup.depth.1.bias",
+    "regroup.density.0.weight", "regroup.density.0.bias",
+    "regroup.density.1.weight", "regroup.density.1.bias",
+    "proj_motion.weight", "proj_motion.bias",
+    "proj_static.weight", "proj_static.bias",
+    "head.weight", "head.bias",
+    "alpha1", "beta1", "alpha2", "beta2",
+]
+
+
+def conv_blocks(value):
+    """Every ConvBlock inside an attribute value (a block, list or dict)."""
+    if isinstance(value, ConvBlock):
+        return [value]
+    if isinstance(value, (list, dict)):
+        items = value.values() if isinstance(value, dict) else value
+        return [b for v in items for b in conv_blocks(v)]
+    return []
+
+
+class TestRegistry:
+    def test_names_in_draw_order(self):
+        assert list(FusionParams().named_parameters()) == PARAMETER_NAMES
+
+    @pytest.mark.parametrize("kernel", [1, 3])
+    def test_attributes_hold_the_registered_tensors(self, tmp_path, kernel):
+        # load_params overwrites each registered tensor's data, so the blocks
+        # that forward reads must be those very tensors
+        fresh = FusionParams(FusionConfig(kernel=kernel, seed=3))
+        save_params(tmp_path, fresh)
+        for p in (fresh, load_params(tmp_path)):
+            named = p.named_parameters()
+            blocks = [b for v in vars(p).values() for b in conv_blocks(v)]
+            held = [t for b in blocks for t in (b.weight, b.bias)]
+            held += [getattr(p, name) for name in ("alpha1", "beta1", "alpha2", "beta2")]
+            assert len(blocks) == 29
+            assert sorted(map(id, held)) == sorted(map(id, named.values()))
+            for name, t in fresh.named_parameters().items():
+                assert np.array_equal(named[name].data, t.data)
 
 
 class TestExtractConcat:

@@ -35,6 +35,8 @@ def test_bbox_rejects_degenerate():
         BBox(0, 0, 10, -1)
     with pytest.raises(ValueError):
         BBox(math.nan, 0, 10, 10)
+    with pytest.raises(ValueError):   # the area underflows to 0: IoU would be 0/0
+        BBox(0, 0, 1e-200, 1e-200)
 
 
 def test_iou_identity():

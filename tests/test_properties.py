@@ -1,5 +1,5 @@
 """Property tests: the CLI exit-code contract under fuzzed config files, map
-sidecars and annotation files, tracker invariance under a shift of every frame number and under a
+sidecars, fuse-demo seeds and coefficients, and annotation files, tracker invariance under a shift of every frame number and under a
 permutation of each frame's detections, and the evaluator's symmetries: a
 sequence scored against itself, gt and pred swapped, and records shuffled
 within a file."""
@@ -83,18 +83,35 @@ SIDECARS = st.one_of(
 )
 
 
+# fuse-demo's coefficient flags: any float, and magnitudes that overflow
+# inside the fusion (1e300) or only in the float32 output map (1e200)
+COEFFICIENT_FLAGS = st.dictionaries(
+    st.sampled_from(["alpha1", "beta1", "alpha2", "beta2"]),
+    st.one_of(st.floats(), st.sampled_from([1e300, -1e300, 1e200, -1e200, 0.0])),
+).map(lambda d: [f"--{k}={v!r}" for k, v in d.items()])
+
+
 @FUZZ
-@given(member=st.sampled_from(["rgb", "diff", "flow", "depth", "density"]), sidecar=SIDECARS)
-def test_fuse_demo_sidecar_exit_code(member, sidecar):
+@given(member=st.sampled_from(["rgb", "diff", "flow", "depth", "density"]),
+       sidecar=st.none() | SIDECARS, seed=st.integers(-3, 2**32),
+       coefficients=COEFFICIENT_FLAGS)
+def test_fuse_demo_sidecar_exit_code(member, sidecar, seed, coefficients):
+    """A fuzzed sidecar (None keeps the stored one), seed and coefficients:
+    exit 0, 2 or 3 with no numpy warning, and on 0 the output map reads back."""
     rng = np.random.default_rng(0)
-    with tempfile.TemporaryDirectory() as d:
+    with tempfile.TemporaryDirectory() as d, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         d = Path(d)
         for name, channels in (("rgb", 3), ("diff", 1), ("flow", 2), ("depth", 1),
                                ("density", 1)):
             maps.save_map(d / f"{name}.bin", rng.random((6, 6, channels)))
-        (d / f"{member}.bin.json").write_text(sidecar)
-        assert main(["fuse-demo", "--stack-dir", str(d),
-                     "--out", str(d / "out.bin")]) in (0, 2)
+        if sidecar is not None:
+            (d / f"{member}.bin.json").write_text(sidecar)
+        code = main(["fuse-demo", "--stack-dir", str(d), "--seed", str(seed), *coefficients,
+                     "--out", str(d / "out.bin")])
+        assert code in (0, 2, 3)
+        if code == 0:
+            assert maps.load_map(d / "out.bin").shape == (6, 6, 8)
 
 
 @FUZZ

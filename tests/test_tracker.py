@@ -1,6 +1,7 @@
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -470,8 +471,13 @@ class TrackState:
     time_since_update: int = 0
 
     @property
-    def bbox(self) -> BBox:
-        return BBox(*_z_to_ltwh(self.mean[:4]).tolist())
+    def bbox(self) -> SimpleNamespace:
+        """The predicted box with the fields the scalar `iou` reads. Not a
+        BBox: a prediction clamped to the smallest normal width and height has
+        an area that underflows to 0, which BBox rejects."""
+        left, top, width, height = _z_to_ltwh(self.mean[:4]).tolist()
+        return SimpleNamespace(left=left, top=top, width=width, height=height,
+                               area=width * height)
 
 
 def _stacked(tracks):
