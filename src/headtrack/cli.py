@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, maps, motio, simulate
-from .fusion import FusionConfig, FusionError, FusionParams, forward, load_params
+from .fusion import FusionConfig, FusionError, FusionParams, forward
 from .metrics import MetricsError, MotReport, evaluate, report, sequence_counts
 from .motio import AnnotationError, ConfigError, FieldOrder
 from .simulate import NoiseModel, ScenarioConfig
@@ -104,7 +104,7 @@ def cmd_stats(args) -> int:
     records = _read_records(args.ann, FieldOrder(args.order))
     if not records:
         raise InputError(f"{args.ann}: no annotation records")
-    frames = args.frames or max(r.frame for r in records)
+    frames = max(r.frame for r in records) if args.frames is None else args.frames
     stats = motio.compute_stats(records, frames)
     payload = {
         "boxes": stats.boxes,
@@ -188,13 +188,7 @@ def cmd_fuse_demo(args) -> int:
                              flow=maps.FlowField(m["flow"][:, :, 0], m["flow"][:, :, 1]),
                              depth=maps.ImageFrame(m["depth"]),
                              density=maps.ImageFrame(m["density"]))
-    if args.params:
-        try:
-            params = load_params(args.params)
-        except (OSError, ValueError, KeyError, TypeError) as e:
-            raise InputError(f"--params {args.params}: {e!r}") from None
-    else:
-        params = FusionParams(FusionConfig(seed=args.seed or 0))
+    params = FusionParams(FusionConfig(seed=args.seed or 0))
     params.set_coefficients(alpha1=args.alpha1, beta1=args.beta1,
                             alpha2=args.alpha2, beta2=args.beta2)
     try:  # with the warnings off, an overflow still raises as a non-finite Tensor
@@ -266,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuse-demo", help="run the fusion pipeline on a stored stack")
     p.add_argument("--stack-dir", required=True)
-    p.add_argument("--params")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     for coeff in ("alpha1", "beta1", "alpha2", "beta2"):

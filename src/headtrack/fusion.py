@@ -15,10 +15,8 @@ the four scalar coefficients are checkable against finite differences.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -209,12 +207,11 @@ def loss_for(stack: SourceStack, params: FusionParams) -> Tensor:
     return ad.tsum(toy_head(forward(stack, params), params))
 
 
-def grad_check(params: FusionParams, stack: SourceStack, epsilon: float = 1e-5,
+def grad_check(params: FusionParams, stack: SourceStack,
                samples_per_param: int = 4, seed: int = 0) -> float:
-    """Max relative error between analytic gradients and central differences,
-    on randomly sampled coordinates of every parameter."""
-    if not (1e-6 <= epsilon <= 1e-4):
-        raise ValueError("epsilon must be in [1e-6, 1e-4]")
+    """Max relative error between analytic gradients and central differences
+    (step 1e-5), on randomly sampled coordinates of every parameter."""
+    epsilon = 1e-5
     params.zero_grad()
     loss_for(stack, params).backward()
     rng = np.random.default_rng(seed)
@@ -239,49 +236,3 @@ def grad_check(params: FusionParams, stack: SourceStack, epsilon: float = 1e-5,
             denom = max(abs(numeric), abs(analytic), 1e-5)
             worst = max(worst, abs(numeric - analytic) / denom)
     return worst
-
-
-def save_params(dirpath, params: FusionParams) -> None:
-    """One raw float64 blob per named parameter plus a JSON manifest."""
-    d = Path(dirpath)
-    d.mkdir(parents=True, exist_ok=True)
-    manifest = {"config": asdict(params.cfg), "parameters": []}
-    for name, t in params.named_parameters().items():
-        fname = name.replace(".", "_") + ".bin"
-        (d / fname).write_bytes(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
-        manifest["parameters"].append({"name": name, "file": fname,
-                                       "shape": list(t.data.shape)})
-    (d / "manifest.json").write_text(json.dumps(manifest, indent=2))
-
-
-def load_params(dirpath) -> FusionParams:
-    """Read what `save_params` wrote. Raises ValueError unless the manifest
-    names exactly the parameters its config allocates, each with that shape
-    and a blob of that many finite float64 values."""
-    d = Path(dirpath)
-    manifest = json.loads((d / "manifest.json").read_text())
-    params = FusionParams(FusionConfig(**manifest["config"]))
-    named = params.named_parameters()
-    entries = manifest["parameters"]
-    names = [entry["name"] for entry in entries]
-    if len(names) != len(named) or set(names) != set(named):
-        raise ValueError("manifest parameters are not the model's: "
-                         f"missing {sorted(set(named) - set(names))}, "
-                         f"unknown {sorted(map(str, set(names) - set(named)))}, "
-                         f"{len(names)} entries for {len(named)} parameters")
-    for entry in entries:
-        t = named[entry["name"]]
-        shape = tuple(entry["shape"])
-        if shape != t.data.shape:
-            raise ValueError(f"parameter {entry['name']}: stored shape {shape}, "
-                             f"the config gives {t.data.shape}")
-        blob = (d / entry["file"]).read_bytes()
-        if len(blob) != 8 * t.data.size:
-            raise ValueError(f"parameter {entry['name']}: {len(blob)} bytes in "
-                             f"{entry['file']}, shape {shape} needs {8 * t.data.size}")
-        data = np.frombuffer(blob, dtype="<f8")
-        if not np.all(np.isfinite(data)):
-            raise ValueError(f"parameter {entry['name']}: {entry['file']} holds a "
-                             "non-finite value")
-        t.data = data.reshape(shape).copy()
-    return params

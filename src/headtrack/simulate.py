@@ -17,6 +17,8 @@ from .geometry import BBox, iou, iou_matrix, ltwh_array  # noqa: F401
 from .motio import AnnotationRecord, SequenceMeta
 
 OCCLUSION_IOU = 0.3  # pairwise GT overlap that triggers the score multiplier
+MAX_JITTER = 1e4     # px, cap on the jitter sigmas: jittered boxes stay finite
+MAX_FP_RATE = 1e3    # cap on expected false boxes per frame
 
 
 class SimError(ValueError):
@@ -40,8 +42,9 @@ class ScenarioConfig:
         if self.agent_count < 1:
             raise SimError("agent_count must be >= 1")
         (v0, v1), (s0, s1) = self.speed_range, self.head_size_range
-        if not (0 <= v0 <= v1 and 0 < s0 <= s1):
-            raise SimError("need 0 <= speed low <= high and 0 < head size low <= high")
+        if not (0 <= v0 <= v1 and 0 < s0 <= s1 and s0 * s0 > 0):
+            raise SimError("need 0 <= speed low <= high and 0 < head size low <= high, "
+                           "with head size low squared > 0")
         if self.duration < 1:
             raise SimError("duration must be >= 1")
         if self.heading_sigma < 0 or self.seed < 0 or self.fps <= 0:
@@ -63,8 +66,10 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0 <= self.miss_rate < 1) or self.fp_rate < 0:
-            raise SimError("invalid miss_rate or fp_rate")
+        if not (0 <= self.miss_rate < 1) or not (0 <= self.fp_rate <= MAX_FP_RATE):
+            raise SimError(f"need 0 <= miss_rate < 1 and 0 <= fp_rate <= {MAX_FP_RATE:g}")
+        if max(self.center_jitter, self.size_jitter) > MAX_JITTER:
+            raise SimError(f"jitter sigmas must be <= {MAX_JITTER:g} px")
         if min(self.center_jitter, self.size_jitter, self.tp_score[1], self.fp_score[1],
                self.seed) < 0:
             raise SimError("jitter sigmas, score sigmas and seed must be >= 0")

@@ -233,10 +233,9 @@ class Tracker:
     confirmed track with age > 0 is lost and dies once age exceeds max_age.
     """
 
-    def __init__(self, cfg: TrackerConfig | None = None,
-                 kalman: KalmanModel | None = None):
+    def __init__(self, cfg: TrackerConfig | None = None):
         self.cfg = cfg or TrackerConfig()
-        self.kalman = kalman or KalmanModel()
+        self.kalman = KalmanModel()
         self.tracks = np.zeros(0, dtype=np.int64)
         self.mean, self.cov = np.zeros((0, 8)), np.zeros((0, 8, 8))
         self.hits = np.zeros(0, dtype=np.int64)

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -16,11 +18,14 @@ def test_benchmark_selftest_passes():
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
 
 
-def test_maps_fusion_golden_digest():
-    """maps_fusion seed 0 reproduces its golden digest, which hashes the fused
-    output and every parameter's gradient norm in registry order. run.py keeps
-    its temporary files under the ignored benchmarks/out/."""
-    proc = subprocess.run([sys.executable, "benchmarks/run.py", "--workload", "maps_fusion",
+@pytest.mark.parametrize("workload", ["dense90_byte", "sparse20_cli", "maps_fusion"])
+def test_golden_digest(workload):
+    """Each workload reproduces its seed-0 golden digest: the tracker rows and
+    MOT report of dense90_byte (library) and sparse20_cli (CLI on files), and
+    for maps_fusion the fused output and every parameter's gradient norm in
+    registry order. run.py keeps its temporary files under the ignored
+    benchmarks/out/."""
+    proc = subprocess.run([sys.executable, "benchmarks/run.py", "--workload", workload,
                            "--seed", "0", "--seconds", "0"], cwd=ROOT,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

@@ -6,7 +6,7 @@ import pytest
 
 from headtrack import maps, motio
 from headtrack.cli import EXIT_CONFIG, EXIT_INPUT, main
-from headtrack.fusion import FusionConfig, FusionParams, save_params
+from headtrack.fusion import FusionConfig, FusionParams, forward
 from headtrack.metrics import aggregate, evaluate
 from headtrack.motio import FieldOrder
 
@@ -56,12 +56,19 @@ class TestGenScenario:
         ("--config", "agent_cuont=5"),  # misspelt keys are rejected, not ignored
         ("--noise", "tp_score=1.0,-0.1"),
         ("--config", "seed=-1"),
+        ("--config", "head_size_range=1e-300,1e-300"),   # the box area underflows to 0
+        ("--noise", "center_jitter=1e308"),              # jittered edges overflow
+        ("--noise", "size_jitter=1e308"),
+        ("--noise", "size_jitter=1e200"),                # the box area overflows
+        ("--noise", "fp_rate=1e20"),                     # beyond numpy's Poisson range
     ])
     def test_bad_config_values_exit_config(self, tmp_path, flag, line):
         cfg = tmp_path / "x.cfg"
         cfg.write_text(line + "\n")
-        assert run("gen-scenario", flag, str(cfg), "--out-gt", str(tmp_path / "x.txt"),
-                   "--out-dets", str(tmp_path / "d.txt")) == EXIT_CONFIG
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("gen-scenario", flag, str(cfg), "--out-gt", str(tmp_path / "x.txt"),
+                       "--out-dets", str(tmp_path / "d.txt")) == EXIT_CONFIG
 
     def test_negative_seed_flag_exit_config(self, tmp_path):
         assert run("gen-scenario", "--seed", "-1",
@@ -88,6 +95,19 @@ class TestStats:
 
     def test_missing_file(self, tmp_path):
         assert run("stats", "--ann", str(tmp_path / "none.txt")) == EXIT_INPUT
+
+    @pytest.mark.parametrize("frames", [0, -1])
+    def test_nonpositive_frames_rejected(self, scenario, frames):
+        gt, _ = scenario
+        assert run("stats", "--ann", str(gt), "--frames", str(frames)) == EXIT_INPUT
+
+    @pytest.mark.parametrize("frames", [200, 400])
+    def test_frames_sets_the_density(self, scenario, capsys, frames):
+        gt, _ = scenario
+        assert run("stats", "--ann", str(gt), "--frames", str(frames), "--json") == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["frames"] == frames
+        assert payload["density"] == round(20 * 200 / frames, 2)
 
 
 class TestTrackEvaluate:
@@ -328,6 +348,16 @@ class TestFuseDemo:
         assert (side["height"], side["width"], side["channels"]) == (6, 6, 8)
         raw = np.frombuffer(out.read_bytes(), dtype="<f4")
         assert raw.size == 6 * 6 * 8 and np.all(np.isfinite(raw))
+        # --seed 3 selects seed 3's weights: the same bytes as the library call
+        m = {name: maps.load_map(stack / f"{name}.bin")
+             for name in ("rgb", "diff", "flow", "depth", "density")}
+        s = maps.SourceStack(rgb=maps.ImageFrame(m["rgb"]), diff=maps.ImageFrame(m["diff"]),
+                             flow=maps.FlowField(m["flow"][:, :, 0], m["flow"][:, :, 1]),
+                             depth=maps.ImageFrame(m["depth"]),
+                             density=maps.ImageFrame(m["density"]))
+        want = tmp_path / "want.bin"
+        maps.save_map(want, forward(s, FusionParams(FusionConfig(seed=3))).data.transpose(1, 2, 0))
+        assert want.read_bytes() == out.read_bytes()
 
     def test_coefficient_overrides_change_output(self, tmp_path):
         stack = tmp_path / "stack"
@@ -357,95 +387,6 @@ class TestFuseDemo:
         self._write_stack(stack)
         (stack / "rgb.bin.json").write_text(sidecar)
         assert run("fuse-demo", "--stack-dir", str(stack),
-                   "--out", str(tmp_path / "o.bin")) == EXIT_INPUT
-
-    def test_params_round_trip(self, tmp_path):
-        stack = tmp_path / "stack"
-        self._write_stack(stack)
-        save_params(tmp_path / "params", FusionParams(FusionConfig(seed=5)))
-        a, b = tmp_path / "a.bin", tmp_path / "b.bin"
-        assert run("fuse-demo", "--stack-dir", str(stack), "--params", str(tmp_path / "params"),
-                   "--out", str(a)) == 0
-        assert run("fuse-demo", "--stack-dir", str(stack), "--seed", "5", "--out", str(b)) == 0
-        assert a.read_bytes() == b.read_bytes()
-
-    @pytest.mark.parametrize("manifest", [
-        None,                                  # directory does not exist
-        "",                                    # directory without manifest.json
-        "not json",
-        '{"parameters": []}',                  # no "config"
-        '{"config": {}}',                      # no "parameters"
-        '{"config": {"chanels": 4}, "parameters": []}',
-        "[]",
-    ])
-    def test_bad_params(self, tmp_path, manifest):
-        stack = tmp_path / "stack"
-        self._write_stack(stack)
-        params = tmp_path / "params"
-        if manifest is not None:
-            params.mkdir()
-            if manifest:
-                (params / "manifest.json").write_text(manifest)
-        assert run("fuse-demo", "--stack-dir", str(stack), "--params", str(params),
-                   "--out", str(tmp_path / "o.bin")) == EXIT_INPUT
-
-    @staticmethod
-    def _set_channels(m, d):
-        m["config"]["channels"] = 2      # stored shapes are for 4 channels
-
-    @staticmethod
-    def _permute_shape(m, d):
-        m["parameters"][0]["shape"] = m["parameters"][0]["shape"][::-1]   # same size
-
-    @staticmethod
-    def _truncate_blob(m, d):
-        blob = d / m["parameters"][0]["file"]
-        blob.write_bytes(blob.read_bytes()[:-8])
-
-    @staticmethod
-    def _extend_blob(m, d):
-        blob = d / m["parameters"][-1]["file"]
-        blob.write_bytes(blob.read_bytes() + bytes(8))
-
-    @staticmethod
-    def _drop_entry(m, d):
-        del m["parameters"][0]
-
-    @staticmethod
-    def _duplicate_entry(m, d):
-        m["parameters"][0] = dict(m["parameters"][1])
-
-    @staticmethod
-    def _rename_entry(m, d):
-        m["parameters"][0]["name"] = "extractor.rgb.9.weight"
-
-    @staticmethod
-    def _nan_value(m, d, name):
-        blob = d / next(e["file"] for e in m["parameters"] if e["name"] == name)
-        values = np.frombuffer(blob.read_bytes(), dtype="<f8").copy()
-        values[0] = np.nan
-        blob.write_bytes(values.tobytes())
-
-    @classmethod
-    def _nan_extractor_weight(cls, m, d):
-        cls._nan_value(m, d, "extractor.diff.0.weight")
-
-    @classmethod
-    def _nan_head_bias(cls, m, d):   # forward does not read it
-        cls._nan_value(m, d, "head.bias")
-
-    @pytest.mark.parametrize("edit", ["_set_channels", "_permute_shape", "_truncate_blob",
-                                      "_extend_blob", "_drop_entry", "_duplicate_entry",
-                                      "_rename_entry", "_nan_extractor_weight",
-                                      "_nan_head_bias"])
-    def test_params_disagreeing_with_manifest(self, tmp_path, edit):
-        stack, params = tmp_path / "stack", tmp_path / "params"
-        self._write_stack(stack)
-        save_params(params, FusionParams())
-        manifest = json.loads((params / "manifest.json").read_text())
-        getattr(self, edit)(manifest, params)
-        (params / "manifest.json").write_text(json.dumps(manifest))
-        assert run("fuse-demo", "--stack-dir", str(stack), "--params", str(params),
                    "--out", str(tmp_path / "o.bin")) == EXIT_INPUT
 
     def test_missing_stack_member(self, tmp_path):
