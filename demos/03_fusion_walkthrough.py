@@ -20,16 +20,18 @@ from headtrack.fusion import (
     spatial_mask_fuse,
     toy_head,
 )
-from headtrack.maps import FlowField, ImageFrame, SourceStack
+from headtrack.maps import source_stack
 
+# The fusion input is one (8, H, W) array; source_stack checks each map's size
+# and channel count and writes it into its channels (maps.SOURCE_SLICES).
 rng = np.random.default_rng(0)
 H = W = 8
-stack = SourceStack(
-    rgb=ImageFrame(rng.random((H, W, 3))),
-    diff=ImageFrame(rng.random((H, W))),
-    flow=FlowField(rng.standard_normal((H, W)), rng.standard_normal((H, W))),
-    depth=ImageFrame(rng.random((H, W))),
-    density=ImageFrame(rng.random((H, W))))
+stack = source_stack({
+    "rgb": rng.random((H, W, 3)),
+    "diff": rng.random((H, W)),
+    "flow": rng.standard_normal((H, W, 2)),
+    "depth": rng.random((H, W)),
+    "density": rng.random((H, W))})
 
 params = FusionParams(FusionConfig(seed=1, init_std=0.15))
 fused = forward(stack, params)

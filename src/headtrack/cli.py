@@ -172,22 +172,16 @@ def cmd_gen_motion(args) -> int:
     for i, p in enumerate(paths, start=1):
         curr = _load_frame(p)
         diff, flow = maps.motion_maps(curr, prev)
-        maps.save_map(out_dir / f"diff_{i:04d}.bin", diff.data)
-        maps.save_map(out_dir / f"flow_{i:04d}.bin", np.stack([flow.u, flow.v], axis=2))
+        maps.save_map(out_dir / f"diff_{i:04d}.bin", diff)
+        maps.save_map(out_dir / f"flow_{i:04d}.bin", flow)
         prev = curr
     _write_manifest(out_dir / "motion", "gen-motion", args)
     return 0
 
 
 def cmd_fuse_demo(args) -> int:
-    m = {name: maps.load_map(Path(args.stack_dir) / f"{name}.bin")
-         for name in ("rgb", "diff", "flow", "depth", "density")}
-    if m["flow"].shape[2] != 2:
-        raise InputError("flow.bin must be a 2-channel (u, v) map")
-    stack = maps.SourceStack(rgb=maps.ImageFrame(m["rgb"]), diff=maps.ImageFrame(m["diff"]),
-                             flow=maps.FlowField(m["flow"][:, :, 0], m["flow"][:, :, 1]),
-                             depth=maps.ImageFrame(m["depth"]),
-                             density=maps.ImageFrame(m["density"]))
+    stack = maps.source_stack({name: maps.load_map(Path(args.stack_dir) / f"{name}.bin")
+                               for name in maps.SOURCE_SLICES})
     params = FusionParams(FusionConfig(seed=args.seed or 0))
     params.set_coefficients(alpha1=args.alpha1, beta1=args.beta1,
                             alpha2=args.alpha2, beta2=args.beta2)

@@ -22,10 +22,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .maps import SourceStack
+from .maps import SOURCE_SLICES
 
-SOURCE_ORDER = ("diff", "flow", "rgb", "depth", "density")
-SOURCE_CHANNELS = {"diff": 1, "flow": 2, "rgb": 3, "depth": 1, "density": 1}
+SOURCE_ORDER = tuple(SOURCE_SLICES)
 MOTION_GROUPS = 2   # diff, flow
 STATIC_GROUPS = 3   # rgb, depth, density
 COEFFICIENTS = ("alpha1", "beta1", "alpha2", "beta2")
@@ -76,9 +75,9 @@ class FusionParams:
             self._params[f"{name}.weight"], self._params[f"{name}.bias"] = w, b
             return ConvBlock(w, b)
 
-        self.extractors = {name: [block(f"extractor.{name}.0", SOURCE_CHANNELS[name], c),
+        self.extractors = {name: [block(f"extractor.{name}.0", sl.stop - sl.start, c),
                                   block(f"extractor.{name}.1", c, c)]
-                           for name in SOURCE_ORDER}
+                           for name, sl in SOURCE_SLICES.items()}
         cat = 5 * c
         self.attn_convs = [block(f"attn.{i}", cat, cat) for i in range(2)]
         self.coa_conv = block("coa", cat, cat, 1)
@@ -109,24 +108,13 @@ class FusionParams:
             self._params[name].data = np.asarray(np.float64(v))
 
 
-def stack_to_tensors(stack: SourceStack) -> dict[str, Tensor]:
-    """Split a SourceStack into (C, H, W) tensors in pipeline source order."""
-    return {
-        "diff": Tensor(stack.diff.data.transpose(2, 0, 1)),
-        "flow": Tensor(np.stack([stack.flow.u, stack.flow.v])),
-        "rgb": Tensor(stack.rgb.data.transpose(2, 0, 1)),
-        "depth": Tensor(stack.depth.data.transpose(2, 0, 1)),
-        "density": Tensor(stack.density.data.transpose(2, 0, 1)),
-    }
-
-
-def extract_and_concat(stack: SourceStack, params: FusionParams) -> Tensor:
-    """Run the five extractors and concatenate their outputs channel-wise."""
-    tensors = stack_to_tensors(stack)
+def extract_and_concat(stack: np.ndarray, params: FusionParams) -> Tensor:
+    """Run each source's extractor on its channels of the (8, H, W) stack
+    (maps.source_stack) and concatenate their outputs channel-wise."""
     feats = []
-    for name in SOURCE_ORDER:
+    for name, sl in SOURCE_SLICES.items():
         blk1, blk2 = params.extractors[name]
-        feats.append(blk2(blk1(tensors[name])))
+        feats.append(blk2(blk1(Tensor(stack[sl]))))
     return ad.concat(feats, axis=0)
 
 
@@ -187,7 +175,7 @@ def motion_static_fuse(h_static: Tensor, h_motion: Tensor,
                   ad.scale(h_static, beta2))
 
 
-def forward(stack: SourceStack, params: FusionParams) -> Tensor:
+def forward(stack: np.ndarray, params: FusionParams) -> Tensor:
     """Full fusion pipeline; output has fuse_channels channels."""
     h_cat = extract_and_concat(stack, params)
     h_agg = conv_attention(h_cat, params)
@@ -203,11 +191,11 @@ def toy_head(h_agg: Tensor, params: FusionParams) -> Tensor:
     return ad.sigmoid(params.head_conv(h_agg))
 
 
-def loss_for(stack: SourceStack, params: FusionParams) -> Tensor:
+def loss_for(stack: np.ndarray, params: FusionParams) -> Tensor:
     return ad.tsum(toy_head(forward(stack, params), params))
 
 
-def grad_check(params: FusionParams, stack: SourceStack,
+def grad_check(params: FusionParams, stack: np.ndarray,
                samples_per_param: int = 4, seed: int = 0) -> float:
     """Max relative error between analytic gradients and central differences
     (step 1e-5), on randomly sampled coordinates of every parameter."""

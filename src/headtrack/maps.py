@@ -1,9 +1,11 @@
-"""Five-source input map generation.
+"""Five-source input maps and the fusion input stack.
 
 Frame difference and block-matching optical flow are computed directly from
 the image pair. Depth and density come from providers (small synthesizers);
-exported outputs of real estimators load with load_map. All maps in a stack
-share the frame dimensions.
+exported outputs of real estimators load with load_map. Every map is a plain
+float64 array, (H, W) or channel-last (H, W, C). source_stack checks that the
+five maps share the frame size and writes them into one (8, H, W) array, in
+the channel layout SOURCE_SLICES that the fusion reads.
 
 Map file format: raw little-endian 32-bit floats, row-major, channel-major
 planes, with a JSON sidecar {"width": W, "height": H, "channels": C} at
@@ -22,6 +24,9 @@ from scipy.ndimage import uniform_filter1d
 from .geometry import BBox
 
 LUMA_WEIGHTS = np.array([0.299, 0.587, 0.114])
+# Channels of each source in the (8, H, W) fusion input, in fusion order.
+SOURCE_SLICES = {"diff": slice(0, 1), "flow": slice(1, 3), "rgb": slice(3, 6),
+                 "depth": slice(6, 7), "density": slice(7, 8)}
 
 
 class MapError(ValueError):
@@ -43,76 +48,11 @@ class ImageFrame:
         if not np.all(np.isfinite(self.data)):
             raise MapError("image contains non-finite values")
 
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[2]
-
     def luminance(self) -> np.ndarray:
         """(H, W) grayscale view; Rec.601 weights for RGB input."""
-        if self.channels == 1:
+        if self.data.shape[2] == 1:
             return self.data[:, :, 0]
         return self.data @ LUMA_WEIGHTS
-
-
-@dataclass
-class FlowField:
-    """Per-pixel displacement in pixels/frame; pixel p in the current frame
-    matches p - (u, v) in the previous one."""
-
-    u: np.ndarray  # (H, W)
-    v: np.ndarray  # (H, W)
-
-    def __post_init__(self):
-        self.u = np.asarray(self.u, dtype=np.float64)
-        self.v = np.asarray(self.v, dtype=np.float64)
-        if self.u.shape != self.v.shape or self.u.ndim != 2:
-            raise MapError("u and v must be matching 2-d arrays")
-
-    @property
-    def height(self) -> int:
-        return self.u.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.u.shape[1]
-
-
-@dataclass
-class SourceStack:
-    """The five aligned per-frame inputs fed to the fusion network."""
-
-    rgb: ImageFrame
-    diff: ImageFrame
-    flow: FlowField
-    depth: ImageFrame
-    density: ImageFrame
-
-    def __post_init__(self):
-        dims = (self.rgb.height, self.rgb.width)
-        for name in ("diff", "flow", "depth", "density"):
-            m = getattr(self, name)
-            if (m.height, m.width) != dims:
-                raise MapError(f"{name} map is {m.height}x{m.width}, "
-                               f"expected {dims[0]}x{dims[1]}")
-        for name, channels in (("rgb", 3), ("diff", 1), ("depth", 1), ("density", 1)):
-            if getattr(self, name).channels != channels:
-                raise MapError(f"{name} map must have {channels} channel(s)")
-
-    @property
-    def height(self) -> int:
-        return self.rgb.height
-
-    @property
-    def width(self) -> int:
-        return self.rgb.width
 
 
 @dataclass
@@ -128,11 +68,11 @@ class FlowConfig:
             raise MapError("search_radius and levels must be >= 1")
 
 
-def frame_difference(curr: ImageFrame, prev: ImageFrame) -> ImageFrame:
-    """Per-pixel absolute luminance difference |curr - prev|."""
-    if (curr.height, curr.width) != (prev.height, prev.width):
+def frame_difference(curr: ImageFrame, prev: ImageFrame) -> np.ndarray:
+    """(H, W) per-pixel absolute luminance difference |curr - prev|."""
+    if curr.data.shape[:2] != prev.data.shape[:2]:
         raise MapError("frame_difference: dimension mismatch")
-    return ImageFrame(np.abs(curr.luminance() - prev.luminance()))
+    return np.abs(curr.luminance() - prev.luminance())
 
 
 def _downsample2(img: np.ndarray) -> np.ndarray:
@@ -204,12 +144,16 @@ def _match_level(curr: np.ndarray, prev: np.ndarray, init_u: np.ndarray,
     return cands[best, 0].astype(np.float64), cands[best, 1].astype(np.float64)
 
 
-def optical_flow(curr: ImageFrame, prev: ImageFrame, cfg: FlowConfig | None = None) -> FlowField:
-    """Coarse-to-fine block matching with SAD cost and integer displacements."""
+def optical_flow(curr: ImageFrame, prev: ImageFrame, cfg: FlowConfig | None = None) -> np.ndarray:
+    """Coarse-to-fine block matching with SAD cost and integer displacements.
+
+    Returns the (H, W, 2) per-pixel displacement (u, v) in pixels/frame:
+    pixel p in the current frame matches p - (u, v) in the previous one.
+    """
     cfg = cfg or FlowConfig()
-    if (curr.height, curr.width) != (prev.height, prev.width):
+    if curr.data.shape[:2] != prev.data.shape[:2]:
         raise MapError("optical_flow: dimension mismatch")
-    if curr.height < cfg.block_size or curr.width < cfg.block_size:
+    if min(curr.data.shape[:2]) < cfg.block_size:
         raise MapError("optical_flow: frame smaller than one block")
     pyr_curr = [curr.luminance()]
     pyr_prev = [prev.luminance()]
@@ -226,11 +170,11 @@ def optical_flow(curr: ImageFrame, prev: ImageFrame, cfg: FlowConfig | None = No
             u = 2.0 * np.repeat(np.repeat(u, 2, axis=0), 2, axis=1)[:c.shape[0], :c.shape[1]]
             v = 2.0 * np.repeat(np.repeat(v, 2, axis=0), 2, axis=1)[:c.shape[0], :c.shape[1]]
         u, v = _match_level(c, p, u, v, cfg)
-    return FlowField(u, v)
+    return np.stack([u, v], axis=2)
 
 
-def density_from_boxes(boxes: list[BBox], dims: tuple[int, int]) -> ImageFrame:
-    """Sum of unit-mass isotropic Gaussians at box centers.
+def density_from_boxes(boxes: list[BBox], dims: tuple[int, int]) -> np.ndarray:
+    """(H, W) sum of unit-mass isotropic Gaussians at box centers.
 
     sigma = 0.3 * min(w, h), truncated at 3 sigma, normalized over the
     truncated support so each fully visible box contributes mass 1.
@@ -260,14 +204,14 @@ def density_from_boxes(boxes: list[BBox], dims: tuple[int, int]) -> ImageFrame:
             continue
         out[max(0, y0):max(0, y0) + (sy1 - sy0),
             max(0, x0):max(0, x0) + (sx1 - sx0)] += kern[sy0:sy1, sx0:sx1]
-    return ImageFrame(out)
+    return out
 
 
-def synth_depth(dims: tuple[int, int]) -> ImageFrame:
-    """Depth rising linearly from 0 on the top row to 1 on the bottom row."""
+def synth_depth(dims: tuple[int, int]) -> np.ndarray:
+    """(H, W) depth rising linearly from 0 on the top row to 1 on the bottom row."""
     h, w = dims
     col = np.arange(h) / (h - 1) if h > 1 else np.zeros(1)
-    return ImageFrame(np.tile(col[:, None], (1, w)))
+    return np.tile(col[:, None], (1, w))
 
 
 def save_map(path, data: np.ndarray) -> None:
@@ -308,7 +252,7 @@ def load_map(path) -> np.ndarray:
     return raw.reshape(c, h, w).transpose(1, 2, 0).astype(np.float64)
 
 
-Provider = Callable[[int, int], ImageFrame]
+Provider = Callable[[int, int], np.ndarray]
 
 
 def synth_depth_provider() -> Provider:
@@ -319,21 +263,39 @@ def density_provider(boxes: list[BBox]) -> Provider:
     return lambda h, w: density_from_boxes(boxes, (h, w))
 
 
-def motion_maps(curr: ImageFrame, prev: ImageFrame | None) -> tuple[ImageFrame, FlowField]:
+def motion_maps(curr: ImageFrame, prev: ImageFrame | None) -> tuple[np.ndarray, np.ndarray]:
     """Frame difference and optical flow of curr against prev. With no
     predecessor frame both are zero maps (the neutral element for the
     downstream fusion)."""
     if prev is None:
-        shape = (curr.height, curr.width)
-        return ImageFrame(np.zeros(shape)), FlowField(np.zeros(shape), np.zeros(shape))
+        h, w = curr.data.shape[:2]
+        return np.zeros((h, w)), np.zeros((h, w, 2))
     return frame_difference(curr, prev), optical_flow(curr, prev)
 
 
+def source_stack(sources: dict[str, np.ndarray]) -> np.ndarray:
+    """Write each source map, (H, W) or channel-last (H, W, C), into its
+    SOURCE_SLICES channels of one (8, H, W) float64 array. Raises MapError
+    naming the first map whose size differs from rgb's or whose channel count
+    differs from its slice's."""
+    h, w = np.shape(sources["rgb"])[:2]
+    stack = np.empty((max(sl.stop for sl in SOURCE_SLICES.values()), h, w))
+    for name, sl in SOURCE_SLICES.items():
+        m = np.asarray(sources[name])
+        m = m[:, :, None] if m.ndim == 2 else m
+        if m.ndim != 3 or m.shape[:2] != (h, w):
+            raise MapError(f"{name} map has shape {m.shape}, expected {h}x{w}")
+        if m.shape[2] != sl.stop - sl.start:
+            raise MapError(f"{name} map must have {sl.stop - sl.start} channel(s)")
+        stack[sl] = m.transpose(2, 0, 1)
+    return stack
+
+
 def build_stack(curr: ImageFrame, prev: ImageFrame | None,
-                depth_provider: Provider, density_provider: Provider) -> SourceStack:
-    """Assemble the five-source stack for one frame (see motion_maps)."""
+                depth_provider: Provider, density_provider: Provider) -> np.ndarray:
+    """The (8, H, W) fusion input for one frame (see motion_maps); a gray
+    frame gives three equal rgb planes."""
     diff, flow = motion_maps(curr, prev)
-    rgb = curr if curr.channels == 3 else ImageFrame(np.repeat(curr.data, 3, axis=2))
-    return SourceStack(rgb=rgb, diff=diff, flow=flow,
-                       depth=depth_provider(curr.height, curr.width),
-                       density=density_provider(curr.height, curr.width))
+    h, w = curr.data.shape[:2]
+    return source_stack({"diff": diff, "flow": flow, "rgb": np.broadcast_to(curr.data, (h, w, 3)),
+                         "depth": depth_provider(h, w), "density": density_provider(h, w)})

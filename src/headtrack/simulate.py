@@ -50,7 +50,7 @@ class ScenarioConfig:
         if self.heading_sigma < 0 or self.seed < 0 or self.fps <= 0:
             raise SimError("heading_sigma and seed must be >= 0, fps > 0")
         w, h = self.arena
-        if min(w, h) < s1 or w * h < self.agent_count * s1 ** 2:
+        if min(w, h) < s1 or w * h < self.agent_count * s1 * s1:
             raise SimError("arena too small for agent_count or head size")
 
 

@@ -28,12 +28,11 @@ from headtrack.fusion import (
 from headtrack.geometry import BBox, iou
 from headtrack.maps import (
     FlowConfig,
-    FlowField,
     ImageFrame,
-    SourceStack,
     density_from_boxes,
     frame_difference,
     optical_flow,
+    source_stack,
 )
 from headtrack.metrics import (
     EvalAccumulator,
@@ -85,12 +84,12 @@ def report(capsys, num, name, ok, detail=""):
 
 
 def random_stack(rng, h=4, w=4):
-    return SourceStack(
-        rgb=ImageFrame(rng.random((h, w, 3))),
-        diff=ImageFrame(rng.random((h, w))),
-        flow=FlowField(rng.standard_normal((h, w)), rng.standard_normal((h, w))),
-        depth=ImageFrame(rng.random((h, w))),
-        density=ImageFrame(rng.random((h, w))))
+    return source_stack({
+        "rgb": rng.random((h, w, 3)),
+        "diff": rng.random((h, w)),
+        "flow": np.stack([rng.standard_normal((h, w)), rng.standard_normal((h, w))], axis=2),
+        "depth": rng.random((h, w)),
+        "density": rng.random((h, w))})
 
 
 def well_scaled_params(seed):
@@ -379,19 +378,19 @@ def test_11_motion_maps(capsys):
     rng = np.random.default_rng(5)
     a = ImageFrame(rng.random((48, 48)))
     b = ImageFrame(rng.random((48, 48)))
-    ok_diff = (np.all(frame_difference(a, a).data == 0)
-               and np.array_equal(frame_difference(a, b).data,
-                                  frame_difference(b, a).data))
+    ok_diff = (np.all(frame_difference(a, a) == 0)
+               and np.array_equal(frame_difference(a, b), frame_difference(b, a)))
 
     base = np.random.default_rng(3).random((48, 48))
     flow = optical_flow(ImageFrame(np.roll(base, 2, axis=1)), ImageFrame(base),
                         FlowConfig(block_size=5, search_radius=3, levels=3))
     interior = (slice(6, -6), slice(6, -6))
-    hit = float(np.mean((flow.u[interior] == 2) & (flow.v[interior] == 0)))
+    u, v = flow[:, :, 0], flow[:, :, 1]
+    hit = float(np.mean((u[interior] == 2) & (v[interior] == 0)))
     ok_flow = hit >= 0.9
 
     boxes = [BBox(20, 20, 12, 12), BBox(60, 40, 16, 16), BBox(30, 70, 10, 10)]
-    mass = float(density_from_boxes(boxes, (100, 100)).data.sum())
+    mass = float(density_from_boxes(boxes, (100, 100)).sum())
     ok_density = abs(mass - len(boxes)) <= 1e-3 * len(boxes)
 
     ok = ok_diff and ok_flow and ok_density

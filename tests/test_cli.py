@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 
@@ -61,6 +62,9 @@ class TestGenScenario:
         ("--noise", "size_jitter=1e308"),
         ("--noise", "size_jitter=1e200"),                # the box area overflows
         ("--noise", "fp_rate=1e20"),                     # beyond numpy's Poisson range
+        # the head size squared overflows; the arena is large enough to get there
+        pytest.param("--config", f"arena={10**201},{10**201}\nhead_size_range=1e200,1e200",
+                     id="--config-arena=10**201-head_size_range=1e200"),
     ])
     def test_bad_config_values_exit_config(self, tmp_path, flag, line):
         cfg = tmp_path / "x.cfg"
@@ -321,6 +325,32 @@ class TestGenMotion:
         flow_side = json.loads((out / "flow_0002.bin.json").read_text())
         assert flow_side["channels"] == 2
 
+    def test_output_bytes_pinned(self, tmp_path):
+        # the exact bytes of every map file and sidecar, for three rgb frames:
+        # the second moved one column, the third one row and three columns
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        base = np.random.default_rng(11).random((20, 24, 3))
+        for i, shift in enumerate([(0, 0), (0, 1), (1, 3)], start=1):
+            maps.save_map(frames / f"f_{i:04d}.bin", np.roll(base, shift, axis=(0, 1)))
+        out = tmp_path / "motion"
+        assert run("gen-motion", "--frames-dir", str(frames), "--out-dir", str(out)) == 0
+        diff_side, flow_side = ("5b03039a7b38c6209ebbe921729f5770267c1bd9534b371c3da2e50c90ec1c40",
+                                "a6a4dec476942e35cf194a590bdc0b59e7e66c6ad11e56e99e46b4494c1227c5")
+        want = {
+            "diff_0001.bin": "155e437b946ac82ae591ff382b8d19efda9397b2282672dbabd91ec31ce8a651",
+            "diff_0002.bin": "a423ae5cb3ad564ecbd2f299d6fe2602c6a36fa621b211f23b28c7ca5fc8dc41",
+            "diff_0003.bin": "6e26ff9144f664d9bc61898d4f85e91b4f651eaa30cddf9444f197005b01e3fd",
+            "flow_0001.bin": "a8eac8b0d3b1fde368813438dd5ba415a796fd6dd0a2a42fb6a5a2dfb2429576",
+            "flow_0002.bin": "d6b0e1c0600c6ce79962956f1c40392cc2404057dbbe5b10f5b7646620917e3c",
+            "flow_0003.bin": "cb2c6e98969bc0aacfa9ac93e1ab22d25a2a2e94eaf5b4f0bc5a70551f241717",
+        }
+        for i in range(1, 4):
+            want[f"diff_{i:04d}.bin.json"], want[f"flow_{i:04d}.bin.json"] = diff_side, flow_side
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out.iterdir() if p.name.startswith(("diff_", "flow_"))}
+        assert got == want
+
     def test_empty_dir(self, tmp_path):
         frames = tmp_path / "frames"
         frames.mkdir()
@@ -349,15 +379,21 @@ class TestFuseDemo:
         raw = np.frombuffer(out.read_bytes(), dtype="<f4")
         assert raw.size == 6 * 6 * 8 and np.all(np.isfinite(raw))
         # --seed 3 selects seed 3's weights: the same bytes as the library call
-        m = {name: maps.load_map(stack / f"{name}.bin")
-             for name in ("rgb", "diff", "flow", "depth", "density")}
-        s = maps.SourceStack(rgb=maps.ImageFrame(m["rgb"]), diff=maps.ImageFrame(m["diff"]),
-                             flow=maps.FlowField(m["flow"][:, :, 0], m["flow"][:, :, 1]),
-                             depth=maps.ImageFrame(m["depth"]),
-                             density=maps.ImageFrame(m["density"]))
+        s = maps.source_stack({name: maps.load_map(stack / f"{name}.bin")
+                               for name in maps.SOURCE_SLICES})
         want = tmp_path / "want.bin"
         maps.save_map(want, forward(s, FusionParams(FusionConfig(seed=3))).data.transpose(1, 2, 0))
         assert want.read_bytes() == out.read_bytes()
+
+    def test_output_bytes_pinned(self, tmp_path):
+        # the exact bytes of the fused map and its sidecar
+        stack, out = tmp_path / "stack", tmp_path / "fused.bin"
+        self._write_stack(stack)
+        assert run("fuse-demo", "--stack-dir", str(stack), "--seed", "3", "--out", str(out)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            "424b498bfa3287c386f15db5abe3e31562dcc177ae0244db38860f9c4fbb8b5c"
+        assert hashlib.sha256((tmp_path / "fused.bin.json").read_bytes()).hexdigest() == \
+            "1018e107a50cb77f475ae69613937a2df8c609103a8412d9e5cfebb4c0fcda26"
 
     def test_coefficient_overrides_change_output(self, tmp_path):
         stack = tmp_path / "stack"
@@ -373,13 +409,16 @@ class TestFuseDemo:
         ("flow", np.zeros((6, 5, 2))),     # size differs from rgb
         ("flow", np.zeros((6, 6, 1))),     # not a (u, v) map
         ("rgb", np.zeros((6, 6))),         # one channel
+        ("depth", np.zeros((6, 7))),       # size differs from rgb
+        ("density", np.zeros((4, 6))),     # size differs from rgb
     ])
-    def test_bad_stack_member(self, tmp_path, member, data):
+    def test_bad_stack_member(self, tmp_path, capsys, member, data):
         stack = tmp_path / "stack"
         self._write_stack(stack)
         maps.save_map(stack / f"{member}.bin", data)
         assert run("fuse-demo", "--stack-dir", str(stack),
                    "--out", str(tmp_path / "o.bin")) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: {member} map ")
 
     @pytest.mark.parametrize("sidecar", ['{"width": 6, "channels": 3}', "not json"])
     def test_bad_sidecar(self, tmp_path, sidecar):

@@ -20,25 +20,22 @@ from headtrack.fusion import (
     motion_static_fuse,
     spatial_mask_fuse,
     split_regroup,
-    stack_to_tensors,
     toy_head,
 )
-from headtrack.maps import FlowField, ImageFrame, SourceStack
+from headtrack.maps import SOURCE_SLICES, source_stack
 
 
 def mkstack(rng, h=4, w=4):
-    return SourceStack(
-        rgb=ImageFrame(rng.random((h, w, 3))),
-        diff=ImageFrame(rng.random((h, w))),
-        flow=FlowField(rng.standard_normal((h, w)), rng.standard_normal((h, w))),
-        depth=ImageFrame(rng.random((h, w))),
-        density=ImageFrame(rng.random((h, w))))
+    return source_stack({
+        "rgb": rng.random((h, w, 3)),
+        "diff": rng.random((h, w)),
+        "flow": np.stack([rng.standard_normal((h, w)), rng.standard_normal((h, w))], axis=2),
+        "depth": rng.random((h, w)),
+        "density": rng.random((h, w))})
 
 
 def zero_stack(h=4, w=4):
-    z = np.zeros((h, w))
-    return SourceStack(rgb=ImageFrame(np.zeros((h, w, 3))), diff=ImageFrame(z),
-                       flow=FlowField(z, z), depth=ImageFrame(z), density=ImageFrame(z))
+    return np.zeros((8, h, w))
 
 
 def set_identity(block):
@@ -127,6 +124,9 @@ class TestExtractConcat:
         p = FusionParams()
         h_cat = extract_and_concat(mkstack(np.random.default_rng(0)), p)
         assert h_cat.shape == (5 * p.cfg.channels, 4, 4)
+        # each extractor reads its source's slice of the stack
+        assert SOURCE_ORDER == ("diff", "flow", "rgb", "depth", "density")
+        assert [p.extractors[n][0].weight.shape[1] for n in SOURCE_ORDER] == [1, 2, 3, 1, 1]
 
     def test_identity_extractors_restack(self):
         s = mkstack(np.random.default_rng(1))
@@ -135,10 +135,9 @@ class TestExtractConcat:
             for b in blocks:
                 set_identity(b)
         h_cat = extract_and_concat(s, p)
-        tensors = stack_to_tensors(s)
         c = p.cfg.channels
         for gi, name in enumerate(SOURCE_ORDER):
-            src = tensors[name].data
+            src = s[SOURCE_SLICES[name]]
             for j in range(c):
                 assert np.array_equal(h_cat.data[gi * c + j], src[j % src.shape[0]])
 
@@ -148,14 +147,14 @@ class TestExtractConcat:
         s = mkstack(np.random.default_rng(2), 2, 2)
         p = FusionParams(FusionConfig(kernel=1, seed=7, init_std=0.5))
         h_cat = extract_and_concat(s, p)
-        tensors = stack_to_tensors(s)
         c = p.cfg.channels
         for gi, name in enumerate(SOURCE_ORDER):
             w1 = p.extractors[name][0].weight.data[:, :, 0, 0]
             b1 = p.extractors[name][0].bias.data
             w2 = p.extractors[name][1].weight.data[:, :, 0, 0]
             b2 = p.extractors[name][1].bias.data
-            x = tensors[name].data.reshape(tensors[name].shape[0], -1)
+            src = s[SOURCE_SLICES[name]]
+            x = src.reshape(len(src), -1)
             expect = (w2 @ ((w1 @ x) + b1[:, None])) + b2[:, None]
             assert np.allclose(h_cat.data[gi * c:(gi + 1) * c].reshape(c, -1), expect)
 

@@ -10,17 +10,18 @@ from scipy.ndimage import uniform_filter
 from headtrack import maps
 from headtrack.geometry import BBox
 from headtrack.maps import (
+    SOURCE_SLICES,
     FlowConfig,
-    FlowField,
     ImageFrame,
     MapError,
-    SourceStack,
     build_stack,
     density_from_boxes,
+    density_provider,
     frame_difference,
     load_map,
     optical_flow,
     save_map,
+    source_stack,
     synth_depth,
     synth_depth_provider,
 )
@@ -33,17 +34,17 @@ def gray(arr):
 class TestFrameDifference:
     def test_identical_frames(self):
         a = gray(np.random.default_rng(0).random((8, 8)))
-        assert np.all(frame_difference(a, a).data == 0)
+        assert np.all(frame_difference(a, a) == 0)
 
     def test_full_swing(self):
         z = gray(np.zeros((6, 6)))
         o = gray(np.ones((6, 6)))
-        assert np.all(frame_difference(o, z).data == 1)
+        assert np.all(frame_difference(o, z) == 1)
 
     def test_symmetry(self):
         rng = np.random.default_rng(1)
         a, b = gray(rng.random((8, 8))), gray(rng.random((8, 8)))
-        assert np.array_equal(frame_difference(a, b).data, frame_difference(b, a).data)
+        assert np.array_equal(frame_difference(a, b), frame_difference(b, a))
 
     def test_shifted_patch_support(self):
         # bright 3x3 patch at (2,2) vs (2,3): nonzero exactly on the
@@ -52,7 +53,7 @@ class TestFrameDifference:
         prev[2:5, 2:5] = 1.0
         curr = np.zeros((8, 8))
         curr[2:5, 3:6] = 1.0
-        d = frame_difference(gray(curr), gray(prev)).data[:, :, 0]
+        d = frame_difference(gray(curr), gray(prev))
         expected = np.abs(curr - prev)
         assert np.array_equal(d, expected)
         assert np.all(d[2:5, 2] == 1) and np.all(d[2:5, 5] == 1)
@@ -67,7 +68,7 @@ class TestOpticalFlow:
     def test_static_pair_zero(self):
         img = gray(np.random.default_rng(2).random((32, 32)))
         f = optical_flow(img, img)
-        assert np.abs(f.u).max() == 0.0 and np.abs(f.v).max() == 0.0
+        assert f.shape == (32, 32, 2) and np.abs(f).max() == 0.0
 
     def test_translation_recovered(self):
         rng = np.random.default_rng(3)
@@ -76,7 +77,7 @@ class TestOpticalFlow:
         curr = gray(np.roll(base, 2, axis=1))
         f = optical_flow(curr, prev, FlowConfig(block_size=5, search_radius=3, levels=3))
         interior = (slice(6, -6), slice(6, -6))
-        hit = np.mean((f.u[interior] == 2) & (f.v[interior] == 0))
+        hit = np.mean((f[interior + (0,)] == 2) & (f[interior + (1,)] == 0))
         assert hit >= 0.9
 
     def test_brightness_change_below_motion_noise(self):
@@ -84,8 +85,8 @@ class TestOpticalFlow:
         base = rng.random((32, 32))
         static = optical_flow(gray(base), gray(base))
         brighter = optical_flow(gray(np.clip(base + 0.05, 0, 1)), gray(base))
-        noise_floor = np.abs(static.u).mean() + np.abs(static.v).mean()
-        assert np.abs(brighter.u).mean() + np.abs(brighter.v).mean() <= noise_floor + 0.1
+        noise_floor = 2 * np.abs(static).mean()
+        assert 2 * np.abs(brighter).mean() <= noise_floor + 0.1
 
     def test_too_small_frame(self):
         with pytest.raises(MapError):
@@ -141,7 +142,7 @@ def _match_level(curr: np.ndarray, prev: np.ndarray, init_u: np.ndarray,
     return best_u, best_v
 
 
-def reference_flow(curr: ImageFrame, prev: ImageFrame, cfg: FlowConfig) -> FlowField:
+def reference_flow(curr: ImageFrame, prev: ImageFrame, cfg: FlowConfig) -> np.ndarray:
     """optical_flow's pyramid with the oracle matcher at every level."""
     with mock.patch.object(maps, "_match_level", _match_level):
         return optical_flow(curr, prev, cfg)
@@ -195,26 +196,26 @@ def frame_pairs(draw):
 def test_optical_flow_equals_per_estimate_matcher(pair):
     curr, prev, cfg = pair
     got, want = optical_flow(curr, prev, cfg), reference_flow(curr, prev, cfg)
-    assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v)
+    assert np.array_equal(got, want)
 
 
 class TestDensity:
     def test_empty(self):
-        assert np.all(density_from_boxes([], (20, 20)).data == 0)
+        assert np.all(density_from_boxes([], (20, 20)) == 0)
 
     def test_unit_mass(self):
         d = density_from_boxes([BBox(40, 40, 20, 20)], (100, 100))
-        assert d.data.sum() == pytest.approx(1.0, abs=1e-3)
+        assert d.sum() == pytest.approx(1.0, abs=1e-3)
 
     def test_linearity(self):
         boxes = [BBox(10, 10, 8, 8), BBox(60, 60, 12, 12), BBox(30, 70, 10, 10)]
         d = density_from_boxes(boxes, (100, 100))
-        assert d.data.sum() == pytest.approx(len(boxes), abs=len(boxes) * 1e-3)
+        assert d.sum() == pytest.approx(len(boxes), abs=len(boxes) * 1e-3)
 
 
 class TestSynthAndFiles:
     def test_vertical_gradient(self):
-        d = synth_depth((5, 3)).data[:, :, 0]
+        d = synth_depth((5, 3))
         for r in range(5):
             assert np.all(d[r] == r / 4)
 
@@ -265,31 +266,67 @@ class TestSynthAndFiles:
         assert list(tmp_path.iterdir()) == []
 
 
+HEADS = [BBox(2, 3, 6, 6), BBox(10, 4, 5, 7)]
+
+
+def planes(stack, name):
+    return stack[SOURCE_SLICES[name]]
+
+
 class TestStack:
+    def test_layout(self):
+        assert SOURCE_SLICES == {"diff": slice(0, 1), "flow": slice(1, 3), "rgb": slice(3, 6),
+                                 "depth": slice(6, 7), "density": slice(7, 8)}
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_slices_hold_their_sources(self, channels):
+        rng = np.random.default_rng(8)
+        prev = ImageFrame(rng.random((16, 20, channels)))
+        curr = ImageFrame(np.roll(prev.data, 2, axis=1))
+        s = build_stack(curr, prev, synth_depth_provider(), density_provider(HEADS))
+        assert s.shape == (8, 16, 20) and s.dtype == np.float64
+        flow = optical_flow(curr, prev)
+        assert np.abs(flow).max() > 0
+        assert np.array_equal(planes(s, "diff")[0], frame_difference(curr, prev))
+        assert np.array_equal(planes(s, "flow")[0], flow[:, :, 0])
+        assert np.array_equal(planes(s, "flow")[1], flow[:, :, 1])
+        # a gray frame gives three equal rgb planes
+        assert np.array_equal(planes(s, "rgb"), np.broadcast_to(
+            curr.data.transpose(2, 0, 1), (3, 16, 20)))
+        assert np.array_equal(planes(s, "depth")[0], synth_depth((16, 20)))
+        assert np.array_equal(planes(s, "density")[0], density_from_boxes(HEADS, (16, 20)))
+
     def test_first_frame_zero_motion(self):
         img = gray(np.random.default_rng(6).random((16, 16)))
-        s = build_stack(img, None, synth_depth_provider(),
-                        lambda h, w: density_from_boxes([], (h, w)))
-        assert np.all(s.diff.data == 0)
-        assert np.abs(s.flow.u).max() == 0
+        s = build_stack(img, None, synth_depth_provider(), density_provider(HEADS))
+        assert np.all(planes(s, "diff") == 0) and np.all(planes(s, "flow") == 0)
+        assert np.array_equal(planes(s, "rgb"), np.repeat(img.data.transpose(2, 0, 1), 3, axis=0))
+        assert np.array_equal(planes(s, "depth")[0], synth_depth((16, 16)))
+        assert np.array_equal(planes(s, "density")[0], density_from_boxes(HEADS, (16, 16)))
 
     def test_identical_frames_zero_motion(self):
         img = gray(np.random.default_rng(7).random((16, 16)))
         s = build_stack(img, img, synth_depth_provider(),
                         lambda h, w: density_from_boxes([], (h, w)))
-        assert np.all(s.diff.data == 0)
-        assert np.abs(s.flow.u).max() == 0 and np.abs(s.flow.v).max() == 0
+        assert np.all(planes(s, "diff") == 0) and np.all(planes(s, "flow") == 0)
 
     def test_bad_provider_named(self):
         img = gray(np.zeros((10, 10)))
-        bad = lambda h, w: ImageFrame(np.zeros((4, 4)))  # noqa: E731
+        bad = lambda h, w: np.zeros((4, 4))  # noqa: E731
+        good = lambda h, w: np.zeros((h, w))  # noqa: E731
         with pytest.raises(MapError, match="depth"):
-            build_stack(img, None, bad, lambda h, w: ImageFrame(np.zeros((h, w))))
+            build_stack(img, None, bad, good)
+        with pytest.raises(MapError, match="density"):
+            build_stack(img, None, good, bad)
 
     def test_stack_dimension_invariant(self):
-        with pytest.raises(MapError):
-            SourceStack(rgb=gray(np.zeros((8, 8))),
-                        diff=gray(np.zeros((8, 8))),
-                        flow=FlowField(np.zeros((8, 8)), np.zeros((8, 8))),
-                        depth=gray(np.zeros((6, 8))),
-                        density=gray(np.zeros((8, 8))))
+        # every map but rgb takes its size from rgb; each must have its
+        # slice's channel count, (H, W) standing for one channel
+        ok = {"diff": np.zeros((8, 8)), "flow": np.zeros((8, 8, 2)), "rgb": np.zeros((8, 8, 3)),
+              "depth": np.zeros((8, 8, 1)), "density": np.zeros((8, 8))}
+        assert source_stack(ok).shape == (8, 8, 8)
+        for name, shape in [("diff", (6, 8)), ("flow", (8, 6, 2)), ("flow", (8, 8)),
+                            ("flow", (8, 8, 3)), ("rgb", (8, 8)), ("depth", (6, 8)),
+                            ("depth", (8, 8, 2)), ("density", (8, 7)), ("density", (8,))]:
+            with pytest.raises(MapError, match=f"^{name} map"):
+                source_stack({**ok, name: np.zeros(shape)})
