@@ -169,8 +169,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     xf = xp.reshape(cin, -1)
     taps = [(ki, kj, ki * wp + kj) for ki in range(k) for kj in range(k)]
     acc = np.zeros((cout, n))
+    # a one-channel tap is an outer product: the broadcast multiply forms the
+    # same single products as the matmul, at a fraction of its per-call cost
+    product = np.multiply if cin == 1 else np.matmul
     for ki, kj, o in taps:
-        acc += weight.data[:, :, ki, kj] @ xf[:, o:o + n]
+        acc += product(weight.data[:, :, ki, kj], xf[:, o:o + n])
     out_data = acc.reshape(cout, h, wp)[:, :, :w] + bias.data[:, None, None]
 
     def backward(g):

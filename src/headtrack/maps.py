@@ -99,11 +99,16 @@ def _match_level(curr: np.ndarray, prev: np.ndarray, init_u: np.ndarray,
     r, half = cfg.search_radius, cfg.block_size // 2
     h, w = curr.shape
     window = [(du, dv) for dv in range(-r, r + 1) for du in range(-r, r + 1)]
-    starts, which = np.unique(np.stack([init_u, init_v], axis=-1).reshape(-1, 2), axis=0,
-                              return_inverse=True)
+    # the estimates are integer-valued: pack each (u, v) into one key whose
+    # ascending order is the lexicographic (u, v) order
+    iu, iv = init_u.astype(np.intp).ravel(), init_v.astype(np.intp).ravel()
+    u_min, v_min = iu.min(), iv.min()
+    span_v = iv.max() - v_min + 1
+    keys, which = np.unique((iu - u_min) * span_v + (iv - v_min), return_inverse=True)
+    starts = np.column_stack([keys // span_v + u_min, keys % span_v + v_min])
     which = which.reshape(h, w)
     cands = np.array(sorted({(u0 + du, v0 + dv)
-                             for u0, v0 in [(0, 0), *starts.astype(int).tolist()]
+                             for u0, v0 in [(0, 0), *starts.tolist()]
                              for du, dv in window},
                             key=lambda d: (d[0] * d[0] + d[1] * d[1], d[0], d[1])))
     # near[i, e]: pixels whose estimate is starts[e] may take cands[i]; every
@@ -128,13 +133,21 @@ def _match_level(curr: np.ndarray, prev: np.ndarray, init_u: np.ndarray,
     padded = np.pad(prev, pad, mode="edge")
     best_cost = np.full(curr.shape, np.inf)
     best = np.zeros(curr.shape, dtype=np.intp)
+    # each SAD map lives in contiguous prefixes of two flat buffers: filtering
+    # into a contiguous output is about twice as fast as into a strided view
+    buf_a, buf_b = np.empty(h * w), np.empty(h * w)
     for i, (u, v, ya, yb, xb) in enumerate(np.column_stack([cands, y0, y1, x1]).tolist()):
         # uniform_filter1d is a running sum from the start of each line, so a
         # prefix of a line filters to the same bits as the whole line
         ry, rx = min(h, yb + half), min(w, xb + half)
-        diff = np.abs(curr[:ry, :rx] - padded[pad - v:pad - v + ry, pad - u:pad - u + rx])
-        sad = uniform_filter1d(diff, cfg.block_size, axis=0, mode="nearest")[ya:yb]
-        sad = uniform_filter1d(sad, cfg.block_size, axis=1, mode="nearest")[:, :xb]
+        diff = buf_a[:ry * rx].reshape(ry, rx)
+        np.subtract(curr[:ry, :rx], padded[pad - v:pad - v + ry, pad - u:pad - u + rx], out=diff)
+        np.abs(diff, out=diff)
+        cols = buf_b[:ry * rx].reshape(ry, rx)
+        uniform_filter1d(diff, cfg.block_size, axis=0, output=cols, mode="nearest")
+        sad = buf_a[:(yb - ya) * rx].reshape(yb - ya, rx)
+        uniform_filter1d(cols[ya:yb], cfg.block_size, axis=1, output=sad, mode="nearest")
+        sad = sad[:, :xb]
         cost = best_cost[ya:yb, :xb]
         better = sad < cost
         if not zero[i]:

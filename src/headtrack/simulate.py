@@ -157,7 +157,7 @@ def corrupt(gt: list[AnnotationRecord], noise: NoiseModel) -> dict[int, list]:
                 dw, dh = rng.normal(0.0, noise.size_jitter, size=2)
                 b = BBox(b.left + dx - dw / 2.0, b.top + dy - dh / 2.0,
                          max(b.width + dw, 2.0), max(b.height + dh, 2.0))
-            score = float(np.clip(rng.normal(*noise.tp_score), 0.0, 1.0))
+            score = min(max(rng.normal(*noise.tp_score), 0.0), 1.0)
             if occ:
                 score *= noise.occlusion_drop
             dets.append(Detection(b, score))
@@ -165,7 +165,7 @@ def corrupt(gt: list[AnnotationRecord], noise: NoiseModel) -> dict[int, list]:
             size = rng.uniform(8.0, 30.0)
             left = rng.uniform(0.0, max(arena_w - size, 1.0))
             top = rng.uniform(0.0, max(arena_h - size, 1.0))
-            score = float(np.clip(rng.normal(*noise.fp_score), 0.0, 1.0))
+            score = min(max(rng.normal(*noise.fp_score), 0.0), 1.0)
             dets.append(Detection(BBox(left, top, size, size), score))
         out[frame] = dets
     return out

@@ -475,3 +475,37 @@ def test_conv2d_equals_im2col_conv(case):
     for got, want in zip(*results):
         assert got.shape == want.shape
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def _tap_matmul_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """conv2d's forward with a matmul at every tap, as it was before
+    one-channel taps became broadcast multiplies; kept as the oracle."""
+    cout, cin, k, _ = weight.shape
+    _, h, w = x.shape
+    pad = k // 2
+    wp = w + 2 * pad
+    n = h * wp
+    xp = np.zeros((cin, h + 2 * pad + 1, wp))
+    xp[:, pad:pad + h, pad:pad + w] = x
+    xf = xp.reshape(cin, -1)
+    acc = np.zeros((cout, n))
+    for ki in range(k):
+        for kj in range(k):
+            o = ki * wp + kj
+            acc += weight[:, :, ki, kj] @ xf[:, o:o + n]
+    return acc.reshape(cout, h, wp)[:, :, :w] + bias[:, None, None]
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("cout,h,w", [(1, 1, 1), (4, 12, 16), (20, 7, 5)])
+def test_one_channel_conv_forward_equals_tap_matmuls(k, cout, h, w):
+    # an outer-product tap has a single product per output and no sum, so the
+    # broadcast multiply must give the matmul's bits exactly, signed zeros too
+    rng = np.random.default_rng(k * 100 + cout)
+    x = rng.standard_normal((1, h, w))
+    x[0, 0, 0] = -0.0
+    weight = rng.standard_normal((cout, 1, k, k))
+    weight[0, 0, 0, 0] = 0.0
+    bias = rng.standard_normal(cout)
+    got = ad.conv2d(Tensor(x), Tensor(weight), Tensor(bias)).data
+    assert np.array_equal(got, _tap_matmul_forward(x, weight, bias))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.ndimage import uniform_filter
+from scipy.ndimage import uniform_filter, uniform_filter1d
 
 from headtrack import maps
 from headtrack.geometry import BBox
@@ -197,6 +197,52 @@ def test_optical_flow_equals_per_estimate_matcher(pair):
     curr, prev, cfg = pair
     got, want = optical_flow(curr, prev, cfg), reference_flow(curr, prev, cfg)
     assert np.array_equal(got, want)
+
+
+@st.composite
+def estimate_fields(draw):
+    """A frame pair with integer initial estimates of the kinds coarse levels
+    rarely hand down: negative minima, spans of up to 24 pixels, one value
+    everywhere (so every v is the same), or one outlier pixel."""
+    cfg = FlowConfig(block_size=draw(st.sampled_from([3, 5])),
+                     search_radius=draw(st.integers(1, 3)), levels=1)
+    h = draw(st.integers(cfg.block_size, 14))
+    w = draw(st.integers(cfg.block_size, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    prev = np.round(rng.random((h, w)) * 3) / 3
+    curr = np.roll(prev, (draw(st.integers(-3, 3)), draw(st.integers(-3, 3))), axis=(0, 1))
+    kind = draw(st.sampled_from(["spread", "constant", "outlier"]))
+    fields = []
+    for _ in "uv":
+        lo = draw(st.integers(-12, 12))
+        if kind == "spread":
+            field = rng.integers(lo, draw(st.integers(lo, 12)) + 1, (h, w))
+        else:
+            field = np.full((h, w), lo)
+        fields.append(field.astype(np.float64))
+    if kind == "outlier":
+        y, x = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+        fields[draw(st.integers(0, 1))][y, x] += draw(st.integers(-12, 12))
+    return curr, prev, *fields, cfg
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=estimate_fields())
+def test_match_level_equals_per_estimate_matcher(case):
+    got, want = maps._match_level(*case), _match_level(*case)
+    assert all(np.array_equal(g, o) for g, o in zip(got, want))
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_uniform_filter1d_into_buffer_prefix_is_exact(axis):
+    # _match_level filters each SAD map into a contiguous prefix of a larger
+    # flat buffer, and relies on that giving the allocating call's bits
+    diff = np.abs(np.random.default_rng(axis).standard_normal((9, 13)))
+    buf = np.full(20 * 20, np.nan)
+    out = buf[:diff.size].reshape(diff.shape)
+    uniform_filter1d(diff, 5, axis=axis, output=out, mode="nearest")
+    assert np.array_equal(out, uniform_filter1d(diff, 5, axis=axis, mode="nearest"))
+    assert np.isnan(buf[diff.size:]).all()
 
 
 class TestDensity:

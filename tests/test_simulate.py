@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -169,6 +170,14 @@ class TestCorrupt:
         for ds in dets.values():
             for d in ds:
                 assert 0.0 <= d.score <= 1.0
+
+    @pytest.mark.parametrize("x", [-1.5, -0.0, 0.0, 1e-320, 0.3, 1.0, 2.0])
+    def test_score_clamp_equals_np_clip(self, x):
+        # corrupt clamps each drawn score with min/max; np.clip, which it
+        # replaced, is the oracle, down to the sign of zero
+        got, want = min(max(x, 0.0), 1.0), float(np.clip(x, 0.0, 1.0))
+        assert type(got) is float
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
     def test_invalid_noise_rejected(self):
         with pytest.raises(SimError):
