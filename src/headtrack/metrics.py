@@ -130,26 +130,23 @@ def _id_counts(gt: list[AnnotationRecord], pred: list[AnnotationRecord],
     return counts["IDTP"], counts["IDFP"], counts["IDFN"]
 
 
-def _id_assignment(overlap: Counter, gt_len: Counter, pred_len: Counter) -> int:
+def _id_assignment(overlap: Counter) -> int:
     """IDTP: the most frames matched under a one-to-one pairing of gt and pred
-    ids, given each pair's count of overlapping frames and each id's length."""
-    g_ids, p_ids = list(gt_len), list(pred_len)
-    ng, np_ = len(g_ids), len(p_ids)
-    g_row = {g: i for i, g in enumerate(g_ids)}
-    p_col = {p: j for j, p in enumerate(p_ids)}
-    ov = np.zeros((ng, np_), dtype=np.int64)
+    ids, given each pair's count of overlapping frames.
+
+    A pairing's IDFP + IDFN is the gt and pred box totals less twice its
+    matched frames, so the pairing that minimises it maximises the matched
+    frames. An id that overlaps nothing adds nothing to any pairing, so it
+    takes no row or column."""
+    g_row: dict[int, int] = {}
+    p_col: dict[int, int] = {}
+    for g, p in overlap:
+        g_row.setdefault(g, len(g_row))
+        p_col.setdefault(p, len(p_col))
+    ov = np.zeros((len(g_row), len(p_col)), dtype=np.int64)
     for (g, p), n in overlap.items():
         ov[g_row[g], p_col[p]] = n
-    g_frames = np.array([gt_len[g] for g in g_ids], dtype=np.int64)
-    p_frames = np.array([pred_len[p] for p in p_ids], dtype=np.int64)
-
-    n = ng + np_
-    cost = np.full((n, n), float(g_frames.sum() + p_frames.sum() + 1))
-    cost[:ng, :np_] = g_frames[:, None] + p_frames[None, :] - 2 * ov
-    cost[np.arange(ng), np_ + np.arange(ng)] = g_frames   # leave this gt track unmatched
-    cost[ng + np.arange(np_), np.arange(np_)] = p_frames  # leave this pred track unmatched
-    cost[ng:, np_:] = 0.0
-    return sum(int(ov[i, j]) for i, j in hungarian(cost).matches if i < ng and j < np_)
+    return sum(int(ov[i, j]) for i, j in hungarian(-ov).matches)
 
 
 def id_metrics(gt: list[AnnotationRecord], pred: list[AnnotationRecord],
@@ -260,8 +257,7 @@ def sequence_counts(gt: list[AnnotationRecord], pred: list[AnnotationRecord],
         overlap.update((g[i][0], p[j][0]) for i, j in zip(gi.tolist(), pj.tolist()))
     counts = Counter({k: getattr(acc, k) for k in _CLEAR_COUNTS})
     counts.update(dict(zip(("MT", "PT", "ML"), track_quality(acc.coverage()))))
-    idtp = _id_assignment(overlap, Counter(r.track_id for r in gt),
-                          Counter(r.track_id for r in pred))
+    idtp = _id_assignment(overlap)
     counts.update(IDTP=idtp, IDFP=len(pred) - idtp, IDFN=len(gt) - idtp)
     return counts
 

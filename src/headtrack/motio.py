@@ -17,8 +17,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice, repeat
+from operator import attrgetter, length_hint
 from pathlib import Path
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .geometry import BBox, aspect_ratio
 
@@ -86,10 +90,40 @@ class DatasetStats:
         return n / len(self._ratios)
 
 
-def _format_number(v: float) -> str:
-    if v == int(v) and abs(v) < 1e15:
-        return str(int(v))
-    return f"{v:.2f}"
+def _format_numbers(values) -> list[str]:
+    """The text of each value: an integral value of magnitude below 1e15 as an
+    integer, any other with two decimals."""
+    col = np.asarray(values, dtype=np.float64)
+    whole = (col == np.trunc(col)) & (np.abs(col) < 1e15)
+    text = np.empty(col.shape, dtype=object)
+    text[whole] = list(map(str, col[whole].astype(np.int64).tolist()))
+    text[~whole] = list(map("{:.2f}".format, col[~whole].tolist()))
+    return text.tolist()
+
+
+# lines parsed or written per step: no list of strings spans a whole file
+_BLOCK = 256
+
+# the checks of parse_annotations in the order a line is checked; None is
+# worded by the box or record constructor that rejects the line
+_CHECKS = ("non-finite field",
+           "frame and id must be integers",
+           "category must be an integer of magnitude below 1e15",
+           "visibility must be in [0, 1]",
+           "duplicate (frame, id) pair {}",
+           None,
+           "box edge, area or aspect ratio out of float range")
+
+
+def _floats(fields: list[str]) -> tuple[np.ndarray, ValueError | None]:
+    """`float` of each field with its spaces stripped, up to the first field
+    that `float` rejects, and what it raised there."""
+    it = iter(fields)
+    try:
+        return np.fromiter(map(float, map(str.strip, it)), np.float64, len(fields)), None
+    except ValueError as e:
+        good = len(fields) - length_hint(it) - 1
+        return np.fromiter(map(float, map(str.strip, fields[:good])), np.float64, good), e
 
 
 def parse_annotations(lines: Iterable[str],
@@ -99,75 +133,115 @@ def parse_annotations(lines: Iterable[str],
     Raises AnnotationError with the 1-based line number on malformed input, on
     a box whose edges, area or aspect ratio leave the float range, on a
     category that is not an integer of magnitude below 1e15, on a visibility
-    outside [0, 1], or on a duplicate (frame, track_id) pair.
+    outside [0, 1], or on a duplicate (frame, track_id) pair. It names the
+    first bad line, and the first check that line fails: the field count,
+    then numeric fields, then `_CHECKS` in order.
+
+    The lines are read in blocks. Every field of a block's non-blank lines
+    goes through one `float` pass into an (N, 9) array, and each check is a
+    mask over the array of all blocks.
     """
-    records: list[AnnotationRecord] = []
-    seen: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) != 9:
-            raise AnnotationError(f"line {lineno}: expected 9 fields, got {len(fields)}")
-        try:
-            vals = [float(f) for f in fields]
-        except ValueError as e:
-            raise AnnotationError(f"line {lineno}: non-numeric field ({e})") from None
-        if order is FieldOrder.paper_order:
-            tid, frame = vals[0], vals[1]
-        else:
-            frame, tid = vals[0], vals[1]
-        left, top, w, h, conf, cat, vis = vals[2:9]
-        if not all(math.isfinite(v) for v in vals):
-            raise AnnotationError(f"line {lineno}: non-finite field")
-        if frame != int(frame) or tid != int(tid):
-            raise AnnotationError(f"line {lineno}: frame and id must be integers")
-        # from 1e15 on, _format_number no longer writes a category back as an integer
-        if cat != int(cat) or abs(cat) >= 1e15:
-            raise AnnotationError(f"line {lineno}: category must be an integer "
-                                  "of magnitude below 1e15")
-        if not 0.0 <= vis <= 1.0:
-            raise AnnotationError(f"line {lineno}: visibility must be in [0, 1]")
-        key = (int(frame), int(tid))
-        if key in seen:
-            raise AnnotationError(f"line {lineno}: duplicate (frame, id) pair {key}")
-        seen.add(key)
-        try:
-            rec = AnnotationRecord(int(frame), int(tid), BBox(left, top, w, h),
-                                   conf, int(cat), vis)
-        except ValueError as e:
-            raise AnnotationError(f"line {lineno}: {e}") from None
-        # what IoU, the tracker state and noise (std proportional to the box
-        # size, squared) and the ratio histogram derive from the box must not
-        # overflow; BBox has already rejected an area that underflows to 0
-        if not (w * h < math.inf and all(
-                math.isfinite(v) for v in (left + w, top + h, w / h, h / w * 10.0,
-                                           w * w, h * h))):
-            raise AnnotationError(f"line {lineno}: box edge, area or aspect ratio "
-                                  "out of float range")
-        records.append(rec)
-    return records
+    lines = iter(lines)
+    parts: list[np.ndarray] = []     # (k, 9) field values of each block
+    numbers: list[np.ndarray] = []   # the line number of each of their rows
+    error, first = None, 1
+    # a line with the wrong field count or a non-numeric field ends the array;
+    # the lines before it are still checked, and their errors come first
+    while error is None and (block := list(islice(lines, _BLOCK))):
+        stripped = list(map(str.strip, block))
+        rows = list(filter(None, stripped))
+        lineno = first + np.flatnonzero(np.fromiter(map(bool, stripped), bool, len(block)))
+        first += len(block)
+        commas = np.fromiter(map(str.count, rows, repeat(",")), np.intp, len(rows))
+        wrong = np.flatnonzero(commas != 8)
+        if wrong.size:
+            k = int(wrong[0])
+            error = (lineno[k], f"expected 9 fields, got {commas[k] + 1}")
+            rows = rows[:k]
+        vals, e = _floats(",".join(rows).split(",") if rows else [])
+        k = len(vals) // 9
+        if e is not None:
+            error = (lineno[k], f"non-numeric field ({e})")
+        parts.append(vals[:9 * k].reshape(k, 9))
+        numbers.append(lineno[:k])
+    vals = np.concatenate(parts) if parts else np.empty((0, 9))
+    n = len(vals)
+
+    if order is FieldOrder.paper_order:
+        tid, frame = vals[:, 0], vals[:, 1]
+    else:
+        frame, tid = vals[:, 0], vals[:, 1]
+    left, top, w, h, conf, cat, vis = vals[:, 2:].T
+    by_key = np.lexsort((tid, frame))   # stable: a key's first line sorts first
+    dup = np.zeros(n, dtype=bool)
+    dup[by_key[1:][(frame[by_key[1:]] == frame[by_key[:-1]])
+                   & (tid[by_key[1:]] == tid[by_key[:-1]])]] = True
+    with np.errstate(all="ignore"):
+        checks = np.array([
+            ~np.isfinite(vals).all(axis=1),
+            (frame != np.trunc(frame)) | (tid != np.trunc(tid)),
+            # from 1e15 on, a category is no longer written back as an integer
+            (cat != np.trunc(cat)) | (np.abs(cat) >= 1e15),
+            ~((0.0 <= vis) & (vis <= 1.0)),
+            dup,
+            (frame < 1) | (tid < 1) | ~(w > 0) | ~(h > 0) | ~(w * h > 0),
+            # what IoU, the tracker state and noise (std proportional to the
+            # box size, squared) and the ratio histogram derive from the box
+            # must not overflow
+            ~((w * h < np.inf) & np.isfinite(left + w) & np.isfinite(top + h)
+              & np.isfinite(w / h) & np.isfinite(h / w * 10.0)
+              & np.isfinite(w * w) & np.isfinite(h * h)),
+        ])
+    failed = checks.any(axis=0)
+    if failed.any():
+        row = int(failed.argmax())
+        message = _CHECKS[int(checks[:, row].argmax())]
+        if message is None:
+            try:
+                AnnotationRecord(int(frame[row]), int(tid[row]), BBox(*vals[row, 2:6].tolist()))
+            except ValueError as e:
+                message = str(e)
+        elif "{}" in message:
+            message = message.format((int(frame[row]), int(tid[row])))
+        error = (np.concatenate(numbers)[row], message)
+    if error is not None:
+        raise AnnotationError(f"line {error[0]}: {error[1]}")
+
+    frames, tids, cats = (list(map(int, col.tolist())) for col in (frame, tid, cat))
+    return list(map(AnnotationRecord, frames, tids,
+                    map(BBox, left.tolist(), top.tolist(), w.tolist(), h.tolist()),
+                    conf.tolist(), cats, vis.tolist()))
+
+
+# the record attributes written after the frame and id, in file order
+_WRITTEN = ("bbox.left", "bbox.top", "bbox.width", "bbox.height",
+            "confidence", "category", "visibility")
 
 
 def write_annotations(records: Iterable[AnnotationRecord],
                       order: FieldOrder = FieldOrder.paper_order) -> Iterator[str]:
-    """Yield one canonical text line (with trailing newline) per record."""
-    for r in records:
-        b = r.bbox
-        if order is FieldOrder.paper_order:
-            head = (r.track_id, r.frame)
-        else:
-            head = (r.frame, r.track_id)
-        vals = (*head, b.left, b.top, b.width, b.height,
-                r.confidence, r.category, r.visibility)
-        fields = [_format_number(float(v)) for v in vals]
-        # a width or height below 0.005 would be written as 0.00 and read back
-        # as a degenerate box, so it is written exactly
+    """Yield one canonical text line (with trailing newline) per record.
+
+    Raises AnnotationError naming the first record with a field that is not
+    finite as a float.
+    """
+    head = ("track_id", "frame") if order is FieldOrder.paper_order else ("frame", "track_id")
+    getters = [attrgetter(name) for name in head + _WRITTEN]
+    records = iter(records)
+    while block := list(islice(records, _BLOCK)):
+        cols = np.array([np.fromiter(map(get, block), np.float64, len(block))
+                         for get in getters])
+        finite = np.isfinite(cols).all(axis=0)
+        if not finite.all():
+            raise AnnotationError(
+                f"non-finite field in record {block[int(finite.argmin())]!r}")
+        text = [_format_numbers(col) for col in cols]
+        # a width or height below 0.005 would be written as 0.00 and read
+        # back as a degenerate box, so it is written exactly
         for i in (4, 5):
-            if fields[i] == "0.00":
-                fields[i] = repr(float(vals[i]))
-        yield ",".join(fields) + "\n"
+            for j in np.flatnonzero(cols[i] < 0.005).tolist():
+                text[i][j] = repr(float(cols[i, j]))
+        yield from map("{},{},{},{},{},{},{},{},{}\n".format, *text)
 
 
 def read_annotation_file(path, order: FieldOrder = FieldOrder.paper_order) -> list[AnnotationRecord]:
@@ -287,7 +361,7 @@ def read_sequence_meta(path) -> SequenceMeta:
 def write_sequence_meta(path, meta: SequenceMeta) -> None:
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"name={meta.name}\n")
-        f.write(f"fps={_format_number(meta.fps)}\n")
+        f.write(f"fps={_format_numbers([meta.fps])[0]}\n")
         f.write(f"frames={meta.frame_count}\n")
         f.write(f"width={meta.resolution[0]}\n")
         f.write(f"height={meta.resolution[1]}\n")

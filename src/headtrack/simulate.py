@@ -141,6 +141,9 @@ def corrupt(gt: list[AnnotationRecord], noise: NoiseModel) -> dict[int, list]:
     arena_w = max(r.bbox.right for r in gt) if gt else 100.0
     arena_h = max(r.bbox.bottom for r in gt) if gt else 100.0
 
+    cj, sj = noise.center_jitter, noise.size_jitter
+    jitter = cj > 0 or sj > 0
+    mu, sd = noise.tp_score
     out: dict[int, list[Detection]] = {}
     for frame in sorted(by_frame):
         recs = by_frame[frame]
@@ -148,16 +151,21 @@ def corrupt(gt: list[AnnotationRecord], noise: NoiseModel) -> dict[int, list]:
         overlaps = np.triu(iou_matrix(boxes, boxes) > OCCLUSION_IOU, k=1)
         occluded = (overlaps.any(axis=0) | overlaps.any(axis=1)).tolist()
         dets: list[Detection] = []
-        for rec, occ in zip(recs, occluded):
+        for rec, (x, y, w, h), occ in zip(recs, boxes.tolist(), occluded):
             if noise.miss_rate > 0 and rng.random() < noise.miss_rate:
                 continue
             b = rec.bbox
-            if noise.center_jitter > 0 or noise.size_jitter > 0:
-                dx, dy = rng.normal(0.0, noise.center_jitter, size=2)
-                dw, dh = rng.normal(0.0, noise.size_jitter, size=2)
-                b = BBox(b.left + dx - dw / 2.0, b.top + dy - dh / 2.0,
-                         max(b.width + dw, 2.0), max(b.height + dh, 2.0))
-            score = min(max(rng.normal(*noise.tp_score), 0.0), 1.0)
+            # one draw per box: normal(loc, scale) computes loc + scale * z on
+            # the same stream, so these are its values, bit for bit; the box
+            # fields stay np.float64, the type normal's array draws gave them
+            if jitter:
+                z0, z1, z2, z3, z = rng.standard_normal(5).tolist()
+                dx, dy, dw, dh = 0.0 + cj * z0, 0.0 + cj * z1, 0.0 + sj * z2, 0.0 + sj * z3
+                b = BBox(np.float64(x + dx - dw / 2.0), np.float64(y + dy - dh / 2.0),
+                         max(np.float64(w + dw), 2.0), max(np.float64(h + dh), 2.0))
+            else:
+                z = rng.standard_normal()
+            score = min(max(mu + sd * z, 0.0), 1.0)
             if occ:
                 score *= noise.occlusion_drop
             dets.append(Detection(b, score))

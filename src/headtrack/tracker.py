@@ -3,6 +3,7 @@ association, SORT-style single-stage and Byte-style two-stage matching.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
@@ -25,7 +26,7 @@ class Detection:
     score: float
 
     def __post_init__(self):
-        if not np.isfinite(self.score):
+        if not math.isfinite(self.score):
             raise TrackerError("detection score must be finite")
 
 

@@ -19,15 +19,17 @@ def test_benchmark_selftest_passes():
 
 
 @pytest.mark.parametrize("workload,seed", [("dense90_byte", 0), ("sparse20_cli", 0),
-                                           ("maps_fusion", 0), ("maps_fusion", 7)],
-                         ids=["dense90_byte", "sparse20_cli", "maps_fusion", "maps_fusion-seed7"])
+                                           ("maps_fusion", 0), ("maps_fusion", 7),
+                                           ("dense90_byte", 7), ("sparse20_cli", 7)],
+                         ids=["dense90_byte", "sparse20_cli", "maps_fusion", "maps_fusion-seed7",
+                              "dense90_byte-seed7", "sparse20_cli-seed7"])
 def test_golden_digest(workload, seed):
-    """Each workload reproduces its seed-0 golden digest: the tracker rows and
-    MOT report of dense90_byte (library) and sparse20_cli (CLI on files), and
-    for maps_fusion the fused output and every parameter's gradient norm in
-    registry order. maps_fusion also runs the held-out seed 7, whose crowds
-    reach flow estimates that seed 0's do not. run.py keeps its temporary
-    files under the ignored benchmarks/out/."""
+    """Each workload reproduces its golden digests for seeds 0 and 7: the
+    tracker rows and MOT report of dense90_byte (library) and sparse20_cli
+    (CLI on files), and for maps_fusion the fused output and every
+    parameter's gradient norm in registry order. Seed 7's crowds reach cases
+    that seed 0's do not, such as maps_fusion's flow estimates. run.py keeps
+    its temporary files under the ignored benchmarks/out/."""
     proc = subprocess.run([sys.executable, "benchmarks/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", "0"], cwd=ROOT,
                           capture_output=True, text=True, timeout=600)

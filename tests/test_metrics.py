@@ -1,16 +1,19 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from headtrack.geometry import BBox, iou
 from headtrack.metrics import (
     EvalAccumulator,
     MetricsError,
     MotReport,
+    _id_assignment,
     _id_counts,
     aggregate,
     clearmot,
@@ -177,6 +180,45 @@ class TestIdMetrics:
                 + [rec(f, 20, 500) for f in range(61, 101)])
         m = id_metrics(gt, pred)
         assert m["IDTP"] == 60
+
+
+def padded_idtp(overlap, gt_len, pred_len):
+    """The oracle: IDTP from the square (ng + np) cost matrix in which each id
+    may also be left unmatched at the cost of its length, as TrackEval pads
+    it; a matched pair costs len_g + len_p - 2 * overlap."""
+    g_ids, p_ids = list(gt_len), list(pred_len)
+    ng, np_ = len(g_ids), len(p_ids)
+    ov = np.zeros((ng, np_), dtype=np.int64)
+    for (g, p), n in overlap.items():
+        ov[g_ids.index(g), p_ids.index(p)] = n
+    g_frames = np.array([gt_len[g] for g in g_ids], dtype=np.int64)
+    p_frames = np.array([pred_len[p] for p in p_ids], dtype=np.int64)
+    n = ng + np_
+    cost = np.full((n, n), float(g_frames.sum() + p_frames.sum() + 1))
+    cost[:ng, :np_] = g_frames[:, None] + p_frames[None, :] - 2 * ov
+    cost[np.arange(ng), np_ + np.arange(ng)] = g_frames
+    cost[ng + np.arange(np_), np.arange(np_)] = p_frames
+    cost[ng:, np_:] = 0.0
+    rows, cols = linear_sum_assignment(cost)
+    return sum(int(ov[i, j]) for i, j in zip(rows, cols) if i < ng and j < np_)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(1, 8), st.integers(101, 112)),
+                       st.integers(1, 30), max_size=40),
+       st.lists(st.integers(0, 10), min_size=20, max_size=20),
+       st.integers(0, 3), st.integers(0, 3))
+def test_id_assignment_equals_padded_oracle(overlap, extra, lone_gt, lone_pred):
+    # each id is at least as long as its longest overlap; some ids overlap nothing
+    gt_len, pred_len = Counter(), Counter()
+    for (g, p), n in overlap.items():
+        gt_len[g] = max(gt_len[g], n + extra[g])
+        pred_len[p] = max(pred_len[p], n + extra[p - 101 + 8])
+    for i in range(lone_gt):
+        gt_len[50 + i] = 1 + extra[i]
+    for i in range(lone_pred):
+        pred_len[150 + i] = 1 + extra[19 - i]
+    assert _id_assignment(Counter(overlap)) == padded_idtp(overlap, gt_len, pred_len)
 
 
 def detection_ap_loop(gt, preds, thr=0.5):

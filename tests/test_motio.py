@@ -1,7 +1,12 @@
 import io
+import math
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from headtrack import motio
 from headtrack.geometry import BBox
 from headtrack.motio import (
     AnnotationError,
@@ -55,6 +60,122 @@ def random_records(rng, n, max_frame=500):
             category=1,
             visibility=round(float(rng.uniform(0, 1)), 2)))
     return out
+
+
+def _format_number_loop(v):
+    if v == int(v) and abs(v) < 1e15:
+        return str(int(v))
+    return f"{v:.2f}"
+
+
+def parse_annotations_loop(lines, order=FieldOrder.paper_order):
+    """The oracle: `parse_annotations` as it was when it checked one line at a
+    time, in file order."""
+    records = []
+    seen = set()
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        if len(fields) != 9:
+            raise AnnotationError(f"line {lineno}: expected 9 fields, got {len(fields)}")
+        try:
+            vals = [float(f) for f in fields]
+        except ValueError as e:
+            raise AnnotationError(f"line {lineno}: non-numeric field ({e})") from None
+        if order is FieldOrder.paper_order:
+            tid, frame = vals[0], vals[1]
+        else:
+            frame, tid = vals[0], vals[1]
+        left, top, w, h, conf, cat, vis = vals[2:9]
+        if not all(math.isfinite(v) for v in vals):
+            raise AnnotationError(f"line {lineno}: non-finite field")
+        if frame != int(frame) or tid != int(tid):
+            raise AnnotationError(f"line {lineno}: frame and id must be integers")
+        if cat != int(cat) or abs(cat) >= 1e15:
+            raise AnnotationError(f"line {lineno}: category must be an integer "
+                                  "of magnitude below 1e15")
+        if not 0.0 <= vis <= 1.0:
+            raise AnnotationError(f"line {lineno}: visibility must be in [0, 1]")
+        key = (int(frame), int(tid))
+        if key in seen:
+            raise AnnotationError(f"line {lineno}: duplicate (frame, id) pair {key}")
+        seen.add(key)
+        try:
+            rec = AnnotationRecord(int(frame), int(tid), BBox(left, top, w, h),
+                                   conf, int(cat), vis)
+        except ValueError as e:
+            raise AnnotationError(f"line {lineno}: {e}") from None
+        if not (w * h < math.inf and all(
+                math.isfinite(v) for v in (left + w, top + h, w / h, h / w * 10.0,
+                                           w * w, h * h))):
+            raise AnnotationError(f"line {lineno}: box edge, area or aspect ratio "
+                                  "out of float range")
+        records.append(rec)
+    return records
+
+
+def write_annotations_loop(records, order=FieldOrder.paper_order):
+    """The oracle: `write_annotations` as it was when it formatted one field at
+    a time."""
+    for r in records:
+        b = r.bbox
+        head = (r.track_id, r.frame) if order is FieldOrder.paper_order else \
+            (r.frame, r.track_id)
+        vals = (*head, b.left, b.top, b.width, b.height,
+                r.confidence, r.category, r.visibility)
+        fields = [_format_number_loop(float(v)) for v in vals]
+        for i in (4, 5):
+            if fields[i] == "0.00":
+                fields[i] = repr(float(vals[i]))
+        yield ",".join(fields) + "\n"
+
+
+def _outcome(fn, *args):
+    """fn's records with their reprs (which show types and signed zeros), or
+    the type and text of what it raised."""
+    try:
+        out = fn(*args)
+    except Exception as e:  # noqa: BLE001 - the oracle must raise the same
+        return type(e), str(e)
+    return out, [repr(r) for r in out]
+
+
+# every field is a valid spelling for its column, unless it is swapped for a
+# spelling from _ODD, which is valid or not depending on the column
+_ID = st.sampled_from(["1", "2", "3", " 2 ", "1_0", "3.0", "1e0", "+1"])
+_POS = st.one_of(st.sampled_from(["0", "-0", "5", "0.25", "12.5", " 7 ", "-3.5"]),
+                 st.floats(-1e3, 1e3).map(repr))
+_SIZE = st.one_of(st.sampled_from(["5", "0.25", "12.5", "0.004", "40"]),
+                  st.floats(1e-3, 1e3).map(repr))
+_UNIT = st.sampled_from(["1", "0", "0.5", "-0", "1.0", "0.25"])
+_ODD = st.sampled_from(["x", "", "nan", "inf", "-inf", "NaN", "1e308", "1e-200", "5e-324",
+                        "1.5", "0", "-1", "1e200", "1e15", "-1e15", "999999999999999", "2.5", "0x10",
+                        "1__0", "_1", "1_", "\u0661", "\u00a01", "1\x1c", "1e400", "- 1"])
+
+
+# lines per parse or write step: small ones put block edges inside the text
+_BLOCKS = st.sampled_from([1, 2, 3, motio._BLOCK])
+
+
+@st.composite
+def annotation_text(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 6)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t", " \x0b"])))
+            continue
+        fields = [draw(_ID), draw(_ID), draw(_POS), draw(_POS), draw(_SIZE), draw(_SIZE),
+                  draw(_UNIT), draw(st.sampled_from(["1", "2", "-4", "1.0"])), draw(_UNIT)]
+        if draw(st.integers(0, 2)) == 0:
+            fields[draw(st.integers(0, 8))] = draw(_ODD)
+        count = draw(st.sampled_from([9] * 18 + [8, 10]))
+        fields = (fields + ["1"])[:count]
+        sep = draw(st.sampled_from([",", ", ", " ,"]))
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + sep.join(fields))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol]))
 
 
 class TestParse:
@@ -114,6 +235,39 @@ class TestParse:
         with pytest.raises(AnnotationError, match="duplicate"):
             parse_annotations(["1,1,0,0,5,5,1,1,1", "1,1,9,9,5,5,1,1,1"])
 
+    @settings(max_examples=400, deadline=None)
+    @given(annotation_text(), st.sampled_from(list(FieldOrder)), _BLOCKS)
+    def test_equals_line_oracle(self, text, order, block):
+        # records equal (and equal in repr), or the same error text, also
+        # when the lines are parsed a few at a time
+        with mock.patch.object(motio, "_BLOCK", block):
+            got = _outcome(parse_annotations, io.StringIO(text), order)
+        assert got == _outcome(parse_annotations_loop, io.StringIO(text), order)
+
+    @pytest.mark.parametrize("lines", [
+        ["1,1,0,0,5,5,1,1,1", "1,2,0,0,5,5,1,1,nan", "1,3,x,0,5,5,1,1,1"],
+        ["1,1,0,0,5,5,1,1,1", "1,1,0,0,5,5,1,1,1", "1,2,0,0,5,5,1,1"],
+        ["", "1,1,0,0,0,5,1,1,1", " ", "1,2,0,0,5,5,1,1,x"],
+        ["1,1,0,0,5,5,1,1,1", "2,1,0,0,5,5,1,1,1,7", "1, x"],
+        ["1,1,0,0,5,5,1,1,1", "1,2, x ,0,5,5,1,1,1"],
+        ["1,0,0,0,-1,5,1,1,1"],
+        ["1,-1,0,0,5,5,1,1,1", "2,2,0,0,5,5,1,1,1"],
+        ["1,1,1e308,0,1e308,10,1,1,1", "1,2,0,0,5,5,1,1,2"],
+    ])
+    def test_first_bad_line_and_check_as_oracle(self, lines):
+        assert _outcome(parse_annotations, lines) == _outcome(parse_annotations_loop, lines)
+
+
+# -0.0, integers either side of 1e15, two-decimal ties and sizes below 0.005
+_WRITE_INT = st.one_of(st.integers(1, 50), st.integers(10**15 - 2, 10**15 + 2),
+                       st.integers(1, 10**17))
+_WRITE_FLOAT = st.one_of(
+    st.sampled_from([-0.0, 0.0, 1e15, 1e15 - 1, 1e15 + 1, -1e15, -(1e15 - 1), 0.125, 2.675,
+                     1.005, 0.015, -0.005, -0.004, 0.5, 999999999999999.5, 1e300]),
+    st.floats(-1e3, 1e3), st.floats(allow_nan=False, allow_infinity=False))
+_WRITE_SIZE = st.one_of(st.sampled_from([0.004, 0.005, 0.0049999, 1e-100, 5e-324, 0.01, 1e15]),
+                        st.floats(1e-6, 1e3))
+
 
 class TestWrite:
     def test_canonical_line(self):
@@ -142,6 +296,28 @@ class TestWrite:
         recs = random_records(np.random.default_rng(1), 100)
         text = list(write_annotations(recs))
         assert list(write_annotations(parse_annotations(text))) == text
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_WRITE_INT, _WRITE_INT, _WRITE_FLOAT, _WRITE_FLOAT,
+                              _WRITE_SIZE, _WRITE_SIZE, _WRITE_FLOAT,
+                              st.integers(-10**16, 10**16), _WRITE_FLOAT)
+                    .filter(lambda row: row[4] * row[5] > 0), max_size=12),
+           st.sampled_from(list(FieldOrder)), _BLOCKS)
+    def test_equals_field_oracle(self, rows, order, block):
+        recs = [AnnotationRecord(f, t, BBox(x, y, w, h), c, k, v)
+                for f, t, x, y, w, h, c, k, v in rows]
+        with mock.patch.object(motio, "_BLOCK", block):
+            got = list(write_annotations(iter(recs), order))
+        assert got == list(write_annotations_loop(recs, order))
+
+    @pytest.mark.parametrize("field", ["confidence", "visibility"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_names_the_record(self, field, bad):
+        good = AnnotationRecord(1, 1, BBox(0, 0, 5, 5))
+        rec = AnnotationRecord(2, 1, BBox(0, 0, 5, 5), **{field: bad})
+        with pytest.raises(AnnotationError, match=r"non-finite field in record "
+                                                  r"AnnotationRecord\(frame=2, track_id=1"):
+            list(write_annotations([good, rec]))
 
 
 class TestStats:

@@ -6,16 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from headtrack.geometry import BBox, iou
+from headtrack.geometry import BBox, iou, iou_matrix, ltwh_array
 from headtrack.motio import AnnotationRecord, ConfigError, read_config
 from headtrack.simulate import (
     OCCLUSION_IOU,
     NoiseModel,
     ScenarioConfig,
     SimError,
+    _rng,
     corrupt,
     simulate,
 )
+from headtrack.tracker import Detection
 
 
 class TestSimulate:
@@ -106,6 +108,66 @@ def small_gt(seed=0):
     return recs
 
 
+def corrupt_loop(gt, noise):
+    """The oracle: `corrupt` as it was when it drew each box's noise with three
+    `rng.normal` calls (two jitter pairs, then the score)."""
+    rng = _rng(noise.seed)
+    by_frame = {}
+    for r in gt:
+        by_frame.setdefault(r.frame, []).append(r)
+    arena_w = max(r.bbox.right for r in gt) if gt else 100.0
+    arena_h = max(r.bbox.bottom for r in gt) if gt else 100.0
+    out = {}
+    for frame in sorted(by_frame):
+        recs = by_frame[frame]
+        boxes = ltwh_array(r.bbox for r in recs)
+        overlaps = np.triu(iou_matrix(boxes, boxes) > OCCLUSION_IOU, k=1)
+        occluded = (overlaps.any(axis=0) | overlaps.any(axis=1)).tolist()
+        dets = []
+        for rec, occ in zip(recs, occluded):
+            if noise.miss_rate > 0 and rng.random() < noise.miss_rate:
+                continue
+            b = rec.bbox
+            if noise.center_jitter > 0 or noise.size_jitter > 0:
+                dx, dy = rng.normal(0.0, noise.center_jitter, size=2)
+                dw, dh = rng.normal(0.0, noise.size_jitter, size=2)
+                b = BBox(b.left + dx - dw / 2.0, b.top + dy - dh / 2.0,
+                         max(b.width + dw, 2.0), max(b.height + dh, 2.0))
+            score = min(max(rng.normal(*noise.tp_score), 0.0), 1.0)
+            if occ:
+                score *= noise.occlusion_drop
+            dets.append(Detection(b, score))
+        for _ in range(rng.poisson(noise.fp_rate)):
+            size = rng.uniform(8.0, 30.0)
+            left = rng.uniform(0.0, max(arena_w - size, 1.0))
+            top = rng.uniform(0.0, max(arena_h - size, 1.0))
+            score = min(max(rng.normal(*noise.fp_score), 0.0), 1.0)
+            dets.append(Detection(BBox(left, top, size, size), score))
+        out[frame] = dets
+    return out
+
+
+def _detection_fields(dets):
+    """Each detection's box fields and score with their types and signs."""
+    return {f: [(v, type(v), math.copysign(1.0, v))
+                for d in ds for v in (*dataclasses.astuple(d.bbox), d.score)]
+            for f, ds in dets.items()}
+
+
+_sigma = st.one_of(st.just(0.0), st.floats(0.0, 40.0))
+_noise = st.builds(NoiseModel, miss_rate=st.one_of(st.just(0.0), st.floats(0.0, 0.9)),
+                   fp_rate=st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+                   center_jitter=_sigma, size_jitter=_sigma,
+                   tp_score=st.tuples(st.floats(-1.0, 2.0), _sigma),
+                   fp_score=st.tuples(st.floats(-1.0, 2.0), _sigma),
+                   occlusion_drop=st.floats(0.0, 1.0), seed=st.integers(0, 2**32))
+# boxes read from a file hold floats, simulated ones np.float64; -0.0 lefts
+# and tops keep or lose their sign through the jitter arithmetic
+_coord = st.one_of(st.just(-0.0), st.floats(-50.0, 200.0))
+_file_gt = st.lists(st.tuples(st.integers(1, 3), _coord, _coord,
+                              st.floats(0.5, 40.0), st.floats(0.5, 40.0)), max_size=20)
+
+
 class TestCorrupt:
     def test_zero_noise_reproduces_gt(self):
         gt = small_gt()
@@ -178,6 +240,21 @@ class TestCorrupt:
         got, want = min(max(x, 0.0), 1.0), float(np.clip(x, 0.0, 1.0))
         assert type(got) is float
         assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_noise, st.integers(0, 1000), st.integers(1, 12))
+    def test_equals_scalar_draw_oracle_on_simulated_gt(self, noise, seed, agents):
+        gt, _ = simulate(ScenarioConfig(agent_count=agents, duration=8, seed=seed))
+        assert _detection_fields(corrupt(gt, noise)) == \
+            _detection_fields(corrupt_loop(gt, noise))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_noise, _file_gt)
+    def test_equals_scalar_draw_oracle_on_float_gt(self, noise, rows):
+        gt = [AnnotationRecord(f, i + 1, BBox(x, y, w, h))
+              for i, (f, x, y, w, h) in enumerate(rows)]
+        assert _detection_fields(corrupt(gt, noise)) == \
+            _detection_fields(corrupt_loop(gt, noise))
 
     def test_invalid_noise_rejected(self):
         with pytest.raises(SimError):
