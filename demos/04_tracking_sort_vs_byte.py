@@ -22,7 +22,7 @@ print(f"simulated {meta.name}: {scenario.agent_count} agents, "
 
 detections = corrupt(gt, noise)
 n_dets = sum(len(v) for v in detections.values())
-n_low = sum(1 for v in detections.values() for d in v if d.score < 0.6)
+n_low = sum(1 for v in detections.values() for d in v if d.confidence < 0.6)
 print(f"detections: {n_dets} total, {n_low} below the high-score threshold "
       "(occluded heads)")
 

@@ -1,7 +1,7 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 Double precision throughout; just the handful of ops the fusion pipeline
-needs: broadcast add/mul, scalar coefficients, sigmoid, axis means, channel
+needs: broadcast add/mul (a 0-d tensor scales), sigmoid, axis means, channel
 concat/split, and a same-padded stride-1 2-d convolution.
 """
 from __future__ import annotations
@@ -92,15 +92,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
                                        _unbroadcast(g * a.data, b.shape)))
 
 
-def scale(x: Tensor, coeff: Tensor) -> Tensor:
-    """Multiply a tensor by a scalar coefficient tensor."""
-    if coeff.data.size != 1:
-        raise ValueError("coefficient must be scalar")
-    return Tensor(coeff.data * x.data, _parents=(x, coeff),
-                  _backward=lambda g: (coeff.data * g,
-                                       np.array((g * x.data).sum()).reshape(coeff.shape)))
-
-
 def sigmoid(x: Tensor) -> Tensor:
     s = 1.0 / (1.0 + np.exp(-x.data))
     return Tensor(s, _parents=(x,), _backward=lambda g: (g * s * (1.0 - s),))
@@ -111,17 +102,12 @@ def tsum(x: Tensor) -> Tensor:
                   _backward=lambda g: (np.broadcast_to(g, x.shape).copy(),))
 
 
-def mean(x: Tensor, axis, keepdims: bool = True) -> Tensor:
+def mean(x: Tensor, axis) -> Tensor:
+    """Mean over one axis or a tuple of axes, which are kept with size 1."""
     axes = axis if isinstance(axis, tuple) else (axis,)
     n = int(np.prod([x.shape[a] for a in axes]))
-    out_data = x.data.mean(axis=axes, keepdims=keepdims)
-
-    def backward(g):
-        if not keepdims:
-            g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g / n, x.shape).copy(),)
-
-    return Tensor(out_data, _parents=(x,), _backward=backward)
+    return Tensor(x.data.mean(axis=axes, keepdims=True), _parents=(x,),
+                  _backward=lambda g: (np.broadcast_to(g / n, x.shape).copy(),))
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:

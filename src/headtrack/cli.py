@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 input error, 3 config error, 4 internal invariant
-violation. Every command that writes an output also writes a JSON run
-manifest alongside it for reproducibility.
+Exit codes: 0 success, 2 input error (an unwritable output path too), 3
+config error, 4 internal invariant violation. Every command that writes an
+output also writes a JSON run manifest alongside it for reproducibility.
 """
 from __future__ import annotations
 
@@ -16,9 +16,9 @@ import numpy as np
 from . import __version__, maps, motio, simulate
 from .fusion import FusionConfig, FusionError, FusionParams, forward
 from .metrics import MetricsError, MotReport, evaluate, report, sequence_counts
-from .motio import AnnotationError, ConfigError, FieldOrder
+from .motio import AnnotationError, AnnotationRecord, ConfigError, FieldOrder
 from .simulate import NoiseModel, ScenarioConfig
-from .tracker import Detection, Mode, TrackerConfig, outputs_to_records, run_tracker
+from .tracker import Mode, TrackerConfig, outputs_to_records, run_tracker
 
 EXIT_INPUT = 2
 EXIT_CONFIG = 3
@@ -61,9 +61,9 @@ def _config(path, cls, **overrides):
 def cmd_track(args) -> int:
     cfg = _config(args.config, TrackerConfig, mode=args.mode)
     records = _read_records(args.dets, FieldOrder(args.order))
-    frames: dict[int, list[Detection]] = {}
+    frames: dict[int, list[AnnotationRecord]] = {}
     for r in records:
-        frames.setdefault(r.frame, []).append(Detection(r.bbox, r.confidence))
+        frames.setdefault(r.frame, []).append(r)
     motio.write_annotation_file(args.out, outputs_to_records(run_tracker(frames, cfg)),
                                 FieldOrder(args.order))
     _write_manifest(args.out, "track", args)
@@ -136,13 +136,8 @@ def cmd_gen_scenario(args) -> int:
     motio.write_sequence_meta(str(args.out_gt) + ".meta", meta)
     _write_manifest(args.out_gt, "gen-scenario", args)
     if args.out_dets:
-        dets = simulate.corrupt(gt, noise)
-        det_records = []
-        for frame in sorted(dets):
-            for i, d in enumerate(dets[frame], start=1):
-                det_records.append(motio.AnnotationRecord(
-                    frame, i, d.bbox, confidence=d.score))
-        motio.write_annotation_file(args.out_dets, det_records, FieldOrder(args.order))
+        dets = [r for recs in simulate.corrupt(gt, noise).values() for r in recs]
+        motio.write_annotation_file(args.out_dets, dets, FieldOrder(args.order))
         _write_manifest(args.out_dets, "gen-scenario", args)
     return 0
 
@@ -273,7 +268,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, AnnotationError, maps.MapError, MetricsError) as e:
+    except (InputError, AnnotationError, maps.MapError, MetricsError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except (ConfigError, FusionError) as e:

@@ -121,8 +121,8 @@ def extract_and_concat(stack: np.ndarray, params: FusionParams) -> Tensor:
 def coordinate_attention(x: Tensor, params: FusionParams) -> Tensor:
     """Directional pooling to (C,H,1) and (C,1,W) profiles, a shared 1x1 conv
     plus sigmoid on each, both broadcast-multiplied into the features."""
-    pool_h = ad.mean(x, axis=2, keepdims=True)   # (C, H, 1)
-    pool_w = ad.mean(x, axis=1, keepdims=True)   # (C, 1, W)
+    pool_h = ad.mean(x, axis=2)   # (C, H, 1)
+    pool_w = ad.mean(x, axis=1)   # (C, 1, W)
     w_h = ad.sigmoid(params.coa_conv(pool_h))
     w_w = ad.sigmoid(params.coa_conv(pool_w))
     return ad.mul(ad.mul(x, w_h), w_w)
@@ -130,7 +130,7 @@ def coordinate_attention(x: Tensor, params: FusionParams) -> Tensor:
 
 def channel_attention(x: Tensor, params: FusionParams) -> Tensor:
     """Global average per channel -> 1x1 conv -> sigmoid -> channel-wise scale."""
-    pooled = ad.mean(x, axis=(1, 2), keepdims=True)  # (C, 1, 1)
+    pooled = ad.mean(x, axis=(1, 2))  # (C, 1, 1)
     w = ad.sigmoid(params.cha_conv(pooled))
     return ad.mul(x, w)
 
@@ -144,7 +144,7 @@ def spatial_mask_fuse(h_agg: Tensor, h_cat: Tensor, alpha1: Tensor, beta1: Tenso
                       params: FusionParams) -> Tensor:
     """alpha1 * Sigmoid(Conv(Conv(h_agg))) (.) h_cat + beta1 * h_cat."""
     mask = ad.sigmoid(params.mask_convs[1](params.mask_convs[0](h_agg)))
-    return ad.add(ad.scale(ad.mul(mask, h_cat), alpha1), ad.scale(h_cat, beta1))
+    return ad.add(ad.mul(ad.mul(mask, h_cat), alpha1), ad.mul(h_cat, beta1))
 
 
 def split_regroup(h_agg: Tensor, params: FusionParams) -> tuple[Tensor, Tensor]:
@@ -171,8 +171,7 @@ def motion_static_fuse(h_static: Tensor, h_motion: Tensor,
     if h_static.shape != h_motion.shape:
         raise FusionError(f"static {h_static.shape} and motion {h_motion.shape} "
                           "branches must match")
-    return ad.add(ad.scale(ad.mul(h_static, h_motion), alpha2),
-                  ad.scale(h_static, beta2))
+    return ad.add(ad.mul(ad.mul(h_static, h_motion), alpha2), ad.mul(h_static, beta2))
 
 
 def forward(stack: np.ndarray, params: FusionParams) -> Tensor:

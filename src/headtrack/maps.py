@@ -257,9 +257,10 @@ def load_map(path) -> np.ndarray:
         raise MapError(f"{sidecar_path}: bad sidecar ({e!r})") from None
     if not all(type(v) is int and v >= 1 for v in (h, w, c)):
         raise MapError(f"{sidecar_path}: height, width and channels must be integers >= 1")
-    raw = np.frombuffer(path.read_bytes(), dtype="<f4")
-    if raw.size != h * w * c:
-        raise MapError(f"map payload has {raw.size} floats, expected {h * w * c}")
+    payload = path.read_bytes()
+    if len(payload) != 4 * h * w * c:
+        raise MapError(f"{path}: map payload has {len(payload)} bytes, expected {4 * h * w * c}")
+    raw = np.frombuffer(payload, dtype="<f4")
     if not np.all(np.isfinite(raw)):
         raise MapError(f"{path}: map contains non-finite values")
     return raw.reshape(c, h, w).transpose(1, 2, 0).astype(np.float64)

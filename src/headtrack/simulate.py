@@ -19,6 +19,7 @@ from .motio import AnnotationRecord, SequenceMeta
 OCCLUSION_IOU = 0.3  # pairwise GT overlap that triggers the score multiplier
 MAX_JITTER = 1e4     # px, cap on the jitter sigmas: jittered boxes stay finite
 MAX_FP_RATE = 1e3    # cap on expected false boxes per frame
+MAX_HEADING_SIGMA = 1e3  # rad/frame; headings stay finite, and above ~2 pi draw uniform
 
 
 class SimError(ValueError):
@@ -47,8 +48,8 @@ class ScenarioConfig:
                            "with head size low squared > 0")
         if self.duration < 1:
             raise SimError("duration must be >= 1")
-        if self.heading_sigma < 0 or self.seed < 0 or self.fps <= 0:
-            raise SimError("heading_sigma and seed must be >= 0, fps > 0")
+        if not 0 <= self.heading_sigma <= MAX_HEADING_SIGMA or self.seed < 0 or self.fps <= 0:
+            raise SimError(f"need 0 <= heading_sigma <= {MAX_HEADING_SIGMA:g}, seed >= 0, fps > 0")
         w, h = self.arena
         if min(w, h) < s1 or w * h < self.agent_count * s1 * s1:
             raise SimError("arena too small for agent_count or head size")
@@ -129,10 +130,9 @@ def simulate(cfg: ScenarioConfig) -> tuple[list[AnnotationRecord], SequenceMeta]
     return records, meta
 
 
-def corrupt(gt: list[AnnotationRecord], noise: NoiseModel) -> dict[int, list]:
-    """Turn GT boxes into scored detections; returns frame -> [Detection]."""
-    from .tracker import Detection
-
+def corrupt(gt: list[AnnotationRecord], noise: NoiseModel) -> dict[int, list[AnnotationRecord]]:
+    """Turn GT boxes into scored detections: frame -> records in frame order, numbered
+    from 1 per frame (kept boxes, then false positives), the score as confidence."""
     rng = _rng(noise.seed)
     by_frame: dict[int, list[AnnotationRecord]] = {}
     for r in gt:
@@ -144,13 +144,13 @@ def corrupt(gt: list[AnnotationRecord], noise: NoiseModel) -> dict[int, list]:
     cj, sj = noise.center_jitter, noise.size_jitter
     jitter = cj > 0 or sj > 0
     mu, sd = noise.tp_score
-    out: dict[int, list[Detection]] = {}
+    out: dict[int, list[AnnotationRecord]] = {}
     for frame in sorted(by_frame):
         recs = by_frame[frame]
         boxes = ltwh_array(r.bbox for r in recs)
         overlaps = np.triu(iou_matrix(boxes, boxes) > OCCLUSION_IOU, k=1)
         occluded = (overlaps.any(axis=0) | overlaps.any(axis=1)).tolist()
-        dets: list[Detection] = []
+        dets: list[AnnotationRecord] = []
         for rec, (x, y, w, h), occ in zip(recs, boxes.tolist(), occluded):
             if noise.miss_rate > 0 and rng.random() < noise.miss_rate:
                 continue
@@ -168,12 +168,13 @@ def corrupt(gt: list[AnnotationRecord], noise: NoiseModel) -> dict[int, list]:
             score = min(max(mu + sd * z, 0.0), 1.0)
             if occ:
                 score *= noise.occlusion_drop
-            dets.append(Detection(b, score))
+            dets.append(AnnotationRecord(frame, len(dets) + 1, b, confidence=score))
         for _ in range(rng.poisson(noise.fp_rate)):
             size = rng.uniform(8.0, 30.0)
             left = rng.uniform(0.0, max(arena_w - size, 1.0))
             top = rng.uniform(0.0, max(arena_h - size, 1.0))
             score = min(max(rng.normal(*noise.fp_score), 0.0), 1.0)
-            dets.append(Detection(BBox(left, top, size, size), score))
+            dets.append(AnnotationRecord(frame, len(dets) + 1, BBox(left, top, size, size),
+                                         confidence=score))
         out[frame] = dets
     return out

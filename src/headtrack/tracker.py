@@ -3,7 +3,6 @@ association, SORT-style single-stage and Byte-style two-stage matching.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
@@ -18,16 +17,6 @@ from .motio import AnnotationRecord
 
 class TrackerError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class Detection:
-    bbox: BBox
-    score: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.score):
-            raise TrackerError("detection score must be finite")
 
 
 class Mode(Enum):
@@ -246,21 +235,24 @@ class Tracker:
         self._first_frame: int | None = None
         self._last_frame = 0
 
-    def step(self, frame: int, detections: Sequence[Detection]) -> list[TrackOutput]:
+    def step(self, frame: int, detections: Sequence[AnnotationRecord]) -> list[TrackOutput]:
         """Predict, associate, update, and run the track lifecycle for one frame.
 
-        Returns (frame, track_id, bbox) outputs for tracks matched this frame
+        Reads each detection record's `bbox` and `confidence` (the score), not
+        its `frame` or `track_id`. Returns outputs for tracks matched this frame
         that are confirmed (or inside the warm-up: frame numbers less than n_init
         after the first frame this tracker stepped).
         """
         if frame <= self._last_frame:
             raise TrackerError(f"out-of-order frame {frame} (last {self._last_frame})")
+        boxes = ltwh_array(d.bbox for d in detections)
+        scores = np.array([d.confidence for d in detections], dtype=np.float64)
+        if not np.isfinite(scores).all():
+            raise TrackerError("detection score must be finite")
         if self._first_frame is None:
             self._first_frame = frame
         self._last_frame = frame
         warm_up = frame - self._first_frame < self.cfg.n_init
-        boxes = ltwh_array(d.bbox for d in detections)
-        scores = np.array([d.score for d in detections], dtype=np.float64)
 
         if len(self.tracks):
             self.mean, self.cov = self.kalman.predict(self.mean, self.cov)
@@ -305,11 +297,11 @@ class Tracker:
         self.age = np.concatenate([self.age[keep], np.zeros(n, dtype=np.int64)])
         self.confirmed = np.concatenate([self.confirmed[keep], np.zeros(n, dtype=bool)])
         # matched tracks come in id order, and every spawned id is larger
-        return [TrackOutput(frame, i, detections[d].bbox, detections[d].score)
+        return [TrackOutput(frame, i, detections[d].bbox, detections[d].confidence)
                 for i, d in zip(out_ids.tolist(), out_dets.tolist())]
 
 
-def run_tracker(frames: dict[int, list[Detection]],
+def run_tracker(frames: dict[int, list[AnnotationRecord]],
                 cfg: TrackerConfig | None = None) -> list[TrackOutput]:
     """Track a whole sequence given per-frame detections keyed by frame index."""
     tracker = Tracker(cfg)

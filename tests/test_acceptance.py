@@ -46,7 +46,6 @@ from headtrack.metrics import (
 from headtrack.motio import AnnotationRecord, FieldOrder, parse_annotations, write_annotations
 from headtrack.simulate import NoiseModel, ScenarioConfig, corrupt, simulate
 from headtrack.tracker import (
-    Detection,
     KalmanModel,
     Mode,
     TrackerConfig,

@@ -62,6 +62,9 @@ class TestGenScenario:
         ("--noise", "size_jitter=1e308"),
         ("--noise", "size_jitter=1e200"),                # the box area overflows
         ("--noise", "fp_rate=1e20"),                     # beyond numpy's Poisson range
+        # the headings overflow to nan
+        pytest.param("--config", "agent_count=4\nduration=5\nheading_sigma=1e308",
+                     id="--config-heading_sigma=1e308"),
         # the head size squared overflows; the arena is large enough to get there
         pytest.param("--config", f"arena={10**201},{10**201}\nhead_size_range=1e200,1e200",
                      id="--config-arena=10**201-head_size_range=1e200"),
@@ -73,6 +76,22 @@ class TestGenScenario:
             warnings.simplefilter("error")
             assert run("gen-scenario", flag, str(cfg), "--out-gt", str(tmp_path / "x.txt"),
                        "--out-dets", str(tmp_path / "d.txt")) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("order,digest", [
+        ("paper_order", "2a99a4dbaff322a713e602bd003fee957745f561166efa08b441fac220a751b0"),
+        ("standard_order", "2f0a34cd8eacdb374c0ae6521b761b889e4d038efed07cb73b40cabf4bf4f13a"),
+    ])
+    def test_detections_bytes_pinned(self, tmp_path, order, digest):
+        # the exact bytes of a detection file with misses, false positives,
+        # jitter and occlusion drops: 331 records over 30 frames
+        scen, noise, dets = tmp_path / "scen.cfg", tmp_path / "noise.cfg", tmp_path / "d.txt"
+        scen.write_text("agent_count=12\nduration=30\narena=160,120\n")
+        noise.write_text("miss_rate=0.2\nfp_rate=1.5\ncenter_jitter=1.3\nsize_jitter=0.7\n"
+                         "tp_score=0.8,0.15\nocclusion_drop=0.5\n")
+        assert run("gen-scenario", "--config", str(scen), "--noise", str(noise), "--seed", "5",
+                   "--order", order, "--out-gt", str(tmp_path / "g.txt"),
+                   "--out-dets", str(dets)) == 0
+        assert hashlib.sha256(dets.read_bytes()).hexdigest() == digest
 
     def test_negative_seed_flag_exit_config(self, tmp_path):
         assert run("gen-scenario", "--seed", "-1",
@@ -351,6 +370,16 @@ class TestGenMotion:
                for p in out.iterdir() if p.name.startswith(("diff_", "flow_"))}
         assert got == want
 
+    def test_frame_of_partial_floats(self, tmp_path, capsys):
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        maps.save_map(frames / "f_0001.bin", np.zeros((4, 4)))
+        (frames / "f_0001.bin").write_bytes(bytes(63))
+        assert run("gen-motion", "--frames-dir", str(frames),
+                   "--out-dir", str(tmp_path / "o")) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(
+            f"error: {frames / 'f_0001.bin'}: map payload has 63 bytes, expected 64")
+
     def test_empty_dir(self, tmp_path):
         frames = tmp_path / "frames"
         frames.mkdir()
@@ -358,19 +387,21 @@ class TestGenMotion:
                    "--out-dir", str(tmp_path / "o")) == EXIT_INPUT
 
 
-class TestFuseDemo:
-    def _write_stack(self, d, h=6, w=6):
-        rng = np.random.default_rng(1)
-        d.mkdir(parents=True, exist_ok=True)
-        maps.save_map(d / "rgb.bin", rng.random((h, w, 3)))
-        maps.save_map(d / "diff.bin", rng.random((h, w)))
-        maps.save_map(d / "flow.bin", rng.standard_normal((h, w, 2)))
-        maps.save_map(d / "depth.bin", rng.random((h, w)))
-        maps.save_map(d / "density.bin", rng.random((h, w)))
+def write_stack(d, h=6, w=6):
+    """The five map files of a fuse-demo stack directory."""
+    rng = np.random.default_rng(1)
+    d.mkdir(parents=True, exist_ok=True)
+    maps.save_map(d / "rgb.bin", rng.random((h, w, 3)))
+    maps.save_map(d / "diff.bin", rng.random((h, w)))
+    maps.save_map(d / "flow.bin", rng.standard_normal((h, w, 2)))
+    maps.save_map(d / "depth.bin", rng.random((h, w)))
+    maps.save_map(d / "density.bin", rng.random((h, w)))
 
+
+class TestFuseDemo:
     def test_runs_and_writes_fused_map(self, tmp_path):
         stack = tmp_path / "stack"
-        self._write_stack(stack)
+        write_stack(stack)
         out = tmp_path / "fused.bin"
         assert run("fuse-demo", "--stack-dir", str(stack), "--seed", "3",
                    "--out", str(out)) == 0
@@ -388,7 +419,7 @@ class TestFuseDemo:
     def test_output_bytes_pinned(self, tmp_path):
         # the exact bytes of the fused map and its sidecar
         stack, out = tmp_path / "stack", tmp_path / "fused.bin"
-        self._write_stack(stack)
+        write_stack(stack)
         assert run("fuse-demo", "--stack-dir", str(stack), "--seed", "3", "--out", str(out)) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == \
             "424b498bfa3287c386f15db5abe3e31562dcc177ae0244db38860f9c4fbb8b5c"
@@ -397,7 +428,7 @@ class TestFuseDemo:
 
     def test_coefficient_overrides_change_output(self, tmp_path):
         stack = tmp_path / "stack"
-        self._write_stack(stack)
+        write_stack(stack)
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"
         run("fuse-demo", "--stack-dir", str(stack), "--out", str(a))
         run("fuse-demo", "--stack-dir", str(stack), "--alpha2", "0.0",
@@ -414,7 +445,7 @@ class TestFuseDemo:
     ])
     def test_bad_stack_member(self, tmp_path, capsys, member, data):
         stack = tmp_path / "stack"
-        self._write_stack(stack)
+        write_stack(stack)
         maps.save_map(stack / f"{member}.bin", data)
         assert run("fuse-demo", "--stack-dir", str(stack),
                    "--out", str(tmp_path / "o.bin")) == EXIT_INPUT
@@ -423,14 +454,22 @@ class TestFuseDemo:
     @pytest.mark.parametrize("sidecar", ['{"width": 6, "channels": 3}', "not json"])
     def test_bad_sidecar(self, tmp_path, sidecar):
         stack = tmp_path / "stack"
-        self._write_stack(stack)
+        write_stack(stack)
         (stack / "rgb.bin.json").write_text(sidecar)
         assert run("fuse-demo", "--stack-dir", str(stack),
                    "--out", str(tmp_path / "o.bin")) == EXIT_INPUT
 
+    def test_stack_member_of_partial_floats(self, tmp_path, capsys):
+        stack = tmp_path / "stack"
+        write_stack(stack)
+        (stack / "depth.bin").write_bytes(bytes(3))
+        assert run("fuse-demo", "--stack-dir", str(stack),
+                   "--out", str(tmp_path / "o.bin")) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: {stack / 'depth.bin'}: map payload ")
+
     def test_missing_stack_member(self, tmp_path):
         stack = tmp_path / "stack"
-        self._write_stack(stack)
+        write_stack(stack)
         (stack / "depth.bin").unlink()
         assert run("fuse-demo", "--stack-dir", str(stack),
                    "--out", str(tmp_path / "o.bin")) == EXIT_INPUT
@@ -445,11 +484,32 @@ class TestFuseDemo:
     ])
     def test_bad_flag_exit_code(self, tmp_path, flags, code):
         stack, out = tmp_path / "stack", tmp_path / "o.bin"
-        self._write_stack(stack)
+        write_stack(stack)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run("fuse-demo", "--stack-dir", str(stack), *flags, "--out", str(out)) == code
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen-scenario", "track", "evaluate", "resample",
+                                     "fuse-demo", "gen-motion"])
+def test_unwritable_output_is_input_error(tmp_path, capsys, command):
+    ann, stack, frames = tmp_path / "a.txt", tmp_path / "stack", tmp_path / "frames"
+    ann.write_text("1,1,0,0,10,10,0.9,1,1\n1,2,1,0,10,10,0.9,1,1\n")
+    write_stack(stack)
+    frames.mkdir()
+    maps.save_map(frames / "f_0001.bin", np.zeros((4, 4)))
+    missing = str(tmp_path / "nodir" / "out.txt")
+    args = {
+        "gen-scenario": ["--out-gt", missing],
+        "track": ["--dets", str(ann), "--out", missing],
+        "evaluate": ["--gt", str(ann), "--pred", str(ann), "--out", missing],
+        "resample": ["--ann", str(ann), "--factor", "2", "--out", missing],
+        "fuse-demo": ["--stack-dir", str(stack), "--out", missing],
+        "gen-motion": ["--frames-dir", str(frames), "--out-dir", str(ann / "sub")],  # under a file
+    }[command]
+    assert run(command, *args) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error:")
 
 
 class TestParser:

@@ -295,6 +295,13 @@ class TestSynthAndFiles:
         with pytest.raises(MapError):
             load_map(tmp_path / "m.bin")
 
+    @pytest.mark.parametrize("nbytes", [0, 3, 15, 17, 12])
+    def test_payload_of_wrong_byte_count(self, tmp_path, nbytes):
+        save_map(tmp_path / "m.bin", np.zeros((2, 2)))
+        (tmp_path / "m.bin").write_bytes(bytes(nbytes))
+        with pytest.raises(MapError, match=f"m.bin: map payload has {nbytes} bytes, expected 16"):
+            load_map(tmp_path / "m.bin")
+
     def test_non_finite_payload(self, tmp_path):
         save_map(tmp_path / "m.bin", np.zeros((2, 2)))
         (tmp_path / "m.bin").write_bytes(np.full(4, np.nan, dtype="<f4").tobytes())

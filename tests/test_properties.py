@@ -19,7 +19,7 @@ from headtrack.geometry import BBox
 from headtrack.metrics import evaluate
 from headtrack.motio import AnnotationRecord
 from headtrack.simulate import NoiseModel, ScenarioConfig, corrupt, simulate
-from headtrack.tracker import Detection, Mode, TrackerConfig, run_tracker
+from headtrack.tracker import Mode, TrackerConfig, run_tracker
 
 FUZZ = settings(max_examples=40, deadline=None)
 
@@ -161,7 +161,8 @@ def test_annotation_file_exit_code(gt, pred):
         assert main(["stats", "--ann", str(d / "gt.txt")]) in (0, 2, 3)
 
 
-DETECTION = st.builds(lambda x, y, w, h, s: Detection(BBox(x, y, w, h), s),
+DETECTION = st.builds(lambda x, y, w, h, s: AnnotationRecord(1, 1, BBox(x, y, w, h),
+                                                             confidence=s),
                       st.integers(0, 60), st.integers(0, 60), st.integers(4, 16),
                       st.integers(4, 16), st.floats(0.0, 1.0))
 

@@ -17,7 +17,6 @@ from headtrack.simulate import (
     corrupt,
     simulate,
 )
-from headtrack.tracker import Detection
 
 
 class TestSimulate:
@@ -110,7 +109,8 @@ def small_gt(seed=0):
 
 def corrupt_loop(gt, noise):
     """The oracle: `corrupt` as it was when it drew each box's noise with three
-    `rng.normal` calls (two jitter pairs, then the score)."""
+    `rng.normal` calls (two jitter pairs, then the score), as frame -> list of
+    (box, score) pairs."""
     rng = _rng(noise.seed)
     by_frame = {}
     for r in gt:
@@ -136,22 +136,31 @@ def corrupt_loop(gt, noise):
             score = min(max(rng.normal(*noise.tp_score), 0.0), 1.0)
             if occ:
                 score *= noise.occlusion_drop
-            dets.append(Detection(b, score))
+            dets.append((b, score))
         for _ in range(rng.poisson(noise.fp_rate)):
             size = rng.uniform(8.0, 30.0)
             left = rng.uniform(0.0, max(arena_w - size, 1.0))
             top = rng.uniform(0.0, max(arena_h - size, 1.0))
             score = min(max(rng.normal(*noise.fp_score), 0.0), 1.0)
-            dets.append(Detection(BBox(left, top, size, size), score))
+            dets.append((BBox(left, top, size, size), score))
         out[frame] = dets
     return out
 
 
-def _detection_fields(dets):
+def _numbered_pairs(dets):
+    """The (box, score) pairs of `corrupt`'s records, after checking that each
+    frame's records hold that frame and are numbered 1, 2, ... in order."""
+    for f, ds in dets.items():
+        assert [(d.frame, d.track_id) for d in ds] == [(f, i) for i in range(1, len(ds) + 1)]
+        assert all(type(d.track_id) is int for d in ds)
+    return {f: [(d.bbox, d.confidence) for d in ds] for f, ds in dets.items()}
+
+
+def _detection_fields(pairs):
     """Each detection's box fields and score with their types and signs."""
     return {f: [(v, type(v), math.copysign(1.0, v))
-                for d in ds for v in (*dataclasses.astuple(d.bbox), d.score)]
-            for f, ds in dets.items()}
+                for b, score in ps for v in (*dataclasses.astuple(b), score)]
+            for f, ps in pairs.items()}
 
 
 _sigma = st.one_of(st.just(0.0), st.floats(0.0, 40.0))
@@ -178,7 +187,7 @@ class TestCorrupt:
         assert set(dets) == set(by_frame)
         for f, ds in dets.items():
             assert [d.bbox for d in ds] == by_frame[f]
-            assert all(d.score == 1.0 for d in ds)
+            assert all(d.confidence == 1.0 for d in ds)
 
     def test_deterministic(self):
         gt = small_gt(1)
@@ -207,7 +216,7 @@ class TestCorrupt:
               AnnotationRecord(1, 2, BBox(12, 10, 20, 20)),
               AnnotationRecord(1, 3, BBox(200, 200, 20, 20))]
         dets = corrupt(gt, NoiseModel(occlusion_drop=0.5))
-        scores = sorted(d.score for d in dets[1])
+        scores = sorted(d.confidence for d in dets[1])
         assert scores == [0.5, 0.5, 1.0]
 
     @settings(max_examples=60, deadline=None)
@@ -224,14 +233,14 @@ class TestCorrupt:
                 for j in range(i + 1, len(recs)):
                     if iou(recs[i].bbox, recs[j].bbox) > OCCLUSION_IOU:
                         want[i] = want[j] = True
-            assert [d.score == 0.5 for d in ds] == want
+            assert [d.confidence == 0.5 for d in ds] == want
 
     def test_scores_clipped_to_unit_interval(self):
         gt = small_gt(4)
         dets = corrupt(gt, NoiseModel(tp_score=(0.9, 0.5), fp_rate=1.0, seed=6))
         for ds in dets.values():
             for d in ds:
-                assert 0.0 <= d.score <= 1.0
+                assert 0.0 <= d.confidence <= 1.0
 
     @pytest.mark.parametrize("x", [-1.5, -0.0, 0.0, 1e-320, 0.3, 1.0, 2.0])
     def test_score_clamp_equals_np_clip(self, x):
@@ -245,7 +254,7 @@ class TestCorrupt:
     @given(_noise, st.integers(0, 1000), st.integers(1, 12))
     def test_equals_scalar_draw_oracle_on_simulated_gt(self, noise, seed, agents):
         gt, _ = simulate(ScenarioConfig(agent_count=agents, duration=8, seed=seed))
-        assert _detection_fields(corrupt(gt, noise)) == \
+        assert _detection_fields(_numbered_pairs(corrupt(gt, noise))) == \
             _detection_fields(corrupt_loop(gt, noise))
 
     @settings(max_examples=60, deadline=None)
@@ -253,7 +262,7 @@ class TestCorrupt:
     def test_equals_scalar_draw_oracle_on_float_gt(self, noise, rows):
         gt = [AnnotationRecord(f, i + 1, BBox(x, y, w, h))
               for i, (f, x, y, w, h) in enumerate(rows)]
-        assert _detection_fields(corrupt(gt, noise)) == \
+        assert _detection_fields(_numbered_pairs(corrupt(gt, noise))) == \
             _detection_fields(corrupt_loop(gt, noise))
 
     def test_invalid_noise_rejected(self):

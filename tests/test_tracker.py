@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from headtrack.geometry import BBox, iou, iou_matrix, ltwh_array
+from headtrack.motio import AnnotationRecord
 from headtrack.tracker import (
-    Detection,
     KalmanModel,
     Mode,
     TrackOutput,
@@ -34,12 +34,13 @@ def tracks_at(*boxes):
 
 
 def det(left, top, w=10, h=10, score=0.9):
-    return Detection(BBox(left, top, w, h), score)
+    """A detection record; the tracker reads only its box and confidence."""
+    return AnnotationRecord(1, 1, BBox(left, top, w, h), confidence=score)
 
 
 def det_rows(dets):
     """The (M, 4) ltwh rows and (M,) scores of a list of detections."""
-    return ltwh_array(d.bbox for d in dets), np.array([d.score for d in dets])
+    return ltwh_array(d.bbox for d in dets), np.array([d.confidence for d in dets])
 
 
 class TestHungarian:
@@ -413,6 +414,21 @@ class TestLifecycle:
         with pytest.raises(TrackerError):
             t.step(3, [])
 
+    @pytest.mark.parametrize("score", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, score):
+        t = Tracker(TrackerConfig(n_init=1))
+        t.step(1, [det(0, 0)])
+        with pytest.raises(TrackerError, match="^detection score must be finite$"):
+            t.step(2, [det(0, 0), det(40, 0, score=score)])
+        # the rejected frame changed nothing: it can be stepped again
+        assert [o.track_id for o in t.step(2, [det(0, 0)])] == [1]
+
+    def test_record_frame_and_id_are_not_read(self):
+        frames = random_frames(3)
+        renumbered = {f: [AnnotationRecord(99, 7, d.bbox, confidence=d.confidence) for d in ds]
+                      for f, ds in frames.items()}
+        assert run_tracker(renumbered) == run_tracker(frames)
+
     def test_low_score_ignored_in_sort_mode(self):
         t = Tracker(TrackerConfig(n_init=1))
         out = t.step(1, [det(0, 0, score=0.3)])
@@ -488,9 +504,9 @@ def _stacked(tracks):
 def oracle_byte_associate(tracks, dets, cfg):
     """Two-stage association over lists of tracks and detections, with
     `oracle_associate` for each stage."""
-    high_idx = [i for i, d in enumerate(dets) if d.score >= cfg.high_score_thresh]
+    high_idx = [i for i, d in enumerate(dets) if d.confidence >= cfg.high_score_thresh]
     low_idx = [i for i, d in enumerate(dets)
-               if cfg.low_score_thresh <= d.score < cfg.high_score_thresh]
+               if cfg.low_score_thresh <= d.confidence < cfg.high_score_thresh]
     m1, remaining, um1 = oracle_associate([t.bbox for t in tracks],
                                           [dets[i].bbox for i in high_idx], cfg)
     matches = [(ti, high_idx[di]) for ti, di in m1]
@@ -531,7 +547,7 @@ class OracleTracker:
                 self.tracks, detections, self.cfg)
         else:
             keep = [i for i, d in enumerate(detections)
-                    if d.score >= self.cfg.high_score_thresh]
+                    if d.confidence >= self.cfg.high_score_thresh]
             sub, unmatched_tracks, sub_dets = oracle_associate(
                 [t.bbox for t in self.tracks], [detections[i].bbox for i in keep], self.cfg)
             matches = [(ti, keep[di]) for ti, di in sub]
@@ -553,7 +569,7 @@ class OracleTracker:
             elif t.status is TrackStatus.lost:
                 t.status = TrackStatus.confirmed
             if t.status is TrackStatus.confirmed or warm_up:
-                outputs.append(TrackOutput(frame, t.track_id, d.bbox, d.score))
+                outputs.append(TrackOutput(frame, t.track_id, d.bbox, d.confidence))
 
         for ti in unmatched_tracks:
             t = self.tracks[ti]
@@ -570,7 +586,7 @@ class OracleTracker:
             self.tracks.append(TrackState(self._next_id, *self.kalman.initiate(d.bbox)))
             self._next_id += 1
             if warm_up:  # emit fresh tracks too
-                outputs.append(TrackOutput(frame, self.tracks[-1].track_id, d.bbox, d.score))
+                outputs.append(TrackOutput(frame, self.tracks[-1].track_id, d.bbox, d.confidence))
 
         self.tracks = [t for t in self.tracks if t.status is not TrackStatus.removed]
         return sorted(outputs, key=lambda o: o.track_id)
@@ -594,9 +610,9 @@ def detection_sequences(draw):
     frames, frame = {}, int(rng.integers(1, 50))
     for _ in range(n_frames):
         pos = pos + vel
-        dets = [Detection(BBox(*(p + rng.normal(0, 1, 2)), s, s), score(rng))
+        dets = [det(*(p + rng.normal(0, 1, 2)), s, s, score(rng))
                 for p, s in zip(pos, size) if rng.random() >= miss]
-        dets += [Detection(BBox(*rng.uniform(0, 140, 2), *rng.uniform(5, 25, 2)), score(rng))
+        dets += [det(*rng.uniform(0, 140, 2), *rng.uniform(5, 25, 2), score(rng))
                  for _ in range(rng.poisson(clutter))]
         frames[frame] = [dets[i] for i in rng.permutation(len(dets))]
         frame += int(rng.integers(1, 4))
