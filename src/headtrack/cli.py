@@ -39,6 +39,14 @@ def _write_manifest(out_path, command: str, args: argparse.Namespace) -> None:
     Path(str(out_path) + ".manifest.json").write_text(json.dumps(manifest, indent=2))
 
 
+def _check_out_dirs(*paths) -> None:
+    """Fail before any compute or write when an output's directory is
+    missing, so that a failed command leaves no partial output."""
+    for p in paths:
+        if p is not None and not Path(p).parent.is_dir():
+            raise InputError(f"no such directory: {Path(p).parent}")
+
+
 def _read_records(path, order: FieldOrder):
     p = Path(path)
     if not p.exists():
@@ -59,6 +67,7 @@ def _config(path, cls, **overrides):
 
 
 def cmd_track(args) -> int:
+    _check_out_dirs(args.out)
     cfg = _config(args.config, TrackerConfig, mode=args.mode)
     records = _read_records(args.dets, FieldOrder(args.order))
     frames: dict[int, list[AnnotationRecord]] = {}
@@ -71,6 +80,7 @@ def cmd_track(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    _check_out_dirs(args.out)
     order = FieldOrder(args.order)
     gt_p, pred_p = Path(args.gt), Path(args.pred)
     if gt_p.is_dir() != pred_p.is_dir():
@@ -129,6 +139,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_gen_scenario(args) -> int:
+    _check_out_dirs(args.out_gt, args.out_dets)
     scen = _config(args.config, ScenarioConfig, seed=args.seed)
     noise = _config(args.noise, NoiseModel, seed=args.seed)
     gt, meta = simulate.simulate(scen)
@@ -191,6 +202,7 @@ def cmd_fuse_demo(args) -> int:
 
 
 def cmd_resample(args) -> int:
+    _check_out_dirs(args.out)
     records = _read_records(args.ann, FieldOrder(args.order))
     if args.factor < 1:
         raise ConfigError(f"factor must be >= 1, got {args.factor}")

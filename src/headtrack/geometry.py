@@ -95,15 +95,25 @@ def _overlap_array(lo_a: np.ndarray, len_a: np.ndarray,
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """IoU of every row of a (N, 4) with every row of b (M, 4), both ltwh: an
-    (N, M) array whose every entry is bit-identical to `iou` of that pair."""
-    al, at, aw, ah = np.asarray(a, dtype=np.float64).T[:, :, None]
-    bl, bt, bw, bh = np.asarray(b, dtype=np.float64).T[:, None, :]
+    (N, M) array whose every entry is bit-identical to `iou` of that pair.
+    Only pairs whose extents meet on both axes can have a positive `_overlap`
+    on both, so only they get the exact arithmetic; the rest are 0 / union,
+    which is +0.0 for valid boxes (union > 0 or inf)."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    al, at, aw, ah = a.T
+    bl, bt, bw, bh = b.T
+    i, j = np.nonzero((al[:, None] <= bl + bw) & (bl <= (al + aw)[:, None])
+                      & (at[:, None] <= bt + bh) & (bt <= (at + ah)[:, None]))
+    al, at, aw, ah = a[i].T
+    bl, bt, bw, bh = b[j].T
     w = _overlap_array(al, aw, bl, bw)
     h = _overlap_array(at, ah, bt, bh)
     area_a, area_b = aw * ah, bw * bh
     inter = np.where((w > 0) & (h > 0),
                      np.minimum(np.minimum(w * h, area_a), area_b), 0.0)
-    return inter / (area_a + area_b - inter)
+    out = np.zeros((len(a), len(b)))
+    out[i, j] = inter / (area_a + area_b - inter)
+    return out
 
 
 def aspect_ratio(b: BBox) -> float:

@@ -491,8 +491,8 @@ class TestFuseDemo:
         assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["gen-scenario", "track", "evaluate", "resample",
-                                     "fuse-demo", "gen-motion"])
+@pytest.mark.parametrize("command", ["gen-scenario", "gen-scenario-dets", "track", "evaluate",
+                                     "resample", "fuse-demo", "gen-motion"])
 def test_unwritable_output_is_input_error(tmp_path, capsys, command):
     ann, stack, frames = tmp_path / "a.txt", tmp_path / "stack", tmp_path / "frames"
     ann.write_text("1,1,0,0,10,10,0.9,1,1\n1,2,1,0,10,10,0.9,1,1\n")
@@ -502,14 +502,18 @@ def test_unwritable_output_is_input_error(tmp_path, capsys, command):
     missing = str(tmp_path / "nodir" / "out.txt")
     args = {
         "gen-scenario": ["--out-gt", missing],
+        "gen-scenario-dets": ["--out-gt", str(tmp_path / "gt.txt"), "--out-dets", missing],
         "track": ["--dets", str(ann), "--out", missing],
         "evaluate": ["--gt", str(ann), "--pred", str(ann), "--out", missing],
         "resample": ["--ann", str(ann), "--factor", "2", "--out", missing],
         "fuse-demo": ["--stack-dir", str(stack), "--out", missing],
         "gen-motion": ["--frames-dir", str(frames), "--out-dir", str(ann / "sub")],  # under a file
     }[command]
-    assert run(command, *args) == EXIT_INPUT
-    assert capsys.readouterr().err.startswith("error:")
+    before = sorted(tmp_path.rglob("*"))
+    assert run(command.removesuffix("-dets"), *args) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert err.startswith("error:") and out == ""
+    assert sorted(tmp_path.rglob("*")) == before    # nothing written, not even in part
 
 
 class TestParser:
