@@ -7,7 +7,7 @@ tracks in a second pass and keeps identities alive.
 """
 from headtrack.metrics import MotReport, evaluate
 from headtrack.simulate import NoiseModel, ScenarioConfig, corrupt, simulate
-from headtrack.tracker import Mode, TrackerConfig, outputs_to_records, run_tracker
+from headtrack.tracker import Mode, TrackerConfig, run_tracker
 
 scenario = ScenarioConfig(agent_count=25, duration=250, arena=(360, 280),
                           head_size_range=(18.0, 28.0), speed_range=(1.0, 3.0),
@@ -29,8 +29,8 @@ print(f"detections: {n_dets} total, {n_low} below the high-score threshold "
 print()
 print(MotReport.header("mode"))
 for mode in (Mode.sort, Mode.byte):
-    outputs = run_tracker(detections, TrackerConfig(mode=mode, max_age=8))
-    report = evaluate(gt, outputs_to_records(outputs))
+    rows = run_tracker(detections, TrackerConfig(mode=mode, max_age=8))
+    report = evaluate(gt, rows)
     print(report.format_row(mode.value))
 
 print("\nbyte mode recovers the occluded low-score boxes: fewer ID switches,")

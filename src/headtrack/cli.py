@@ -18,7 +18,7 @@ from .fusion import FusionConfig, FusionError, FusionParams, forward
 from .metrics import MetricsError, MotReport, evaluate, report, sequence_counts
 from .motio import AnnotationError, AnnotationRecord, ConfigError, FieldOrder
 from .simulate import NoiseModel, ScenarioConfig
-from .tracker import Mode, TrackerConfig, outputs_to_records, run_tracker
+from .tracker import Mode, TrackerConfig, run_tracker
 
 EXIT_INPUT = 2
 EXIT_CONFIG = 3
@@ -73,8 +73,7 @@ def cmd_track(args) -> int:
     frames: dict[int, list[AnnotationRecord]] = {}
     for r in records:
         frames.setdefault(r.frame, []).append(r)
-    motio.write_annotation_file(args.out, outputs_to_records(run_tracker(frames, cfg)),
-                                FieldOrder(args.order))
+    motio.write_annotation_file(args.out, run_tracker(frames, cfg), FieldOrder(args.order))
     _write_manifest(args.out, "track", args)
     return 0
 

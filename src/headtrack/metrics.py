@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .tracker import hungarian
 DEFAULT_IOU_THRESHOLD = 0.5
 MT_COVERAGE = 0.8
 ML_COVERAGE = 0.2
+_LTWH = attrgetter("left", "top", "width", "height")
 
 
 class MetricsError(ValueError):
@@ -166,18 +167,22 @@ def detection_ap(gt: dict[int, list[BBox]], preds: list[tuple[int, float, BBox]]
                  iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> float:
     """AP at the given IoU threshold with 101-point interpolation.
 
-    gt maps frame -> boxes; preds are (frame, score, bbox) triples.
+    gt maps frame -> boxes; preds are (frame, score, bbox) triples. Ties go by
+    content: preds rank by (-score, frame, left, top, width, height), and each
+    frame's gt boxes are matched in (left, top, width, height) order.
     """
     n_gt = sum(len(v) for v in gt.values())
     if n_gt == 0:
         raise MetricsError("empty ground truth")
-    order = sorted(range(len(preds)), key=lambda i: (-preds[i][1], preds[i][0], i))
+    order = sorted(range(len(preds)),
+                   key=lambda i: (-preds[i][1], preds[i][0], *_LTWH(preds[i][2])))
     ranked: dict[int, list[int]] = {}   # frame -> its preds, best first
     for i in order:
         ranked.setdefault(preds[i][0], []).append(i)
     tp = np.zeros(len(preds), dtype=bool)
     for frame, idx in ranked.items():
-        ious = iou_matrix(ltwh_array(preds[i][2] for i in idx), ltwh_array(gt.get(frame, [])))
+        ious = iou_matrix(ltwh_array(preds[i][2] for i in idx),
+                          ltwh_array(sorted(gt.get(frame, []), key=_LTWH)))
         for i, row in zip(idx, ious):
             if row.size and 0 < row.max() >= iou_threshold:
                 ious[:, row.argmax()] = 0.0   # a gt box is matched at most once

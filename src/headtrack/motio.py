@@ -55,6 +55,10 @@ class AnnotationRecord:
         if self.track_id < 1:
             raise AnnotationError(f"track_id must be >= 1, got {self.track_id}")
 
+    def _replace(self, **changes) -> AnnotationRecord:
+        """`dataclasses.replace`; benchmarks/selftest.py calls it on a tracker row."""
+        return dataclasses.replace(self, **changes)
+
 
 @dataclass(frozen=True)
 class SequenceMeta:

@@ -95,7 +95,6 @@ class KalmanModel:
         self.F = np.eye(8) if F is None else np.asarray(F, dtype=np.float64)
         if F is None:
             self.F[:4, 4:] = np.eye(4)
-        self.H = np.eye(4, 8)
         self.Q = Q if Q is None else np.asarray(Q, dtype=np.float64)
         self.R = R if R is None else np.asarray(R, dtype=np.float64)
 
@@ -135,15 +134,16 @@ class KalmanModel:
         rows for mean (N, 8)."""
         z = _ltwh_to_z(measurement)
         R = self._obs_noise(mean[..., 3])
-        H = self.H
-        S = H @ cov @ H.T + R
+        # H = [I 0], so H @ cov @ H.T, cov @ H.T, H @ mean and K @ H are slices
+        S = cov[..., :4, :4] + R
         try:
             K = np.linalg.solve(S.swapaxes(-1, -2),
-                                (cov @ H.T).swapaxes(-1, -2)).swapaxes(-1, -2)
+                                cov[..., :, :4].swapaxes(-1, -2)).swapaxes(-1, -2)
         except np.linalg.LinAlgError as e:
             raise TrackerError(f"singular innovation covariance: {e}") from None
-        mean = mean + _mv(K, z - _mv(H, mean))
-        ikh = np.eye(8) - K @ H
+        mean = mean + _mv(K, z - mean[..., :4])
+        ikh = np.tile(np.eye(8), K.shape[:-2] + (1, 1))
+        ikh[..., :4] -= K
         # Joseph form keeps PSD
         cov = ikh @ cov @ ikh.swapaxes(-1, -2) + K @ R @ K.swapaxes(-1, -2)
         return mean, _sym(cov)
@@ -205,13 +205,6 @@ def byte_associate(tracks: np.ndarray, dets: np.ndarray, scores: np.ndarray,
     return Assignment(sorted(matches), sorted(unmatched_tracks), sorted(spawnable))
 
 
-class TrackOutput(NamedTuple):
-    frame: int
-    track_id: int
-    bbox: BBox
-    score: float
-
-
 class Tracker:
     """Single-sequence tracker; step() must be called with increasing frames.
 
@@ -235,13 +228,13 @@ class Tracker:
         self._first_frame: int | None = None
         self._last_frame = 0
 
-    def step(self, frame: int, detections: Sequence[AnnotationRecord]) -> list[TrackOutput]:
+    def step(self, frame: int, detections: Sequence[AnnotationRecord]) -> list[AnnotationRecord]:
         """Predict, associate, update, and run the track lifecycle for one frame.
 
         Reads each detection record's `bbox` and `confidence` (the score), not
-        its `frame` or `track_id`. Returns outputs for tracks matched this frame
-        that are confirmed (or inside the warm-up: frame numbers less than n_init
-        after the first frame this tracker stepped).
+        its `frame` or `track_id`. Returns, in id order, a track-file record (the
+        detection's `bbox` and `confidence`, category 1) per matched confirmed
+        track, and per matched or spawned track while frame - first frame < n_init.
         """
         if frame <= self._last_frame:
             raise TrackerError(f"out-of-order frame {frame} (last {self._last_frame})")
@@ -297,22 +290,20 @@ class Tracker:
         self.age = np.concatenate([self.age[keep], np.zeros(n, dtype=np.int64)])
         self.confirmed = np.concatenate([self.confirmed[keep], np.zeros(n, dtype=bool)])
         # matched tracks come in id order, and every spawned id is larger
-        return [TrackOutput(frame, i, detections[d].bbox, detections[d].confidence)
+        return [AnnotationRecord(frame, i, detections[d].bbox, detections[d].confidence)
                 for i, d in zip(out_ids.tolist(), out_dets.tolist())]
 
 
 def run_tracker(frames: dict[int, list[AnnotationRecord]],
-                cfg: TrackerConfig | None = None) -> list[TrackOutput]:
+                cfg: TrackerConfig | None = None) -> list[AnnotationRecord]:
     """Track a whole sequence given per-frame detections keyed by frame index."""
     tracker = Tracker(cfg)
-    out: list[TrackOutput] = []
+    out: list[AnnotationRecord] = []
     for frame in sorted(frames):
         out.extend(tracker.step(frame, frames[frame]))
     return out
 
 
-def outputs_to_records(outputs: list[TrackOutput]) -> list[AnnotationRecord]:
-    """Serialize tracker outputs as annotation records (category 1, full visibility)."""
-    return [AnnotationRecord(o.frame, o.track_id, o.bbox,
-                             confidence=o.score, category=1, visibility=1.0)
-            for o in outputs]
+def outputs_to_records(rows: list[AnnotationRecord]) -> list[AnnotationRecord]:
+    """The rows unchanged: only benchmarks/{workloads,baseline,selftest}.py call it."""
+    return rows

@@ -50,7 +50,6 @@ from headtrack.tracker import (
     Mode,
     TrackerConfig,
     hungarian,
-    outputs_to_records,
     run_tracker,
 )
 
@@ -295,7 +294,7 @@ def test_07_pipeline_law_zero_noise(capsys):
         gt, _ = simulate(ScenarioConfig(agent_count=20, duration=200, seed=seed))
         dets = corrupt(gt, NoiseModel(seed=seed))
         out = run_tracker(dets, TrackerConfig())
-        r = evaluate(gt, outputs_to_records(out))
+        r = evaluate(gt, out)
         ok = ok and r.MOTA == 1.0 and r.IDF1 == 1.0 and r.IDs == 0
         details.append(f"seed{seed}: MOTA={r.MOTA:.3f} IDF1={r.IDF1:.3f} IDs={r.IDs}")
     elapsed = time.monotonic() - start
@@ -321,7 +320,7 @@ def test_08_two_stage_recovery_property(capsys):
         results = {}
         for mode in (Mode.sort, Mode.byte):
             out = run_tracker(dets, TrackerConfig(mode=mode, max_age=8))
-            results[mode] = evaluate(gt, outputs_to_records(out))
+            results[mode] = evaluate(gt, out)
         s, b = results[Mode.sort], results[Mode.byte]
         ok = ok and b.IDs < s.IDs and b.IDF1 > s.IDF1
         details.append(f"seed{seed}: sort IDs={s.IDs}/IDF1={s.IDF1:.3f} "

@@ -12,10 +12,14 @@ def test_benchmark_selftest_passes():
     """The benchmark's own checks hold: a golden digest catches a perturbed
     tracker row, a failing job counts as failed, and tracing restores every
     function it replaced while it reads the tracker's live-track count and
-    association sizes."""
+    association sizes. The perturbed row must fail by its digest: a perturbation
+    that raised would fail the job too, without testing the digest."""
     proc = subprocess.run([sys.executable, "benchmarks/selftest.py"], cwd=ROOT,
                           capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    output = proc.stdout + proc.stderr
+    assert proc.returncode == 0, output[-4000:]
+    assert "digest differs from the golden digest" in output, output[-4000:]
+    assert "AttributeError" not in output, output[-4000:]
 
 
 @pytest.mark.parametrize("workload,seed", [("dense90_byte", 0), ("sparse20_cli", 0),

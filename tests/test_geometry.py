@@ -205,7 +205,7 @@ def _pipeline(seed):
         gt_boxes.setdefault(r.frame, []).append(r.bbox)
     ap = metrics.detection_ap(gt_boxes, [(f, r.confidence, r.bbox)
                                          for f, recs in dets.items() for r in recs])
-    return dets, rows, metrics.evaluate(gt, tracker.outputs_to_records(rows)), ap
+    return dets, rows, metrics.evaluate(gt, rows), ap
 
 
 @pytest.mark.parametrize("seed", [0, 7])

@@ -221,9 +221,16 @@ def test_id_assignment_equals_padded_oracle(overlap, extra, lone_gt, lone_pred):
     assert _id_assignment(Counter(overlap)) == padded_idtp(overlap, gt_len, pred_len)
 
 
+def ltwh(b):
+    return b.left, b.top, b.width, b.height
+
+
 def detection_ap_loop(gt, preds, thr=0.5):
-    """The scalar oracle: greedy matching in score order, one `iou` at a time."""
-    order = sorted(range(len(preds)), key=lambda i: (-preds[i][1], preds[i][0], i))
+    """The scalar oracle: greedy matching in score order, one `iou` at a time,
+    with ties broken by box content."""
+    order = sorted(range(len(preds)),
+                   key=lambda i: (-preds[i][1], preds[i][0], *ltwh(preds[i][2])))
+    gt = {f: sorted(boxes, key=ltwh) for f, boxes in gt.items()}
     matched = {f: set() for f in gt}
     flags = []
     for i in order:
@@ -262,7 +269,33 @@ def test_detection_ap_equals_scalar_loop(gt, data, thr):
     assert detection_ap(gt, preds, thr) == detection_ap_loop(gt, preds, thr)
 
 
+@settings(max_examples=200, deadline=None)
+@given(gt=st.dictionaries(st.integers(1, 2), st.lists(GRID_BOX, min_size=1, max_size=4),
+                          min_size=1),
+       preds=st.lists(st.tuples(st.integers(1, 2), st.sampled_from([0.2, 0.5, 0.9]), GRID_BOX),
+                      max_size=10),
+       thr=st.sampled_from([0.1, 0.5, 0.75]), rnd=st.randoms(use_true_random=False))
+def test_detection_ap_independent_of_input_order(gt, preds, thr, rnd):
+    """Grid boxes and three score levels make tied scores and tied IoUs."""
+    want = detection_ap(gt, preds, thr)
+    shuffled_gt = {f: rnd.sample(boxes, len(boxes)) for f, boxes in gt.items()}
+    assert detection_ap(shuffled_gt, rnd.sample(preds, len(preds)), thr) == want
+
+
 class TestDetectionAp:
+    @pytest.mark.parametrize("scores,expect", [((0.5, 0.5), 1.0), ((0.9, 0.5), 51 / 101)],
+                             ids=["equal-scores", "left-2-higher"])
+    def test_ties_ignore_input_order(self, scores, expect):
+        """The prediction at left 2 meets both gt boxes at IoU 2/3; the one at
+        left 0 clears the threshold only on its twin. At equal scores the
+        left-0 prediction ranks first and both match; scored higher, the
+        left-2 one takes the left-0 gt box and the other misses. Either way,
+        in every order of either list."""
+        gt = [BBox(0, 0, 10, 10), BBox(4, 0, 10, 10)]
+        preds = [(1, scores[0], BBox(2, 0, 10, 10)), (1, scores[1], BBox(0, 0, 10, 10))]
+        for g, p in itertools.product((gt, gt[::-1]), (preds, preds[::-1])):
+            assert detection_ap({1: g}, p) == pytest.approx(expect)
+
     def test_interpolated_fixture(self):
         # flags (TP, FP, TP) over 2 gt boxes: precision envelope is 1.0 up
         # to recall 0.5 and 2/3 beyond, so AP = (51 + 50 * 2/3) / 101

@@ -182,8 +182,8 @@ def relabelling(a, b):
     """The one-to-one map from a's track ids to b's under which the two
     tracker outputs are equal, or None. Rows are keyed by (frame, box, score):
     real-valued simulated detections never repeat within a frame."""
-    rows_a = {(o.frame, o.bbox, o.score): o.track_id for o in a}
-    rows_b = {(o.frame, o.bbox, o.score): o.track_id for o in b}
+    rows_a = {(o.frame, o.bbox, o.confidence): o.track_id for o in a}
+    rows_b = {(o.frame, o.bbox, o.confidence): o.track_id for o in b}
     if len(rows_a) != len(a) or rows_a.keys() != rows_b.keys():
         return None
     ids = {}

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -13,11 +14,11 @@ from headtrack.motio import AnnotationRecord
 from headtrack.tracker import (
     KalmanModel,
     Mode,
-    TrackOutput,
     Tracker,
     TrackerConfig,
     TrackerError,
     _ltwh_to_z,
+    _mv,
     _z_to_ltwh,
     associate,
     byte_associate,
@@ -165,18 +166,63 @@ def oracle_predict(km, mean, cov):
     return mean, (cov + cov.T) / 2.0
 
 
+H = np.eye(4, 8)  # the observation matrix: the filter observes (cx, cy, aspect, height)
+
+
 def oracle_update(km, mean, cov, b):
     """The per-track update, one (8,) state and one box at a time."""
     z = np.array([b.left + b.width / 2.0, b.top + b.height / 2.0, b.width / b.height,
                   b.height])
     p = km.STD_POS * mean[3]
     R = oracle_noise(km.R, [p, p, 1e-1, p])
-    S = km.H @ cov @ km.H.T + R
-    K = np.linalg.solve(S.T, (cov @ km.H.T).T).T
-    mean = mean + K @ (z - km.H @ mean)
-    ikh = np.eye(8) - K @ km.H
+    S = H @ cov @ H.T + R
+    K = np.linalg.solve(S.T, (cov @ H.T).T).T
+    mean = mean + K @ (z - H @ mean)
+    ikh = np.eye(8) - K @ H
     cov = ikh @ cov @ ikh.T + K @ R @ K.T
     return mean, (cov + cov.T) / 2.0
+
+
+def matmul_update(km, mean, cov, measurement):
+    """The batched update with H multiplied out, over any leading batch
+    dimensions: the oracle of `KalmanModel.update`, which slices instead."""
+    z = _ltwh_to_z(measurement)
+    R = km._obs_noise(mean[..., 3])
+    S = H @ cov @ H.T + R
+    K = np.linalg.solve(S.swapaxes(-1, -2), (cov @ H.T).swapaxes(-1, -2)).swapaxes(-1, -2)
+    mean = mean + _mv(K, z - _mv(H, mean))
+    ikh = np.eye(8) - K @ H
+    cov = ikh @ cov @ ikh.swapaxes(-1, -2) + K @ R @ K.swapaxes(-1, -2)
+    return mean, (cov + cov.swapaxes(-1, -2)) / 2.0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow, and inf * 0 in the oracle
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 119), exponent=st.floats(-3, 160), seed=st.integers(0, 2 ** 32 - 1))
+def test_sliced_update_equals_matmul_update(n, exponent, seed):
+    """n = 0 filters one unbatched (8,) state. Boxes span 1e-3 to 1e160
+    pixels; from about 1e153 the predicted covariance overflows. A state that
+    is not finite before the update has a non-finite mean after either form
+    (the sliced one leaves the aspect finite where 0 * inf makes the oracle's
+    nan), so the tracker drops the same tracks; every finite state matches bit
+    for bit."""
+    rng = np.random.default_rng(seed)
+    km, shape, scale = KalmanModel(), (n,) if n else (), 10.0 ** exponent
+    box = np.stack([rng.uniform(-20, 60, shape), rng.uniform(-20, 60, shape),
+                    rng.uniform(1, 20, shape), rng.uniform(1, 20, shape)], axis=-1) * scale
+    mean, cov = km.initiate(box)
+    mean[..., 4:6] = rng.normal(0.0, 2.0, shape + (2,)) * scale
+    for _ in range(3):
+        mean, cov = km.predict(mean, cov)
+        meas = box + rng.normal(0.0, 2.0, box.shape) * scale
+        got, want = km.update(mean, cov, meas), matmul_update(km, mean, cov, meas)
+        assert got[0].shape == mean.shape and got[1].shape == cov.shape
+        finite = np.isfinite(mean).all(axis=-1) & np.isfinite(cov).all(axis=(-2, -1))
+        for g, w in zip(got, want):
+            assert np.array_equal(g[finite], w[finite], equal_nan=True)
+        assert np.array_equal(np.isfinite(got[0]).all(axis=-1),
+                              np.isfinite(want[0]).all(axis=-1))
+        mean, cov = got
 
 
 def filter_both(km, boxes, seed, cycles):
@@ -461,13 +507,21 @@ class TestSequences:
         for recs in by_id.values():
             assert len(recs) >= 28
 
-    def test_outputs_to_records(self):
-        out = run_tracker(random_frames(4))
-        recs = outputs_to_records(out)
-        assert len(recs) == len(out)
-        assert recs[0].frame == out[0].frame
-        assert recs[0].bbox == out[0].bbox
-        assert all(r.category == 1 for r in recs[:10])
+    def test_rows_are_track_file_records(self):
+        """A row is the record a track file holds: category 1 and visibility
+        1.0 whatever the detection's, and the matched detection's own `bbox`
+        object and confidence."""
+        frames = {f: [dataclasses.replace(d, confidence=np.float64(d.confidence),
+                                          category=2, visibility=0.4) for d in dets]
+                  for f, dets in random_frames(4).items()}
+        rows = run_tracker(frames)
+        assert len(rows) > 100
+        for r in rows:
+            [d] = [d for d in frames[r.frame] if d.bbox is r.bbox]
+            assert type(r) is AnnotationRecord
+            assert (r.category, r.visibility) == (1, 1.0)
+            assert r.confidence is d.confidence
+        assert outputs_to_records(rows) == rows
 
 
 class TrackStatus(Enum):
@@ -569,7 +623,7 @@ class OracleTracker:
             elif t.status is TrackStatus.lost:
                 t.status = TrackStatus.confirmed
             if t.status is TrackStatus.confirmed or warm_up:
-                outputs.append(TrackOutput(frame, t.track_id, d.bbox, d.confidence))
+                outputs.append(AnnotationRecord(frame, t.track_id, d.bbox, d.confidence))
 
         for ti in unmatched_tracks:
             t = self.tracks[ti]
@@ -586,7 +640,8 @@ class OracleTracker:
             self.tracks.append(TrackState(self._next_id, *self.kalman.initiate(d.bbox)))
             self._next_id += 1
             if warm_up:  # emit fresh tracks too
-                outputs.append(TrackOutput(frame, self.tracks[-1].track_id, d.bbox, d.confidence))
+                outputs.append(AnnotationRecord(frame, self.tracks[-1].track_id, d.bbox,
+                                                d.confidence))
 
         self.tracks = [t for t in self.tracks if t.status is not TrackStatus.removed]
         return sorted(outputs, key=lambda o: o.track_id)
