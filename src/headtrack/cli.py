@@ -41,10 +41,13 @@ def _write_manifest(out_path, command: str, args: argparse.Namespace) -> None:
 
 def _check_out_dirs(*paths) -> None:
     """Fail before any compute or write when an output's directory is
-    missing, so that a failed command leaves no partial output."""
-    for p in paths:
-        if p is not None and not Path(p).parent.is_dir():
-            raise InputError(f"no such directory: {Path(p).parent}")
+    missing or the output is itself a directory, so that a failed command
+    leaves no partial output."""
+    for p in [Path(p) for p in paths if p]:
+        if p.is_dir():
+            raise InputError(f"output is a directory: {p}")
+        if not p.parent.is_dir():
+            raise InputError(f"no such directory: {p.parent}")
 
 
 def _read_records(path, order: FieldOrder):
@@ -185,6 +188,7 @@ def cmd_gen_motion(args) -> int:
 
 
 def cmd_fuse_demo(args) -> int:
+    _check_out_dirs(args.out)
     stack = maps.source_stack({name: maps.load_map(Path(args.stack_dir) / f"{name}.bin")
                                for name in maps.SOURCE_SLICES})
     params = FusionParams(FusionConfig(seed=args.seed or 0))

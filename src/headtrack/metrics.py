@@ -80,9 +80,9 @@ def match_frame(gt: list[tuple[int, BBox]], pred: list[tuple[int, BBox]],
     if free_gt and free_pred:
         if ious is None:
             ious = iou_matrix(ltwh_array(b for _, b in gt), ltwh_array(b for _, b in pred))
-        cost = 1.0 - ious[np.ix_(free_gt, free_pred)]
-        for i, j in hungarian(cost).matches:
-            if cost[i, j] <= 1.0 - thr:
+        free = ious[np.ix_(free_gt, free_pred)]
+        for i, j in hungarian(1.0 - free).matches.tolist():
+            if free[i, j] >= thr:
                 pairs[gt_ids[free_gt[i]]] = pred_ids[free_pred[j]]
 
     for g, p in pairs.items():
@@ -147,7 +147,8 @@ def _id_assignment(overlap: Counter) -> int:
     ov = np.zeros((len(g_row), len(p_col)), dtype=np.int64)
     for (g, p), n in overlap.items():
         ov[g_row[g], p_col[p]] = n
-    return sum(int(ov[i, j]) for i, j in hungarian(-ov).matches)
+    rows, cols = hungarian(-ov).matches.T
+    return int(ov[rows, cols].sum())
 
 
 def id_metrics(gt: list[AnnotationRecord], pred: list[AnnotationRecord],

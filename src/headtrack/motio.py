@@ -69,8 +69,8 @@ class SequenceMeta:
     view: str  # "slope" or "overhead"
 
     def __post_init__(self):
-        if self.fps <= 0:
-            raise ValueError("fps must be positive")
+        if not self.fps > 0:
+            raise ValueError(f"fps must be positive, got {self.fps}")
         if self.frame_count < 1:
             raise ValueError("frame_count must be >= 1")
         if self.view not in ("slope", "overhead"):
@@ -349,17 +349,19 @@ def read_config(path, cls, **overrides):
 
 def read_sequence_meta(path) -> SequenceMeta:
     """Read a key=value metadata file with keys name, fps, frames, width, height, view."""
-    kv = read_kv(path)
+    kv, v = read_kv(path), {}
+    for key, parse in (("name", str), ("fps", float), ("frames", int),
+                       ("width", int), ("height", int), ("view", str)):
+        if key not in kv:
+            raise AnnotationError(f"missing metadata key {key!r}")
+        try:
+            v[key] = parse(kv[key])
+        except ValueError as e:
+            raise AnnotationError(f"{path}: {key}={kv[key]!r}: {e}") from None
     try:
-        return SequenceMeta(
-            name=kv["name"],
-            fps=float(kv["fps"]),
-            frame_count=int(kv["frames"]),
-            resolution=(int(kv["width"]), int(kv["height"])),
-            view=kv["view"],
-        )
-    except KeyError as e:
-        raise AnnotationError(f"missing metadata key {e}") from None
+        return SequenceMeta(v["name"], v["fps"], v["frames"], (v["width"], v["height"]), v["view"])
+    except ValueError as e:
+        raise AnnotationError(f"{path}: {e}") from None
 
 
 def write_sequence_meta(path, meta: SequenceMeta) -> None:

@@ -48,7 +48,7 @@ class ScenarioConfig:
                            "with head size low squared > 0")
         if self.duration < 1:
             raise SimError("duration must be >= 1")
-        if not 0 <= self.heading_sigma <= MAX_HEADING_SIGMA or self.seed < 0 or self.fps <= 0:
+        if not 0 <= self.heading_sigma <= MAX_HEADING_SIGMA or self.seed < 0 or not self.fps > 0:
             raise SimError(f"need 0 <= heading_sigma <= {MAX_HEADING_SIGMA:g}, seed >= 0, fps > 0")
         w, h = self.arena
         if min(w, h) < s1 or w * h < self.agent_count * s1 * s1:

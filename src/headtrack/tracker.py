@@ -150,38 +150,32 @@ class KalmanModel:
 
 
 class Assignment(NamedTuple):
-    matches: list[tuple[int, int]]      # (track index, detection index)
-    unmatched_tracks: list[int]
-    unmatched_dets: list[int]
+    matches: np.ndarray           # (K, 2) intp (track index, detection index), rows ascending
+    unmatched_tracks: np.ndarray  # ascending intp
+    unmatched_dets: np.ndarray    # ascending intp
+
+
+def _assignment(matches: np.ndarray, n: int, m: int) -> Assignment:
+    """(K, 2) matches into range(n) x range(m), with the indices they leave out."""
+    free_rows, free_cols = np.ones(n, dtype=bool), np.ones(m, dtype=bool)
+    free_rows[matches[:, 0]] = free_cols[matches[:, 1]] = False
+    return Assignment(matches, np.flatnonzero(free_rows), np.flatnonzero(free_cols))
 
 
 def hungarian(cost: np.ndarray) -> Assignment:
-    """Minimum-cost assignment on a (possibly rectangular) finite cost matrix."""
+    """Minimum-cost assignment on a (possibly rectangular or empty) finite cost matrix."""
     cost = np.atleast_2d(np.asarray(cost, dtype=np.float64))
-    if cost.size and not np.all(np.isfinite(cost)):
+    if not np.all(np.isfinite(cost)):
         raise TrackerError("cost matrix must be finite")
-    if 0 in cost.shape:
-        return Assignment([], list(range(cost.shape[0])), list(range(cost.shape[1])))
-    rows, cols = (x.tolist() for x in linear_sum_assignment(cost))
-    matched_rows, matched_cols = set(rows), set(cols)
-    return Assignment(sorted(zip(rows, cols)),
-                      [r for r in range(cost.shape[0]) if r not in matched_rows],
-                      [c for c in range(cost.shape[1]) if c not in matched_cols])
+    return _assignment(np.stack(linear_sum_assignment(cost), axis=1), *cost.shape)
 
 
 def associate(tracks: np.ndarray, dets: np.ndarray, cfg: TrackerConfig) -> Assignment:
     """Hungarian on 1 - IoU of the tracks' predicted (N, 4) ltwh boxes and the
     (M, 4) detection boxes; assigned pairs below the IoU gate are unmatched."""
     ious = iou_matrix(tracks, dets)
-    result = hungarian(1.0 - ious)
-    matches, um_t, um_d = [], list(result.unmatched_tracks), list(result.unmatched_dets)
-    for ti, di in result.matches:
-        if ious[ti, di] < cfg.iou_gate:
-            um_t.append(ti)
-            um_d.append(di)
-        else:
-            matches.append((ti, di))
-    return Assignment(matches, sorted(um_t), sorted(um_d))
+    matches = hungarian(1.0 - ious).matches
+    return _assignment(matches[ious[matches[:, 0], matches[:, 1]] >= cfg.iou_gate], *ious.shape)
 
 
 def byte_associate(tracks: np.ndarray, dets: np.ndarray, scores: np.ndarray,
@@ -192,17 +186,18 @@ def byte_associate(tracks: np.ndarray, dets: np.ndarray, scores: np.ndarray,
     threshold are discarded; only leftover high-score detections may spawn
     tracks.
     """
-    high_idx = np.flatnonzero(scores >= cfg.high_score_thresh).tolist()
+    high_idx = np.flatnonzero(scores >= cfg.high_score_thresh)
     low_idx = np.flatnonzero((cfg.low_score_thresh <= scores)
-                             & (scores < cfg.high_score_thresh)).tolist()
+                             & (scores < cfg.high_score_thresh))
     stage1 = associate(tracks, dets[high_idx], cfg)
-    matches = [(ti, high_idx[di]) for ti, di in stage1.matches]
     remaining = stage1.unmatched_tracks
     stage2 = associate(tracks[remaining], dets[low_idx], cfg)
-    matches += [(remaining[ti], low_idx[di]) for ti, di in stage2.matches]
-    unmatched_tracks = [remaining[i] for i in stage2.unmatched_tracks]
-    spawnable = [high_idx[i] for i in stage1.unmatched_dets]
-    return Assignment(sorted(matches), sorted(unmatched_tracks), sorted(spawnable))
+    (t1, d1), (t2, d2) = stage1.matches.T, stage2.matches.T
+    ti = np.concatenate([t1, remaining[t2]])
+    di = np.concatenate([high_idx[d1], low_idx[d2]])
+    order = np.argsort(ti)
+    return Assignment(np.stack([ti[order], di[order]], axis=1),
+                      remaining[stage2.unmatched_tracks], high_idx[stage1.unmatched_dets])
 
 
 class Tracker:
@@ -259,9 +254,8 @@ class Tracker:
         else:
             cols = np.flatnonzero(scores >= self.cfg.high_score_thresh)
             result = associate(predicted, boxes[cols], self.cfg)
-        ti, di = np.array(result.matches, dtype=np.intp).reshape(-1, 2).T
-        ti, di = live[ti], cols[di]
-        spawned = cols[np.array(result.unmatched_dets, dtype=np.intp)]
+        ti, di = live[result.matches[:, 0]], cols[result.matches[:, 1]]
+        spawned = cols[result.unmatched_dets]
 
         if len(ti):
             self.mean[ti], self.cov[ti] = self.kalman.update(self.mean[ti], self.cov[ti],

@@ -499,21 +499,25 @@ def test_unwritable_output_is_input_error(tmp_path, capsys, command):
     write_stack(stack)
     frames.mkdir()
     maps.save_map(frames / "f_0001.bin", np.zeros((4, 4)))
-    missing = str(tmp_path / "nodir" / "out.txt")
-    args = {
-        "gen-scenario": ["--out-gt", missing],
-        "gen-scenario-dets": ["--out-gt", str(tmp_path / "gt.txt"), "--out-dets", missing],
-        "track": ["--dets", str(ann), "--out", missing],
-        "evaluate": ["--gt", str(ann), "--pred", str(ann), "--out", missing],
-        "resample": ["--ann", str(ann), "--factor", "2", "--out", missing],
-        "fuse-demo": ["--stack-dir", str(stack), "--out", missing],
-        "gen-motion": ["--frames-dir", str(frames), "--out-dir", str(ann / "sub")],  # under a file
-    }[command]
-    before = sorted(tmp_path.rglob("*"))
-    assert run(command.removesuffix("-dets"), *args) == EXIT_INPUT
-    out, err = capsys.readouterr()
-    assert err.startswith("error:") and out == ""
-    assert sorted(tmp_path.rglob("*")) == before    # nothing written, not even in part
+    if command == "gen-motion":    # its output is a directory: one under a file, then a file
+        outs = [str(ann / "sub"), str(ann)]
+    else:                          # in a missing directory, then an existing directory
+        outs = [str(tmp_path / "nodir" / "out.txt"), str(frames)]
+    for bad in outs:
+        args = {
+            "gen-scenario": ["--out-gt", bad],
+            "gen-scenario-dets": ["--out-gt", str(tmp_path / "gt.txt"), "--out-dets", bad],
+            "track": ["--dets", str(ann), "--out", bad],
+            "evaluate": ["--gt", str(ann), "--pred", str(ann), "--out", bad],
+            "resample": ["--ann", str(ann), "--factor", "2", "--out", bad],
+            "fuse-demo": ["--stack-dir", str(stack), "--out", bad],
+            "gen-motion": ["--frames-dir", str(frames), "--out-dir", bad],
+        }[command]
+        before = sorted(tmp_path.rglob("*"))
+        assert run(command.removesuffix("-dets"), *args) == EXIT_INPUT, bad
+        out, err = capsys.readouterr()
+        assert err.startswith("error:") and out == ""
+        assert sorted(tmp_path.rglob("*")) == before    # nothing written, not even in part
 
 
 class TestParser:

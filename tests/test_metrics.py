@@ -368,6 +368,16 @@ class TestEvaluate:
         r = evaluate(gt, list(gt), iou_threshold=1.0)
         assert r.MOTA == 1.0 and (r.FP, r.FN, r.IDs) == (0, 0, 0)
 
+    def test_clear_matching_gates_on_iou_not_one_minus_iou(self):
+        # IoU 0.49999999999999994 rounds to 1 - IoU == 0.5: a gate on the cost
+        # would match the pair that the identity metrics reject
+        gt = [rec(1, 1, 0.0, 0.0, 67.3918170546694, 1.0)]
+        pred = [rec(1, 1, 22.463939018223137, 0.0, 67.3918170546694, 1.0)]
+        v = iou(gt[0].bbox, pred[0].bbox)
+        assert v < 0.5 and 1.0 - v == 0.5
+        r = evaluate(gt, pred)
+        assert (r.FN, r.FP, r.MOTA, r.Rcll, r.MT, r.IDF1) == (1, 1, -1.0, 0.0, 0, 0.0)
+
     def test_tied_boxes_invariant_under_record_order(self):
         # two preds tie for the gt box in frame 1; only pred 8 is left in frame 2
         gt = [rec(1, 1, 10), rec(2, 1, 10)]

@@ -322,5 +322,6 @@ class TestReadConfig:
 
 def test_config_replace_keeps_validation():
     cfg = ScenarioConfig(agent_count=5)
-    with pytest.raises(SimError):
-        dataclasses.replace(cfg, duration=0)
+    for change in ({"duration": 0}, {"fps": 0.0}, {"fps": -25.0}, {"fps": math.nan}):
+        with pytest.raises(SimError):
+            dataclasses.replace(cfg, **change)

@@ -44,6 +44,24 @@ def det_rows(dets):
     return ltwh_array(d.bbox for d in dets), np.array([d.confidence for d in dets])
 
 
+def as_lists(a):
+    """An Assignment's three index arrays as lists, each match a [row, col] list."""
+    return tuple(x.tolist() for x in a)
+
+
+def check_index_arrays(a, n, m):
+    """The Assignment form: intp arrays, (K, 2) matches with rows ascending,
+    ascending unmatched indices, and the matched and unmatched indices
+    partitioning range(n) (rows) and range(m) (columns)."""
+    assert all(x.dtype == np.intp for x in a)
+    assert a.matches.ndim == 2 and a.matches.shape[1] == 2
+    rows, cols = a.matches.T
+    for ascending in (rows, a.unmatched_tracks, a.unmatched_dets):
+        assert (np.diff(ascending) > 0).all()
+    assert sorted(rows.tolist() + a.unmatched_tracks.tolist()) == list(range(n))
+    assert sorted(cols.tolist() + a.unmatched_dets.tolist()) == list(range(m))
+
+
 class TestHungarian:
     def test_two_by_two_fixture(self):
         # [[4,1],[2,0]]: picking the naive greedy (0,1)+(1,0) totals 3,
@@ -51,7 +69,7 @@ class TestHungarian:
         a = hungarian(np.array([[4.0, 1.0], [2.0, 0.0]]))
         total = sum(np.array([[4.0, 1.0], [2.0, 0.0]])[r, c] for r, c in a.matches)
         assert total == 3.0
-        assert a.matches == [(0, 1), (1, 0)]
+        assert a.matches.tolist() == [[0, 1], [1, 0]]
 
     @pytest.mark.parametrize("shape", [(3, 3), (5, 5), (3, 5), (5, 3), (7, 7)])
     def test_matches_brute_force(self, shape):
@@ -72,10 +90,15 @@ class TestHungarian:
             assert len(a.matches) == k
             assert len(a.unmatched_tracks) == n - k
             assert len(a.unmatched_dets) == m - k
+            check_index_arrays(a, n, m)
 
     def test_empty(self):
         a = hungarian(np.zeros((0, 3)))
-        assert a.matches == [] and a.unmatched_dets == [0, 1, 2]
+        assert as_lists(a) == ([], [], [0, 1, 2])
+        check_index_arrays(a, 0, 3)
+        a = hungarian(np.zeros((3, 0)))
+        assert as_lists(a) == ([], [0, 1, 2], [])
+        check_index_arrays(a, 3, 0)
 
     def test_non_finite_rejected(self):
         with pytest.raises(TrackerError):
@@ -306,11 +329,12 @@ def oracle_associate(track_boxes, det_boxes, cfg):
     gate on BBoxes, the oracle of `associate` on arrays."""
     cost = np.array([[1.0 - iou(t, d) for d in det_boxes] for t in track_boxes])
     result = hungarian(cost.reshape(len(track_boxes), len(det_boxes)))
-    gated = [(ti, di) for ti, di in result.matches
+    matches = result.matches.tolist()
+    gated = [[ti, di] for ti, di in matches
              if iou(track_boxes[ti], det_boxes[di]) < cfg.iou_gate]
-    return ([m for m in result.matches if m not in gated],
-            sorted(result.unmatched_tracks + [ti for ti, _ in gated]),
-            sorted(result.unmatched_dets + [di for _, di in gated]))
+    return ([m for m in matches if m not in gated],
+            sorted(result.unmatched_tracks.tolist() + [ti for ti, _ in gated]),
+            sorted(result.unmatched_dets.tolist() + [di for _, di in gated]))
 
 
 def as_bboxes(rows):
@@ -327,8 +351,9 @@ def test_associate_equals_scalar_path(track_boxes, det_boxes, velocity):
     mean, cov = km.predict(mean, cov)
     predicted, dets = _z_to_ltwh(mean[:, :4]), ltwh_array(det_boxes)
     cfg = TrackerConfig()
-    assert tuple(associate(predicted, dets, cfg)) == oracle_associate(
-        as_bboxes(predicted), det_boxes, cfg)
+    a = associate(predicted, dets, cfg)
+    assert as_lists(a) == oracle_associate(as_bboxes(predicted), det_boxes, cfg)
+    check_index_arrays(a, len(track_boxes), len(det_boxes))
 
 
 @settings(max_examples=100, deadline=None)
@@ -347,22 +372,21 @@ class TestAssociate:
 
     def test_perfect_overlap(self):
         a = associate(tracks_at(BBox(0, 0, 10, 10)), det_rows([det(0, 0)])[0], self.cfg)
-        assert a.matches == [(0, 0)]
+        assert a.matches.tolist() == [[0, 0]]
 
     def test_iou_gate_blocks_weak_pair(self):
         # overlap exists but IoU ~ 0.08, below the 0.3 gate
         a = associate(tracks_at(BBox(0, 0, 10, 10)), det_rows([det(8, 0)])[0], self.cfg)
-        assert a.matches == []
-        assert a.unmatched_tracks == [0] and a.unmatched_dets == [0]
+        assert as_lists(a) == ([], [0], [0])
 
     def test_disjoint(self):
         a = associate(tracks_at(BBox(0, 0, 10, 10)), det_rows([det(200, 200)])[0], self.cfg)
-        assert a.matches == []
+        assert a.matches.tolist() == []
 
     def test_two_way_preference(self):
         tracks = tracks_at(BBox(0, 0, 10, 10), BBox(50, 0, 10, 10))
         a = associate(tracks, det_rows([det(51, 0), det(1, 0)])[0], self.cfg)
-        assert a.matches == [(0, 1), (1, 0)]
+        assert a.matches.tolist() == [[0, 1], [1, 0]]
 
 
 class TestByteAssociate:
@@ -376,28 +400,27 @@ class TestByteAssociate:
         tracks = [BBox(40 * i, 0, 12, 12) for i in range(4)]
         dets = [det(40 * i + rng.uniform(-2, 2), rng.uniform(-2, 2), 12, 12,
                     score=0.7 + 0.05 * i) for i in range(4)]
-        assert self.byte(dets, tracks) == associate(tracks_at(*tracks), det_rows(dets)[0],
-                                                    self.cfg)
+        assert as_lists(self.byte(dets, tracks)) == as_lists(
+            associate(tracks_at(*tracks), det_rows(dets)[0], self.cfg))
 
     def test_low_score_sustains_track_without_spawning(self):
         a = self.byte([det(0, 0, score=0.3)])
-        assert a.matches == [(0, 0)]
-        assert a.unmatched_dets == []  # low-score dets never spawn
+        assert a.matches.tolist() == [[0, 0]]
+        assert a.unmatched_dets.tolist() == []  # low-score dets never spawn
 
     def test_below_low_threshold_discarded(self):
         a = self.byte([det(0, 0, score=0.05)])
-        assert a.matches == []
-        assert a.unmatched_tracks == [0] and a.unmatched_dets == []
+        assert as_lists(a) == ([], [0], [])
 
     def test_high_takes_priority_over_low(self):
         a = self.byte([det(1, 0, score=0.3), det(2, 0, score=0.9)])
-        assert a.matches == [(0, 1)]
+        assert a.matches.tolist() == [[0, 1]]
 
     def test_only_leftover_high_spawnable(self):
         a = self.byte([det(0, 0, score=0.9), det(100, 100, score=0.9),
                        det(200, 200, score=0.3)])
-        assert a.matches == [(0, 0)]
-        assert a.unmatched_dets == [1]
+        assert a.matches.tolist() == [[0, 0]]
+        assert a.unmatched_dets.tolist() == [1]
 
 
 class TestLifecycle:
