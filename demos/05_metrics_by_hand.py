@@ -5,30 +5,23 @@ score a single global trajectory pairing; AP50 summarizes a detector's
 precision/recall curve at IoU 0.5 with 101-point interpolation.
 """
 from headtrack.geometry import BBox
-from headtrack.metrics import (
-    EvalAccumulator,
-    clearmot,
-    detection_ap,
-    id_metrics,
-    match_frame,
-)
+from headtrack.metrics import detection_ap, evaluate, id_metrics
 from headtrack.motio import AnnotationRecord
 
 # --- CLEAR-MOT: 6 GT boxes, one miss, one false positive -> MOTA = 1 - 2/6
 boxes = [BBox(0, 0, 10, 10), BBox(50, 0, 10, 10), BBox(100, 0, 10, 10)]
-acc = EvalAccumulator()
-gt_frame = [(1, boxes[0]), (2, boxes[1]), (3, boxes[2])]
-match_frame(gt_frame, [(1, boxes[0]), (2, boxes[1])], acc)          # one FN
-match_frame(gt_frame, gt_frame + [(9, BBox(300, 300, 10, 10))], acc)  # one FP
-m = clearmot(acc)
-print("CLEAR-MOT fixture: FN={FN} FP={FP} IDs={IDs} -> MOTA={MOTA:.4f}".format(**m))
+gt = [AnnotationRecord(f, t, boxes[t - 1]) for f in (1, 2) for t in (1, 2, 3)]
+pred = ([AnnotationRecord(1, t, boxes[t - 1]) for t in (1, 2)]          # one FN
+        + [AnnotationRecord(2, t, boxes[t - 1]) for t in (1, 2, 3)]
+        + [AnnotationRecord(2, 9, BBox(300, 300, 10, 10))])              # one FP
+m = evaluate(gt, pred)
+print(f"CLEAR-MOT fixture: FN={m.FN} FP={m.FP} IDs={m.IDs} -> MOTA={m.MOTA:.4f}")
 
 # --- ID switch: the matched prediction id changes once mid-track.
-acc = EvalAccumulator()
 b = BBox(0, 0, 10, 10)
-for pred_id in (7, 7, 8, 8):
-    match_frame([(1, b)], [(pred_id, b)], acc)
-print(f"ID-switch fixture: IDs={acc.idsw} (pred id went 7 -> 8)")
+gt = [AnnotationRecord(f, 1, b) for f in range(1, 5)]
+pred = [AnnotationRecord(f, pred_id, b) for f, pred_id in zip(range(1, 5), (7, 7, 8, 8))]
+print(f"ID-switch fixture: IDs={evaluate(gt, pred).IDs} (pred id went 7 -> 8)")
 
 # --- IDF1: a GT track of 100 frames split across two prediction ids.
 gt = [AnnotationRecord(f, 1, b) for f in range(1, 101)]

@@ -8,14 +8,15 @@ matched prediction.
 
 A sequence is evaluated in one sweep over its frames: each frame's IoU matrix
 feeds the per-frame matching and adds to a (gt id, pred id) count of frames
-the pair overlaps in, on which one global assignment then gives the identity
-metrics.
+the pair overlaps in, on which one global assignment then gives IDTP. The
+sweep's counts give every MotReport column; FP, FN, IDFP and IDFN are box
+totals less matches.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 
 import numpy as np
@@ -34,87 +35,26 @@ class MetricsError(ValueError):
     pass
 
 
-@dataclass
-class EvalAccumulator:
-    """Running per-frame matching state for one sequence."""
-
-    iou_threshold: float = DEFAULT_IOU_THRESHOLD
-    tp: int = 0
-    fp: int = 0
-    fn: int = 0
-    idsw: int = 0
-    total_gt: int = 0
-    total_pred: int = 0
-    gt_frames: dict[int, int] = field(default_factory=dict)   # gt id -> frames present
-    gt_matched: dict[int, int] = field(default_factory=dict)  # gt id -> frames matched
-    prev_pairs: dict[int, int] = field(default_factory=dict)  # matches in previous frame
-    last_match: dict[int, int] = field(default_factory=dict)  # last-ever matched pred id
-
-    def coverage(self) -> dict[int, float]:
-        return {g: self.gt_matched.get(g, 0) / n for g, n in self.gt_frames.items()}
-
-
 def match_frame(gt: list[tuple[int, BBox]], pred: list[tuple[int, BBox]],
-                acc: EvalAccumulator, ious: np.ndarray | None = None) -> dict[int, int]:
-    """Match one frame's boxes and fold the result into the accumulator.
+                prev: dict[int, int], ious: np.ndarray, thr: float) -> dict[int, int]:
+    """One frame's gt_id -> pred_id matching.
 
-    gt and pred are (id, bbox) lists; ious, if given, is their (len(gt),
-    len(pred)) IoU matrix. Returns the gt_id -> pred_id matching.
+    gt and pred are (id, bbox) lists, ious their (len(gt), len(pred)) IoU
+    matrix and prev the previous frame's matching.
     """
-    gt_ids = [g for g, _ in gt]
-    pred_ids = [p for p, _ in pred]
-    if len(set(gt_ids)) != len(gt_ids) or len(set(pred_ids)) != len(pred_ids):
-        raise MetricsError("duplicate ids within a frame")
     gt_boxes = dict(gt)
     pred_boxes = dict(pred)
-    thr = acc.iou_threshold
-
-    pairs: dict[int, int] = {}
-    for g, p in acc.prev_pairs.items():
-        if g in gt_boxes and p in pred_boxes and iou(gt_boxes[g], pred_boxes[p]) >= thr:
-            pairs[g] = p
-
-    free_gt = [i for i, g in enumerate(gt_ids) if g not in pairs]
+    pairs = {g: p for g, p in prev.items()
+             if g in gt_boxes and p in pred_boxes and iou(gt_boxes[g], pred_boxes[p]) >= thr}
+    free_gt = [i for i, (g, _) in enumerate(gt) if g not in pairs]
     used_pred = set(pairs.values())
-    free_pred = [j for j, p in enumerate(pred_ids) if p not in used_pred]
+    free_pred = [j for j, (p, _) in enumerate(pred) if p not in used_pred]
     if free_gt and free_pred:
-        if ious is None:
-            ious = iou_matrix(ltwh_array(b for _, b in gt), ltwh_array(b for _, b in pred))
         free = ious[np.ix_(free_gt, free_pred)]
         for i, j in hungarian(1.0 - free).matches.tolist():
             if free[i, j] >= thr:
-                pairs[gt_ids[free_gt[i]]] = pred_ids[free_pred[j]]
-
-    for g, p in pairs.items():
-        if g in acc.last_match and acc.last_match[g] != p:
-            acc.idsw += 1
-        acc.last_match[g] = p
-        acc.gt_matched[g] = acc.gt_matched.get(g, 0) + 1
-    for g in gt_ids:
-        acc.gt_frames[g] = acc.gt_frames.get(g, 0) + 1
-
-    acc.tp += len(pairs)
-    acc.fn += len(gt_ids) - len(pairs)
-    acc.fp += len(pred_ids) - len(pairs)
-    acc.total_gt += len(gt_ids)
-    acc.total_pred += len(pred_ids)
-    acc.prev_pairs = dict(pairs)
+                pairs[gt[free_gt[i]][0]] = pred[free_pred[j]][0]
     return pairs
-
-
-def clearmot(acc: EvalAccumulator) -> dict[str, float]:
-    """MOTA, recall, precision, and the raw counts they derive from."""
-    if acc.total_gt == 0:
-        raise MetricsError("no ground-truth boxes")
-    prcn = acc.tp / acc.total_pred if acc.total_pred else 0.0
-    return {
-        "MOTA": 1.0 - (acc.fn + acc.fp + acc.idsw) / acc.total_gt,
-        "Rcll": acc.tp / acc.total_gt,
-        "Prcn": prcn,
-        "IDs": acc.idsw,
-        "FP": acc.fp,
-        "FN": acc.fn,
-    }
 
 
 def track_quality(coverage: dict[int, float]) -> tuple[int, int, int]:
@@ -128,7 +68,8 @@ def _id_counts(gt: list[AnnotationRecord], pred: list[AnnotationRecord],
                iou_threshold: float) -> tuple[int, int, int]:
     """(IDTP, IDFP, IDFN) from the optimal global trajectory pairing."""
     counts = sequence_counts(gt, pred, iou_threshold)
-    return counts["IDTP"], counts["IDFP"], counts["IDFN"]
+    idtp = counts["IDTP"]
+    return idtp, counts["n_pred"] - idtp, counts["n_gt"] - idtp
 
 
 def _id_assignment(overlap: Counter) -> int:
@@ -175,6 +116,8 @@ def detection_ap(gt: dict[int, list[BBox]], preds: list[tuple[int, float, BBox]]
     n_gt = sum(len(v) for v in gt.values())
     if n_gt == 0:
         raise MetricsError("empty ground truth")
+    if not all(math.isfinite(score) for _, score, _ in preds):
+        raise MetricsError("prediction scores must be finite")
     order = sorted(range(len(preds)),
                    key=lambda i: (-preds[i][1], preds[i][0], *_LTWH(preds[i][2])))
     ranked: dict[int, list[int]] = {}   # frame -> its preds, best first
@@ -232,9 +175,6 @@ class MotReport:
         return " ".join([f"{label:<16}"] + [f"{c:>8}" for c in MotReport.COLUMNS])
 
 
-_CLEAR_COUNTS = ("tp", "fp", "fn", "idsw", "total_gt", "total_pred")
-
-
 def _by_frame(records: list[AnnotationRecord]) -> dict[int, list[tuple[int, BBox]]]:
     """frame -> (id, bbox) list in id order, so that results do not depend on
     the order of records in a file."""
@@ -243,40 +183,50 @@ def _by_frame(records: list[AnnotationRecord]) -> dict[int, list[tuple[int, BBox
         out.setdefault(r.frame, []).append((r.track_id, r.bbox))
     for boxes in out.values():
         boxes.sort(key=itemgetter(0))
+        if len({i for i, _ in boxes}) != len(boxes):
+            raise MetricsError("duplicate ids within a frame")
     return out
 
 
 def sequence_counts(gt: list[AnnotationRecord], pred: list[AnnotationRecord],
                     iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> Counter:
     """One sweep over a sequence (the union of frames present in gt or pred):
-    the raw counts that every MotReport column derives from."""
+    the counts that every MotReport column derives from."""
     if not (math.isfinite(iou_threshold) and 0 < iou_threshold <= 1):
         raise MetricsError(f"IoU threshold must be in (0, 1], got {iou_threshold}")
-    acc = EvalAccumulator(iou_threshold=iou_threshold)
-    overlap: Counter = Counter()   # (gt id, pred id) -> frames with IoU >= threshold
     by_frame_gt, by_frame_pred = _by_frame(gt), _by_frame(pred)
+    pairs: dict[int, int] = {}        # gt id -> pred id in the last frame
+    last_match: dict[int, int] = {}   # gt id -> last-ever matched pred id
+    matched: Counter = Counter()      # gt id -> frames matched
+    overlap: Counter = Counter()      # (gt id, pred id) -> frames with IoU >= threshold
+    idsw = 0
     for f in sorted(by_frame_gt.keys() | by_frame_pred.keys()):
         g, p = by_frame_gt.get(f, []), by_frame_pred.get(f, [])
         ious = iou_matrix(ltwh_array(b for _, b in g), ltwh_array(b for _, b in p))
-        match_frame(g, p, acc, ious)
+        pairs = match_frame(g, p, pairs, ious, iou_threshold)
+        idsw += sum(last_match.get(gi, pi) != pi for gi, pi in pairs.items())
+        last_match.update(pairs)
+        matched.update(pairs.keys())
         gi, pj = np.nonzero(ious >= iou_threshold)
         overlap.update((g[i][0], p[j][0]) for i, j in zip(gi.tolist(), pj.tolist()))
-    counts = Counter({k: getattr(acc, k) for k in _CLEAR_COUNTS})
-    counts.update(dict(zip(("MT", "PT", "ML"), track_quality(acc.coverage()))))
-    idtp = _id_assignment(overlap)
-    counts.update(IDTP=idtp, IDFP=len(pred) - idtp, IDFN=len(gt) - idtp)
-    return counts
+    gt_frames = Counter(r.track_id for r in gt)
+    mt, pt, ml = track_quality({g: matched[g] / n for g, n in gt_frames.items()})
+    return Counter(tp=matched.total(), idsw=idsw, n_gt=len(gt), n_pred=len(pred),
+                   MT=mt, PT=pt, ML=ml, IDTP=_id_assignment(overlap))
 
 
 def report(*per_sequence: Counter) -> MotReport:
     """The MotReport of one sequence's counts, or of several sequences' summed counts."""
-    counts = sum(per_sequence, Counter())
-    clear = clearmot(EvalAccumulator(**{k: counts[k] for k in _CLEAR_COUNTS}))
-    ids = _id_scores(counts["IDTP"], counts["IDFP"], counts["IDFN"])
-    return MotReport(IDF1=ids["IDF1"], IDs=clear["IDs"], IDP=ids["IDP"], IDR=ids["IDR"],
-                     MT=counts["MT"], PT=counts["PT"], ML=counts["ML"],
-                     Rcll=clear["Rcll"], Prcn=clear["Prcn"], MOTA=clear["MOTA"],
-                     FP=clear["FP"], FN=clear["FN"])
+    c = sum(per_sequence, Counter())
+    tp, n_gt, n_pred = c["tp"], c["n_gt"], c["n_pred"]
+    if n_gt == 0:
+        raise MetricsError("no ground-truth boxes")
+    fp, fn = n_pred - tp, n_gt - tp
+    ids = _id_scores(c["IDTP"], n_pred - c["IDTP"], n_gt - c["IDTP"])
+    return MotReport(IDF1=ids["IDF1"], IDs=c["idsw"], IDP=ids["IDP"], IDR=ids["IDR"],
+                     MT=c["MT"], PT=c["PT"], ML=c["ML"],
+                     Rcll=tp / n_gt, Prcn=tp / n_pred if n_pred else 0.0,
+                     MOTA=1.0 - (fn + fp + c["idsw"]) / n_gt, FP=fp, FN=fn)
 
 
 def evaluate(gt: list[AnnotationRecord], pred: list[AnnotationRecord],

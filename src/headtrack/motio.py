@@ -69,8 +69,8 @@ class SequenceMeta:
     view: str  # "slope" or "overhead"
 
     def __post_init__(self):
-        if not self.fps > 0:
-            raise ValueError(f"fps must be positive, got {self.fps}")
+        if not 0 < self.fps < math.inf:
+            raise ValueError(f"fps must be positive and finite, got {self.fps}")
         if self.frame_count < 1:
             raise ValueError("frame_count must be >= 1")
         if self.view not in ("slope", "overhead"):

@@ -48,8 +48,10 @@ class ScenarioConfig:
                            "with head size low squared > 0")
         if self.duration < 1:
             raise SimError("duration must be >= 1")
-        if not 0 <= self.heading_sigma <= MAX_HEADING_SIGMA or self.seed < 0 or not self.fps > 0:
-            raise SimError(f"need 0 <= heading_sigma <= {MAX_HEADING_SIGMA:g}, seed >= 0, fps > 0")
+        if (not 0 <= self.heading_sigma <= MAX_HEADING_SIGMA or self.seed < 0
+                or not 0 < self.fps < math.inf):
+            raise SimError(f"need 0 <= heading_sigma <= {MAX_HEADING_SIGMA:g}, seed >= 0, "
+                           "0 < fps < inf")
         w, h = self.arena
         if min(w, h) < s1 or w * h < self.agent_count * s1 * s1:
             raise SimError("arena too small for agent_count or head size")

@@ -34,15 +34,7 @@ from headtrack.maps import (
     optical_flow,
     source_stack,
 )
-from headtrack.metrics import (
-    EvalAccumulator,
-    _id_counts,
-    clearmot,
-    evaluate,
-    id_metrics,
-    match_frame,
-    track_quality,
-)
+from headtrack.metrics import _id_counts, evaluate, id_metrics, track_quality
 from headtrack.motio import AnnotationRecord, FieldOrder, parse_annotations, write_annotations
 from headtrack.simulate import NoiseModel, ScenarioConfig, corrupt, simulate
 from headtrack.tracker import (
@@ -333,12 +325,12 @@ def test_08_two_stage_recovery_property(capsys):
 
 
 def test_09_metric_fixture_and_partition(capsys):
-    acc = EvalAccumulator()
     b = [BBox(0, 0, 10, 10), BBox(50, 0, 10, 10), BBox(100, 0, 10, 10)]
-    match_frame([(1, b[0]), (2, b[1]), (3, b[2])], [(1, b[0]), (2, b[1])], acc)
-    match_frame([(1, b[0]), (2, b[1]), (3, b[2])],
-                [(1, b[0]), (2, b[1]), (3, b[2]), (9, BBox(300, 300, 10, 10))], acc)
-    mota = clearmot(acc)["MOTA"]
+    gt = [AnnotationRecord(f, t, b[t - 1]) for f in (1, 2) for t in (1, 2, 3)]
+    pred = ([AnnotationRecord(1, t, b[t - 1]) for t in (1, 2)]
+            + [AnnotationRecord(2, t, b[t - 1]) for t in (1, 2, 3)]
+            + [AnnotationRecord(2, 9, BBox(300, 300, 10, 10))])
+    mota = evaluate(gt, pred).MOTA
     ok1 = abs(mota - 0.6667) <= 1e-4
 
     rng = np.random.default_rng(3)

@@ -1,6 +1,7 @@
 import itertools
 import math
 from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -10,33 +11,30 @@ from scipy.optimize import linear_sum_assignment
 
 from headtrack.geometry import BBox, iou
 from headtrack.metrics import (
-    EvalAccumulator,
     MetricsError,
     MotReport,
     _id_assignment,
     _id_counts,
     aggregate,
-    clearmot,
     detection_ap,
     evaluate,
     id_metrics,
-    match_frame,
     sequence_counts,
     track_quality,
 )
 from headtrack.motio import AnnotationRecord
+from test_properties import GRID_RECORDS
 
 
 def rec(frame, tid, left=0.0, top=0.0, w=10.0, h=10.0):
     return AnnotationRecord(frame, tid, BBox(left, top, w, h))
 
 
-def run_frames(frames):
-    """frames: list of (gt, pred) per frame, each a list of (id, BBox)."""
-    acc = EvalAccumulator()
-    for gt, pred in frames:
-        match_frame(gt, pred, acc)
-    return acc
+def records(frames):
+    """frames: list of (gt, pred) per frame from 1, each a list of (id, BBox)."""
+    gt = [AnnotationRecord(f, i, b) for f, (g, _) in enumerate(frames, 1) for i, b in g]
+    pred = [AnnotationRecord(f, i, b) for f, (_, p) in enumerate(frames, 1) for i, b in p]
+    return gt, pred
 
 
 class TestClearMot:
@@ -48,33 +46,33 @@ class TestClearMot:
             ([(1, b[0]), (2, b[1]), (3, b[2])],
              [(1, b[0]), (2, b[1]), (3, b[2]), (9, BBox(300, 300, 10, 10))]),
         ]
-        m = clearmot(run_frames(frames))
-        assert m["MOTA"] == pytest.approx(2 / 3)
-        assert m["FN"] == 1 and m["FP"] == 1 and m["IDs"] == 0
-        assert m["Rcll"] == pytest.approx(5 / 6)
-        assert m["Prcn"] == pytest.approx(5 / 6)
+        m = evaluate(*records(frames))
+        assert m.MOTA == pytest.approx(2 / 3)
+        assert m.FN == 1 and m.FP == 1 and m.IDs == 0
+        assert m.Rcll == pytest.approx(5 / 6)
+        assert m.Prcn == pytest.approx(5 / 6)
 
     def test_perfect(self):
         b = BBox(0, 0, 10, 10)
-        m = clearmot(run_frames([([(1, b)], [(1, b)])] * 5))
-        assert m["MOTA"] == 1.0 and m["FP"] == 0 and m["FN"] == 0
+        m = evaluate(*records([([(1, b)], [(1, b)])] * 5))
+        assert m.MOTA == 1.0 and m.FP == 0 and m.FN == 0
 
     def test_no_predictions_zero_precision(self):
-        m = clearmot(run_frames([([(1, BBox(0, 0, 5, 5))], [])]))
-        assert m["Prcn"] == 0.0 and m["Rcll"] == 0.0
-        assert m["MOTA"] == 0.0
+        m = evaluate(*records([([(1, BBox(0, 0, 5, 5))], [])]))
+        assert m.Prcn == 0.0 and m.Rcll == 0.0
+        assert m.MOTA == 0.0
 
     def test_empty_gt_rejected(self):
-        with pytest.raises(MetricsError):
-            clearmot(EvalAccumulator())
+        for pred in ([], [rec(1, 1)]):
+            with pytest.raises(MetricsError):
+                evaluate([], pred)
 
 
 class TestIdSwitches:
     def test_single_switch(self):
         b = BBox(0, 0, 10, 10)
         frames = [([(1, b)], [(7, b)])] * 2 + [([(1, b)], [(8, b)])] * 2
-        acc = run_frames(frames)
-        assert acc.idsw == 1
+        assert sequence_counts(*records(frames))["idsw"] == 1
 
     def test_switch_counts_against_last_ever_match(self):
         # pred id goes 7 -> 8 -> back to 7: two switches, and the gap
@@ -84,22 +82,22 @@ class TestIdSwitches:
                   ([(1, b)], [(8, b)]),
                   ([(1, b)], []),
                   ([(1, b)], [(7, b)])]
-        assert run_frames(frames).idsw == 2
+        assert sequence_counts(*records(frames))["idsw"] == 2
 
     def test_persistent_match_resists_closer_newcomer(self):
-        acc = EvalAccumulator()
-        g = BBox(0, 0, 10, 10)
-        match_frame([(1, g)], [(7, BBox(2, 0, 10, 10))], acc)
-        # a pixel-perfect newcomer appears, but the existing pair still
-        # clears the threshold so the matching (and identity) is kept
-        pairs = match_frame([(1, g)], [(7, BBox(2, 0, 10, 10)), (8, g)], acc)
-        assert pairs == {1: 7}
-        assert acc.idsw == 0
+        g, near = BBox(0, 0, 10, 10), BBox(2, 0, 10, 10)
+        # a pixel-perfect newcomer appears in frame 2, but the existing pair
+        # still clears the threshold so the matching (and identity) is kept:
+        # gt 1 matches pred 7 in both frames, and pred 8 is the false positive
+        m = evaluate(*records([([(1, g)], [(7, near)]),
+                               ([(1, g)], [(7, near), (8, g)])]))
+        assert (m.IDs, m.FN, m.FP) == (0, 0, 1)
 
     def test_duplicate_ids_rejected(self):
-        acc = EvalAccumulator()
-        with pytest.raises(MetricsError):
-            match_frame([(1, BBox(0, 0, 5, 5)), (1, BBox(9, 9, 5, 5))], [], acc)
+        dup = [rec(1, 1, 0, 0, 5, 5), rec(1, 1, 9, 9, 5, 5)]
+        for gt, pred in ((dup, []), ([rec(1, 1)], dup)):
+            with pytest.raises(MetricsError):
+                sequence_counts(gt, pred)
 
 
 class TestTrackQuality:
@@ -330,6 +328,16 @@ class TestDetectionAp:
         with pytest.raises(MetricsError):
             detection_ap({}, [])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_score_rejected(self, bad):
+        # a NaN key breaks the ranking sort, so AP read 0.8350 or 0.6667
+        # depending on where the prediction stood in the list
+        b1, b2 = BBox(0, 0, 10, 10), BBox(100, 0, 10, 10)
+        preds = [(1, 0.9, b1), (1, bad, BBox(50, 50, 10, 10)), (1, 0.7, b2)]
+        for order in (preds, preds[::-1], preds[1:] + preds[:1]):
+            with pytest.raises(MetricsError):
+                detection_ap({1: [b1, b2]}, order)
+
 
 class TestEvaluate:
     def _sequence(self, seed, n_tracks=4, n_frames=40):
@@ -405,6 +413,115 @@ class TestEvaluate:
         assert double.IDF1 == pytest.approx(single.IDF1)
         assert double.FP == 2 * single.FP and double.FN == 2 * single.FN
         assert double.MT == 2 * single.MT
+
+
+@dataclass
+class EvalAccumulator:
+    """The reference evaluator's running per-frame state for one sequence:
+    every CLEAR count kept frame by frame."""
+
+    iou_threshold: float = 0.5
+    tp: int = 0
+    fp: int = 0
+    fn: int = 0
+    idsw: int = 0
+    total_gt: int = 0
+    total_pred: int = 0
+    gt_frames: dict[int, int] = field(default_factory=dict)   # gt id -> frames present
+    gt_matched: dict[int, int] = field(default_factory=dict)  # gt id -> frames matched
+    prev_pairs: dict[int, int] = field(default_factory=dict)  # matches in previous frame
+    last_match: dict[int, int] = field(default_factory=dict)  # last-ever matched pred id
+
+    def coverage(self) -> dict[int, float]:
+        return {g: self.gt_matched.get(g, 0) / n for g, n in self.gt_frames.items()}
+
+
+def oracle_match_frame(gt, pred, acc):
+    """Match one frame's (id, bbox) lists with scalar `iou` and fold the
+    result into the accumulator."""
+    gt_ids = [g for g, _ in gt]
+    pred_ids = [p for p, _ in pred]
+    gt_boxes, pred_boxes = dict(gt), dict(pred)
+    thr = acc.iou_threshold
+    pairs = {}
+    for g, p in acc.prev_pairs.items():
+        if g in gt_boxes and p in pred_boxes and iou(gt_boxes[g], pred_boxes[p]) >= thr:
+            pairs[g] = p
+    free_gt = [g for g in gt_ids if g not in pairs]
+    free_pred = [p for p in pred_ids if p not in set(pairs.values())]
+    if free_gt and free_pred:
+        free = np.array([[iou(gt_boxes[g], pred_boxes[p]) for p in free_pred]
+                         for g in free_gt])
+        for i, j in zip(*linear_sum_assignment(1.0 - free)):
+            if free[i, j] >= thr:
+                pairs[free_gt[i]] = free_pred[j]
+    for g, p in pairs.items():
+        if g in acc.last_match and acc.last_match[g] != p:
+            acc.idsw += 1
+        acc.last_match[g] = p
+        acc.gt_matched[g] = acc.gt_matched.get(g, 0) + 1
+    for g in gt_ids:
+        acc.gt_frames[g] = acc.gt_frames.get(g, 0) + 1
+    acc.tp += len(pairs)
+    acc.fn += len(gt_ids) - len(pairs)
+    acc.fp += len(pred_ids) - len(pairs)
+    acc.total_gt += len(gt_ids)
+    acc.total_pred += len(pred_ids)
+    acc.prev_pairs = dict(pairs)
+
+
+def oracle_clearmot(acc):
+    prcn = acc.tp / acc.total_pred if acc.total_pred else 0.0
+    return {"MOTA": 1.0 - (acc.fn + acc.fp + acc.idsw) / acc.total_gt,
+            "Rcll": acc.tp / acc.total_gt, "Prcn": prcn,
+            "IDs": acc.idsw, "FP": acc.fp, "FN": acc.fn}
+
+
+def oracle_evaluate(gt, pred, thr):
+    """The reference evaluator: frames in order and each frame's boxes in id
+    order through the accumulator, then IDTP from the padded global
+    assignment over scalar-IoU overlap counts."""
+    acc = EvalAccumulator(iou_threshold=thr)
+    overlap = Counter()
+    for f in sorted({r.frame for r in gt} | {r.frame for r in pred}):
+        g = sorted((r.track_id, r.bbox) for r in gt if r.frame == f)
+        p = sorted((r.track_id, r.bbox) for r in pred if r.frame == f)
+        oracle_match_frame(g, p, acc)
+        overlap.update((gi, pi) for gi, gb in g for pi, pb in p if iou(gb, pb) >= thr)
+    idtp = padded_idtp(overlap, Counter(r.track_id for r in gt),
+                       Counter(r.track_id for r in pred))
+    idfp, idfn = len(pred) - idtp, len(gt) - idtp
+    clear = oracle_clearmot(acc)
+    mt, pt, ml = track_quality(acc.coverage())
+    return MotReport(IDF1=2 * idtp / (2 * idtp + idfp + idfn) if idtp + idfp + idfn else 1.0,
+                     IDs=clear["IDs"], IDP=idtp / (idtp + idfp) if idtp + idfp else 0.0,
+                     IDR=idtp / (idtp + idfn) if idtp + idfn else 0.0, MT=mt, PT=pt, ML=ml,
+                     Rcll=clear["Rcll"], Prcn=clear["Prcn"], MOTA=clear["MOTA"],
+                     FP=clear["FP"], FN=clear["FN"])
+
+
+@st.composite
+def gt_pred_pairs(draw):
+    """Two GRID_RECORDS draws (pred ids from 101) plus two tracker-like copies
+    of some gt boxes (ids from 1 and from 51), each box shifted by up to 2 px
+    and relabelled from a drawn frame on. Exact IoU ties, gaps, ID switches,
+    one-sided frames and kept pairs beside closer newcomers all occur."""
+    gt = draw(GRID_RECORDS)
+    pred = [AnnotationRecord(r.frame, 100 + r.track_id, r.bbox) for r in draw(GRID_RECORDS)]
+    switch = draw(st.lists(st.integers(1, 7), min_size=6, max_size=6))
+    for r, base in itertools.product(gt, (0, 50)):
+        if draw(st.booleans()):
+            pid = base + r.track_id + (10 if r.frame >= switch[r.track_id - 1] else 0)
+            pred.append(AnnotationRecord(r.frame, pid, r.bbox.translate(
+                draw(st.integers(-2, 2)), draw(st.integers(-2, 2)))))
+    return gt, pred
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=gt_pred_pairs(), thr=st.sampled_from([0.3, 0.5, 1.0]))
+def test_evaluate_equals_accumulator_oracle(pair, thr):
+    gt, pred = pair
+    assert evaluate(gt, pred, thr) == oracle_evaluate(gt, pred, thr)
 
 
 class TestReport:

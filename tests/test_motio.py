@@ -397,7 +397,7 @@ def test_sequence_meta_round_trip(tmp_path):
     assert read_sequence_meta(path) == meta
 
 
-@pytest.mark.parametrize("key, raw", [("fps", "abc"), ("fps", "nan"), ("fps", "-1"),
+@pytest.mark.parametrize("key, raw", [("fps", "abc"), ("fps", "nan"), ("fps", "inf"), ("fps", "-1"),
                                       ("fps", None), ("frames", "1.5"), ("width", "wide"),
                                       ("view", "sideways")])
 def test_read_sequence_meta_bad_value(tmp_path, key, raw):

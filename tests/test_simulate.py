@@ -322,6 +322,7 @@ class TestReadConfig:
 
 def test_config_replace_keeps_validation():
     cfg = ScenarioConfig(agent_count=5)
-    for change in ({"duration": 0}, {"fps": 0.0}, {"fps": -25.0}, {"fps": math.nan}):
+    for change in ({"duration": 0}, {"fps": 0.0}, {"fps": -25.0}, {"fps": math.nan},
+                   {"fps": math.inf}):
         with pytest.raises(SimError):
             dataclasses.replace(cfg, **change)
