@@ -47,7 +47,7 @@ stats = compute_stats(seq, frame_count=100)
 print(f"\nsequence: {stats.boxes} boxes, {stats.tracks} tracks over "
       f"{stats.frames} frames -> density {stats.density:.2f} heads/frame")
 print(f"fraction of near-square boxes (h/w in [0.8, 1.4]): "
-      f"{stats.ratio_mass_in(0.8, 1.4):.3f}")
+      f"{stats.ratio_mass:.3f}")
 
 # Framerate resampling keeps every k-th frame and renumbers from 1.
 half = resample_framerate(seq, 2)

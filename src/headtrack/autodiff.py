@@ -111,15 +111,9 @@ def mean(x: Tensor, axis) -> Tensor:
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    sizes = [t.shape[axis] for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        return tuple(np.take(g, range(offsets[i], offsets[i + 1]), axis=axis)
-                     for i in range(len(tensors)))
-
-    return Tensor(out_data, _parents=tuple(tensors), _backward=backward)
+    ends = np.cumsum([t.shape[axis] for t in tensors])[:-1]
+    return Tensor(np.concatenate([t.data for t in tensors], axis=axis), _parents=tuple(tensors),
+                  _backward=lambda g: tuple(np.split(g, ends, axis=axis)))
 
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:

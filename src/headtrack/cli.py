@@ -123,7 +123,7 @@ def cmd_stats(args) -> int:
         "frames": stats.frames,
         "density": round(stats.density, 2),
         "tracks": stats.tracks,
-        "ratio_mass_0.8_1.4": round(stats.ratio_mass_in(0.8, 1.4), 4),
+        "ratio_mass_{}_{}".format(*motio.RATIO_BAND): round(stats.ratio_mass, 4),
         "ratio_histogram": {f"{k / 10:.1f}": v for k, v in stats.ratio_histogram.items()},
     }
     if args.json:
@@ -133,7 +133,7 @@ def cmd_stats(args) -> int:
         print(f"frames   {stats.frames}")
         print(f"density  {stats.density:.2f}")
         print(f"tracks   {stats.tracks}")
-        print(f"ratio mass in [0.8, 1.4]: {stats.ratio_mass_in(0.8, 1.4):.4f}")
+        print("ratio mass in [{}, {}]: {:.4f}".format(*motio.RATIO_BAND, stats.ratio_mass))
         print("ratio histogram (bin width 0.1):")
         for k, v in stats.ratio_histogram.items():
             print(f"  [{k / 10:.1f}, {k / 10 + 0.1:.1f}) {v}")
@@ -155,30 +155,26 @@ def cmd_gen_scenario(args) -> int:
     return 0
 
 
-def _load_frame(path) -> maps.ImageFrame:
-    path = Path(path)
-    if path.suffix == ".bin":
-        return maps.ImageFrame(maps.load_map(path))
-    try:
-        from PIL import Image
-    except ImportError:
-        raise InputError("Pillow is required to read image files") from None
-    return maps.ImageFrame(np.asarray(Image.open(path), dtype=np.float64) / 255.0)
-
-
 def cmd_gen_motion(args) -> int:
     frame_dir = Path(args.frames_dir)
     if not frame_dir.is_dir():
         raise InputError(f"no such directory: {frame_dir}")
-    paths = sorted(p for p in frame_dir.iterdir()
-                   if p.suffix in (".bin", ".png", ".jpg", ".jpeg"))
+    paths = sorted(frame_dir.glob("*.bin"))
     if not paths:
-        raise InputError(f"no frames in {frame_dir}")
+        raise InputError(f"no .bin frames in {frame_dir}")
+
+    # each frame is read twice, to check every one before anything is
+    # written and then to process it, so that at most two are held at once
+    def frames():
+        return (maps.ImageFrame(maps.load_map(p)) for p in paths)
+
+    sizes = {f.data.shape[:2] for f in frames()}
+    if len(sizes) > 1:
+        raise InputError(f"frames in {frame_dir} differ in (height, width): {sorted(sizes)}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     prev = None
-    for i, p in enumerate(paths, start=1):
-        curr = _load_frame(p)
+    for i, curr in enumerate(frames(), start=1):
         diff, flow = maps.motion_maps(curr, prev)
         maps.save_map(out_dir / f"diff_{i:04d}.bin", diff)
         maps.save_map(out_dir / f"flow_{i:04d}.bin", flow)
@@ -206,9 +202,9 @@ def cmd_fuse_demo(args) -> int:
 
 def cmd_resample(args) -> int:
     _check_out_dirs(args.out)
-    records = _read_records(args.ann, FieldOrder(args.order))
     if args.factor < 1:
         raise ConfigError(f"factor must be >= 1, got {args.factor}")
+    records = _read_records(args.ann, FieldOrder(args.order))
     out = motio.resample_framerate(records, args.factor)
     motio.write_annotation_file(args.out, out, FieldOrder(args.order))
     _write_manifest(args.out, "resample", args)

@@ -76,14 +76,10 @@ def frame_difference(curr: ImageFrame, prev: ImageFrame) -> np.ndarray:
 
 
 def _downsample2(img: np.ndarray) -> np.ndarray:
+    """2x2 block means; an odd last row or column is repeated to fill its blocks."""
     h, w = img.shape
-    if h % 2:
-        img = np.concatenate([img, img[-1:]], axis=0)
-        h += 1
-    if w % 2:
-        img = np.concatenate([img, img[:, -1:]], axis=1)
-        w += 1
-    return img.reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))
+    img = np.pad(img, ((0, h % 2), (0, w % 2)), mode="edge")
+    return img.reshape((h + 1) // 2, 2, (w + 1) // 2, 2).mean(axis=(1, 3))
 
 
 def _match_level(curr: np.ndarray, prev: np.ndarray, init_u: np.ndarray,

@@ -64,14 +64,6 @@ def track_quality(coverage: dict[int, float]) -> tuple[int, int, int]:
     return mt, len(coverage) - mt - ml, ml
 
 
-def _id_counts(gt: list[AnnotationRecord], pred: list[AnnotationRecord],
-               iou_threshold: float) -> tuple[int, int, int]:
-    """(IDTP, IDFP, IDFN) from the optimal global trajectory pairing."""
-    counts = sequence_counts(gt, pred, iou_threshold)
-    idtp = counts["IDTP"]
-    return idtp, counts["n_pred"] - idtp, counts["n_gt"] - idtp
-
-
 def _id_assignment(overlap: Counter) -> int:
     """IDTP: the most frames matched under a one-to-one pairing of gt and pred
     ids, given each pair's count of overlapping frames.
@@ -94,10 +86,13 @@ def _id_assignment(overlap: Counter) -> int:
 
 def id_metrics(gt: list[AnnotationRecord], pred: list[AnnotationRecord],
                iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> dict[str, float]:
-    return _id_scores(*_id_counts(gt, pred, iou_threshold))
+    return _id_scores(sequence_counts(gt, pred, iou_threshold))
 
 
-def _id_scores(idtp: int, idfp: int, idfn: int) -> dict[str, float]:
+def _id_scores(c: Counter) -> dict[str, float]:
+    """Identity scores of (summed) sequence counts; IDFP and IDFN are box totals less IDTP."""
+    idtp = c["IDTP"]
+    idfp, idfn = c["n_pred"] - idtp, c["n_gt"] - idtp
     idf1 = 2 * idtp / (2 * idtp + idfp + idfn) if (idtp + idfp + idfn) else 1.0
     idp = idtp / (idtp + idfp) if (idtp + idfp) else 0.0
     idr = idtp / (idtp + idfn) if (idtp + idfn) else 0.0
@@ -222,7 +217,7 @@ def report(*per_sequence: Counter) -> MotReport:
     if n_gt == 0:
         raise MetricsError("no ground-truth boxes")
     fp, fn = n_pred - tp, n_gt - tp
-    ids = _id_scores(c["IDTP"], n_pred - c["IDTP"], n_gt - c["IDTP"])
+    ids = _id_scores(c)
     return MotReport(IDF1=ids["IDF1"], IDs=c["idsw"], IDP=ids["IDP"], IDR=ids["IDR"],
                      MT=c["MT"], PT=c["PT"], ML=c["ML"],
                      Rcll=tp / n_gt, Prcn=tp / n_pred if n_pred else 0.0,

@@ -77,21 +77,17 @@ class SequenceMeta:
             raise ValueError(f"view must be 'slope' or 'overhead', got {self.view!r}")
 
 
+RATIO_BAND = (0.8, 1.4)  # the near-square head boxes, as a closed [lo, hi] interval
+
+
 @dataclass
 class DatasetStats:
     boxes: int
     frames: int
     density: float
     tracks: int
+    ratio_mass: float  # fraction of boxes whose height/width ratio lies in RATIO_BAND
     ratio_histogram: dict[int, int] = field(default_factory=dict)  # bin index -> count, bin width 0.1
-    _ratios: list[float] = field(default_factory=list, repr=False)
-
-    def ratio_mass_in(self, lo: float, hi: float) -> float:
-        """Fraction of boxes whose height/width ratio lies in [lo, hi]."""
-        if not self._ratios:
-            return 0.0
-        n = sum(1 for r in self._ratios if lo <= r <= hi)
-        return n / len(self._ratios)
 
 
 def _format_numbers(values) -> list[str]:
@@ -269,13 +265,14 @@ def compute_stats(records: list[AnnotationRecord], frame_count: int) -> DatasetS
     # nudge by half an ulp-scale epsilon so ratios that are exact bin edges
     # in decimal (e.g. 1.2) land in the bin they name despite float rounding
     hist = Counter(int(math.floor(r * 10.0 + 1e-9)) for r in ratios)
+    lo, hi = RATIO_BAND
     return DatasetStats(
         boxes=len(records),
         frames=frame_count,
         density=len(records) / frame_count,
         tracks=len({r.track_id for r in records}),
+        ratio_mass=sum(lo <= r <= hi for r in ratios) / len(ratios) if ratios else 0.0,
         ratio_histogram=dict(sorted(hist.items())),
-        _ratios=ratios,
     )
 
 
@@ -286,14 +283,8 @@ def resample_framerate(records: list[AnnotationRecord], factor: int) -> list[Ann
     """
     if factor < 1:
         raise AnnotationError(f"resample factor must be >= 1, got {factor}")
-    if factor == 1:
-        return list(records)
-    out = []
-    for r in records:
-        if (r.frame - 1) % factor == 0:
-            out.append(AnnotationRecord((r.frame - 1) // factor + 1, r.track_id,
-                                        r.bbox, r.confidence, r.category, r.visibility))
-    return out
+    return [dataclasses.replace(r, frame=(r.frame - 1) // factor + 1)
+            for r in records if (r.frame - 1) % factor == 0]
 
 
 def read_kv(path) -> dict[str, str]:

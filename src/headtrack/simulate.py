@@ -85,12 +85,11 @@ def _rng(seed: int) -> np.random.Generator:
 def simulate(cfg: ScenarioConfig) -> tuple[list[AnnotationRecord], SequenceMeta]:
     """Generate ground-truth head tracks: one id per agent, alive throughout."""
     rng = _rng(cfg.seed)
-    w, h = cfg.arena
     n = cfg.agent_count
     sizes = rng.uniform(*cfg.head_size_range, size=n)
     margin = sizes / 2.0
-    pos = np.stack([rng.uniform(margin, w - margin),
-                    rng.uniform(margin, h - margin)], axis=1)
+    low, high = margin[:, None], np.array(cfg.arena) - margin[:, None]  # per agent and axis
+    pos = np.stack([rng.uniform(margin, high[:, ax]) for ax in (0, 1)], axis=1)
     speeds = rng.uniform(*cfg.speed_range, size=n)
     headings = rng.uniform(0.0, 2.0 * math.pi, size=n)
 
@@ -113,20 +112,13 @@ def simulate(cfg: ScenarioConfig) -> tuple[list[AnnotationRecord], SequenceMeta]
                             delta / np.maximum(dist, 1e-6)[:, :, None] ** 2, 0.0)
             vel += cfg.repulsion_strength * push.sum(axis=1) * cfg.repulsion_radius
         pos += vel
-        # bounce off arena walls, keeping the whole box inside
-        for ax, limit in ((0, w), (1, h)):
-            low = margin
-            high = limit - margin
-            under = pos[:, ax] < low
-            over = pos[:, ax] > high
-            pos[under, ax] = 2 * low[under] - pos[under, ax]
-            pos[over, ax] = 2 * high[over] - pos[over, ax]
-            pos[:, ax] = np.clip(pos[:, ax], low, high)
-            flip = under | over
-            if ax == 0:
-                headings[flip] = math.pi - headings[flip]
-            else:
-                headings[flip] = -headings[flip]
+        # bounce off arena walls, keeping the whole box inside: a side wall
+        # turns heading h to pi - h, a top or bottom wall turns it to -h
+        under, over = pos < low, pos > high
+        pos = np.where(under, 2 * low - pos, pos)
+        pos = np.clip(np.where(over, 2 * high - pos, pos), low, high)
+        flip_x, flip_y = (under | over).T
+        headings = np.where(flip_x, math.pi - headings, headings) * np.where(flip_y, -1.0, 1.0)
     meta = SequenceMeta(name=f"synthetic-{cfg.seed}", fps=cfg.fps,
                         frame_count=cfg.duration, resolution=cfg.arena, view="overhead")
     return records, meta

@@ -34,7 +34,7 @@ from headtrack.maps import (
     optical_flow,
     source_stack,
 )
-from headtrack.metrics import _id_counts, evaluate, id_metrics, track_quality
+from headtrack.metrics import evaluate, id_metrics, track_quality
 from headtrack.motio import AnnotationRecord, FieldOrder, parse_annotations, write_annotations
 from headtrack.simulate import NoiseModel, ScenarioConfig, corrupt, simulate
 from headtrack.tracker import (
@@ -264,9 +264,9 @@ def test_06_identity_metrics_oracle(capsys):
             x = float(rng.uniform(0, 150))
             for f in range(1, int(rng.integers(3, 10))):
                 pred.append(AnnotationRecord(f, 100 + t, BBox(x + f, 10, 10, 10)))
-        idtp, idfp, idfn = _id_counts(gt, pred, 0.5)
+        m = id_metrics(gt, pred, 0.5)
+        idtp, idfp, idfn = m["IDTP"], m["IDFP"], m["IDFN"]
         want = brute_force_idtp(gt, pred)
-        m = id_metrics(gt, pred)
         denom_f1 = 2 * want + (len(pred) - want) + (len(gt) - want)
         ok = ok and idtp == want
         ok = ok and idfp == len(pred) - want and idfn == len(gt) - want

@@ -324,6 +324,9 @@ class TestResample:
         gt, _ = scenario
         assert run("resample", "--ann", str(gt), "--factor", "0",
                    "--out", str(tmp_path / "o.txt")) == EXIT_CONFIG
+        # the factor is checked before the input is read
+        assert run("resample", "--ann", str(tmp_path / "missing.txt"), "--factor", "0",
+                   "--out", str(tmp_path / "o.txt")) == EXIT_CONFIG
 
 
 class TestGenMotion:
@@ -334,9 +337,11 @@ class TestGenMotion:
         base = rng.random((24, 24))
         maps.save_map(frames / "f_0001.bin", base)
         maps.save_map(frames / "f_0002.bin", np.roll(base, 1, axis=1))
+        (frames / "f_0003.png").write_bytes(b"only .bin files are frames")
         out = tmp_path / "motion"
         assert run("gen-motion", "--frames-dir", str(frames),
                    "--out-dir", str(out)) == 0
+        assert sorted(p.name for p in out.glob("diff_*.bin")) == ["diff_0001.bin", "diff_0002.bin"]
         first_diff = maps.load_map(out / "diff_0001.bin")
         assert np.all(first_diff == 0)
         second = maps.load_map(out / "diff_0002.bin")
@@ -379,6 +384,19 @@ class TestGenMotion:
                    "--out-dir", str(tmp_path / "o")) == EXIT_INPUT
         assert capsys.readouterr().err.startswith(
             f"error: {frames / 'f_0001.bin'}: map payload has 63 bytes, expected 64")
+        assert not (tmp_path / "o").exists()
+
+    def test_mismatched_sizes_write_nothing(self, tmp_path, capsys):
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        maps.save_map(frames / "f_0001.bin", np.zeros((20, 24)))
+        maps.save_map(frames / "f_0002.bin", np.zeros((20, 26)))
+        out = tmp_path / "motion"
+        before = sorted(tmp_path.rglob("*"))
+        assert run("gen-motion", "--frames-dir", str(frames),
+                   "--out-dir", str(out)) == EXIT_INPUT
+        assert "differ in (height, width): [(20, 24), (20, 26)]" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_empty_dir(self, tmp_path):
         frames = tmp_path / "frames"

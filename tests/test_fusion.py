@@ -169,6 +169,22 @@ class TestExtractConcat:
                                   p.extractors["depth"][1].weight.data)
 
 
+@pytest.mark.parametrize("axis", [0, 1, 2])
+@pytest.mark.parametrize("sizes", [(3,), (1, 4, 2), (2, 2, 1, 3)])
+def test_concat_backward_equals_take_form(axis, sizes):
+    # the oracle: concat's backward as it was, one np.take per part
+    rng = np.random.default_rng(len(sizes) + axis)
+    shapes = [tuple(n if a == axis else 3 for a in range(3)) for n in sizes]
+    out = ad.concat([Tensor(rng.standard_normal(s)) for s in shapes], axis=axis)
+    g = rng.standard_normal(out.shape)
+    offsets = np.cumsum([0, *sizes])
+    want = [np.take(g, range(offsets[i], offsets[i + 1]), axis=axis) for i in range(len(sizes))]
+    got = out._backward(g)
+    assert len(got) == len(want)
+    assert all(a.shape == b.shape == s and np.array_equal(a, b)
+               for a, b, s in zip(got, want, shapes))
+
+
 class TestConvAttention:
     def test_saturated_gates_pass_through(self):
         s = mkstack(np.random.default_rng(3))

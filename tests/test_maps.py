@@ -233,6 +233,31 @@ def test_match_level_equals_per_estimate_matcher(case):
     assert all(np.array_equal(g, o) for g, o in zip(got, want))
 
 
+def downsample2_concatenate(img: np.ndarray) -> np.ndarray:
+    """The oracle: `_downsample2` as it was, with one `np.concatenate` per odd side."""
+    h, w = img.shape
+    if h % 2:
+        img = np.concatenate([img, img[-1:]], axis=0)
+        h += 1
+    if w % 2:
+        img = np.concatenate([img, img[:, -1:]], axis=1)
+        w += 1
+    return img.reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(h=st.integers(1, 19), w=st.integers(1, 19), seed=st.integers(0, 2**32 - 1),
+       strided=st.booleans())
+def test_downsample2_equals_concatenate_form(h, w, seed, strided):
+    # a strided input is the single-channel luminance view that the flow's
+    # pyramid starts from
+    img = np.random.default_rng(seed).random((h, w, 2))
+    img = img[:, :, 0] if strided else np.ascontiguousarray(img[:, :, 0])
+    got, want = maps._downsample2(img), downsample2_concatenate(img)
+    assert got.shape == want.shape == ((h + 1) // 2, (w + 1) // 2)
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("axis", [0, 1])
 def test_uniform_filter1d_into_buffer_prefix_is_exact(axis):
     # _match_level filters each SAD map into a contiguous prefix of a larger

@@ -14,7 +14,6 @@ from headtrack.metrics import (
     MetricsError,
     MotReport,
     _id_assignment,
-    _id_counts,
     aggregate,
     detection_ap,
     evaluate,
@@ -165,7 +164,8 @@ class TestIdMetrics:
                 x = float(rng.uniform(0, 200))
                 for f in range(1, int(rng.integers(3, 9))):
                     pred.append(rec(f, 100 + t, x + f))
-            idtp, idfp, idfn = _id_counts(gt, pred, 0.5)
+            m = id_metrics(gt, pred, 0.5)
+            idtp, idfp, idfn = m["IDTP"], m["IDFP"], m["IDFN"]
             assert idtp == brute_force_idtp(gt, pred)
             assert idfp == len(pred) - idtp
             assert idfn == len(gt) - idtp

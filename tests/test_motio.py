@@ -353,7 +353,15 @@ class TestStats:
     def test_square_boxes_ratio_mass(self):
         recs = [AnnotationRecord(1, i, BBox(0, 0, 10, 10)) for i in range(1, 11)]
         stats = compute_stats(recs, 1)
-        assert stats.ratio_mass_in(0.8, 1.4) == 1.0
+        assert stats.ratio_mass == 1.0
+
+    def test_ratio_mass_band_is_closed(self):
+        # h/w of 0.8 and 1.4 lie in the band, 0.7 and 1.5 do not
+        recs = [AnnotationRecord(1, i, BBox(0, 0, 10, h)) for i, h in enumerate((7, 8, 14, 15), 1)]
+        assert compute_stats(recs, 1).ratio_mass == 0.5
+
+    def test_empty_records_ratio_mass(self):
+        assert compute_stats([], 1).ratio_mass == 0.0
 
     def test_ratio_histogram_bins(self):
         recs = [AnnotationRecord(1, 1, BBox(0, 0, 10, 5)),   # 0.5

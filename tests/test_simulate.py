@@ -102,6 +102,83 @@ class TestSimulate:
             ScenarioConfig(duration=0)
 
 
+def simulate_per_axis(cfg):
+    """The oracle: `simulate` as it was when it bounced agents off the walls one
+    axis at a time, as the (duration, agent_count, 4) array of each frame's box
+    fields, and the number of wall bounces."""
+    rng = _rng(cfg.seed)
+    w, h = cfg.arena
+    n = cfg.agent_count
+    sizes = rng.uniform(*cfg.head_size_range, size=n)
+    margin = sizes / 2.0
+    pos = np.stack([rng.uniform(margin, w - margin),
+                    rng.uniform(margin, h - margin)], axis=1)
+    speeds = rng.uniform(*cfg.speed_range, size=n)
+    headings = rng.uniform(0.0, 2.0 * math.pi, size=n)
+    boxes, bounces = [], 0
+    for _ in range(cfg.duration):
+        boxes.append(np.stack([pos[:, 0] - sizes / 2.0, pos[:, 1] - sizes / 2.0,
+                               sizes, sizes], axis=1))
+        headings += rng.normal(0.0, cfg.heading_sigma, size=n)
+        vel = np.stack([np.cos(headings), np.sin(headings)], axis=1) * speeds[:, None]
+        if cfg.repulsion_strength > 0 and n > 1:
+            delta = pos[:, None, :] - pos[None, :, :]
+            dist = np.linalg.norm(delta, axis=2)
+            np.fill_diagonal(dist, np.inf)
+            near = dist < cfg.repulsion_radius
+            push = np.where(near[:, :, None],
+                            delta / np.maximum(dist, 1e-6)[:, :, None] ** 2, 0.0)
+            vel += cfg.repulsion_strength * push.sum(axis=1) * cfg.repulsion_radius
+        pos += vel
+        for ax, limit in ((0, w), (1, h)):
+            low = margin
+            high = limit - margin
+            under = pos[:, ax] < low
+            over = pos[:, ax] > high
+            pos[under, ax] = 2 * low[under] - pos[under, ax]
+            pos[over, ax] = 2 * high[over] - pos[over, ax]
+            pos[:, ax] = np.clip(pos[:, ax], low, high)
+            flip = under | over
+            bounces += int(flip.sum())
+            if ax == 0:
+                headings[flip] = math.pi - headings[flip]
+            else:
+                headings[flip] = -headings[flip]
+    return np.array(boxes), bounces
+
+
+def _box_fields(cfg):
+    recs, _ = simulate(cfg)
+    return ltwh_array(r.bbox for r in recs).reshape(cfg.duration, cfg.agent_count, 4)
+
+
+@pytest.mark.parametrize("cfg", [
+    ScenarioConfig(agent_count=12, duration=80, seed=0),
+    ScenarioConfig(arena=(60, 45), agent_count=3, speed_range=(5.0, 30.0),
+                   heading_sigma=0.5, duration=60, seed=4),
+    ScenarioConfig(arena=(40, 40), agent_count=2, speed_range=(20.0, 60.0),
+                   head_size_range=(10.0, 20.0), repulsion_strength=0.0, duration=50, seed=9),
+])
+def test_bounce_equals_per_axis_oracle(cfg):
+    # positions after a bounce pin the bounced positions, and the positions
+    # after them the bounced headings
+    want, bounces = simulate_per_axis(cfg)
+    assert bounces > 0
+    assert _box_fields(cfg).tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(arena=st.tuples(st.integers(30, 120), st.integers(30, 120)),
+       agents=st.integers(1, 6), speed=st.floats(0.0, 50.0),
+       sigma=st.floats(0.0, 3.0), repulsion=st.sampled_from([0.0, 1.0]),
+       seed=st.integers(0, 2**32))
+def test_bounce_equals_per_axis_oracle_at_random(arena, agents, speed, sigma, repulsion, seed):
+    cfg = ScenarioConfig(arena=arena, agent_count=agents, speed_range=(0.0, speed),
+                         heading_sigma=sigma, head_size_range=(6.0, 12.0),
+                         repulsion_strength=repulsion, duration=30, seed=seed)
+    assert _box_fields(cfg).tobytes() == simulate_per_axis(cfg)[0].tobytes()
+
+
 def small_gt(seed=0):
     recs, _ = simulate(ScenarioConfig(agent_count=10, duration=60, seed=seed))
     return recs
