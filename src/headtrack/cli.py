@@ -166,7 +166,13 @@ def cmd_gen_motion(args) -> int:
     # each frame is read twice, to check every one before anything is
     # written and then to process it, so that at most two are held at once
     def frames():
-        return (maps.ImageFrame(maps.load_map(p)) for p in paths)
+        for p in paths:
+            data = maps.load_map(p)  # its errors name the file; ImageFrame's do not
+            try:
+                frame = maps.ImageFrame(data)
+            except maps.MapError as e:
+                raise InputError(f"{p}: {e}") from None
+            yield frame
 
     sizes = {f.data.shape[:2] for f in frames()}
     if len(sizes) > 1:

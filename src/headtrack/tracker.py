@@ -61,71 +61,47 @@ def _z_to_ltwh(z: np.ndarray) -> np.ndarray:
     return np.stack([z[..., 0] - w / 2.0, z[..., 1] - h / 2.0, w, h], axis=-1)
 
 
-def _diag(d: np.ndarray) -> np.ndarray:
-    """(..., n) -> (..., n, n) with d on each diagonal and zeros elsewhere."""
-    n = d.shape[-1]
-    out = np.zeros(d.shape + (n,))
-    out[..., np.arange(n), np.arange(n)] = d
-    return out
-
-
-def _mv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Matrix-vector product over leading batch dimensions of a and x."""
-    return (a @ x[..., None])[..., 0]
-
-
 def _sym(cov: np.ndarray) -> np.ndarray:
     return (cov + cov.swapaxes(-1, -2)) / 2.0
+
+
+_DIAG = np.arange(8)  # index both axes with it to reach a diagonal
+
+
+def _state_var(h: np.ndarray, pos: float, vel: float) -> np.ndarray:
+    """(..., 8) variances: (pos * h)^2 on cx, cy, height, (vel * h)^2 on their velocities."""
+    p, v, a, av = pos * h, vel * h, np.full_like(h, 1e-2), np.full_like(h, 1e-5)
+    return np.square(np.stack([p, p, a, p, v, v, av, v], axis=-1))
 
 
 class KalmanModel:
     """Constant-velocity filter on (cx, cy, aspect, height) + velocities.
 
-    Noise scales are proportional to the box height, following the
-    SORT/DeepSORT convention. F, Q, R can be overridden for testing.
-    `predict` and `update` take any leading batch dimensions: mean (..., 8)
-    and cov (..., 8, 8) filter one track or a stack of N tracks at once.
+    The one fixed SORT/DeepSORT model, applied as slices: F adds each
+    velocity to its position, H = [I 0] observes the positions, and the
+    process and observation noise, scaled by the box height, go on the
+    diagonal. `predict` and `update` take any leading batch dimensions:
+    mean (..., 8) and cov (..., 8, 8) filter one track or N at once.
     """
 
     STD_POS = 1.0 / 20.0
     STD_VEL = 1.0 / 160.0
 
-    def __init__(self, F: np.ndarray | None = None,
-                 Q: np.ndarray | None = None, R: np.ndarray | None = None):
-        self.F = np.eye(8) if F is None else np.asarray(F, dtype=np.float64)
-        if F is None:
-            self.F[:4, 4:] = np.eye(4)
-        self.Q = Q if Q is None else np.asarray(Q, dtype=np.float64)
-        self.R = R if R is None else np.asarray(R, dtype=np.float64)
-
     def initiate(self, measurement: BBox | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """A state at rest on each measurement: mean (8,) and cov (8, 8) for a
         BBox, or mean (N, 8) and cov (N, 8, 8) for (N, 4) ltwh rows."""
         z = _ltwh_to_z(measurement)
-        h = z[..., 3]
-        pos, vel = 2 * self.STD_POS * h, 10 * self.STD_VEL * h
-        std = np.stack([pos, pos, np.full_like(h, 1e-2), pos,
-                        vel, vel, np.full_like(h, 1e-5), vel], axis=-1)
-        return np.concatenate([z, np.zeros_like(z)], axis=-1), _diag(np.square(std))
-
-    def _process_noise(self, h: np.ndarray) -> np.ndarray:
-        if self.Q is not None:
-            return self.Q
-        pos, vel = self.STD_POS * h, self.STD_VEL * h
-        aspect, aspect_vel = np.full_like(h, 1e-2), np.full_like(h, 1e-5)
-        std = np.stack([pos, pos, aspect, pos, vel, vel, aspect_vel, vel], axis=-1)
-        return _diag(np.square(std))
-
-    def _obs_noise(self, h: np.ndarray) -> np.ndarray:
-        if self.R is not None:
-            return self.R
-        pos = self.STD_POS * h
-        std = np.stack([pos, pos, np.full_like(h, 1e-1), pos], axis=-1)
-        return _diag(np.square(std))
+        cov = np.zeros(z.shape[:-1] + (8, 8))
+        cov[..., _DIAG, _DIAG] = _state_var(z[..., 3], 2 * self.STD_POS, 10 * self.STD_VEL)
+        return np.concatenate([z, np.zeros_like(z)], axis=-1), cov
 
     def predict(self, mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        mean = _mv(self.F, mean)
-        cov = self.F @ cov @ self.F.T + self._process_noise(mean[..., 3])
+        mean, cov = mean.copy(), cov.copy()
+        mean[..., :4] += mean[..., 4:]
+        # rows, then columns: (F @ cov) @ F.T, the order in which the matmul form rounds
+        cov[..., :4, :] += cov[..., 4:, :]
+        cov[..., :, :4] += cov[..., :, 4:]
+        cov[..., _DIAG, _DIAG] += _state_var(mean[..., 3], self.STD_POS, self.STD_VEL)
         return mean, _sym(cov)
 
     def update(self, mean: np.ndarray, cov: np.ndarray,
@@ -133,19 +109,21 @@ class KalmanModel:
         """One measurement per state: a BBox for mean (8,), or (N, 4) ltwh
         rows for mean (N, 8)."""
         z = _ltwh_to_z(measurement)
-        R = self._obs_noise(mean[..., 3])
+        pos = self.STD_POS * mean[..., 3]
+        r = np.square(np.stack([pos, pos, np.full_like(pos, 1e-1), pos], axis=-1))
         # H = [I 0], so H @ cov @ H.T, cov @ H.T, H @ mean and K @ H are slices
-        S = cov[..., :4, :4] + R
+        S = cov[..., :4, :4].copy()
+        S[..., _DIAG[:4], _DIAG[:4]] += r
         try:
             K = np.linalg.solve(S.swapaxes(-1, -2),
                                 cov[..., :, :4].swapaxes(-1, -2)).swapaxes(-1, -2)
         except np.linalg.LinAlgError as e:
             raise TrackerError(f"singular innovation covariance: {e}") from None
-        mean = mean + _mv(K, z - mean[..., :4])
+        mean = mean + (K @ (z - mean[..., :4])[..., None])[..., 0]
         ikh = np.tile(np.eye(8), K.shape[:-2] + (1, 1))
         ikh[..., :4] -= K
-        # Joseph form keeps PSD
-        cov = ikh @ cov @ ikh.swapaxes(-1, -2) + K @ R @ K.swapaxes(-1, -2)
+        # Joseph form keeps PSD; K @ diag(r) @ K.T scales K's columns by r
+        cov = ikh @ cov @ ikh.swapaxes(-1, -2) + (K * r[..., None, :]) @ K.swapaxes(-1, -2)
         return mean, _sym(cov)
 
 

@@ -386,6 +386,16 @@ class TestGenMotion:
             f"error: {frames / 'f_0001.bin'}: map payload has 63 bytes, expected 64")
         assert not (tmp_path / "o").exists()
 
+    def test_wrong_channel_count_names_the_file(self, tmp_path, capsys):
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        maps.save_map(frames / "a.bin", np.zeros((8, 8, 2)))
+        assert run("gen-motion", "--frames-dir", str(frames),
+                   "--out-dir", str(tmp_path / "o")) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(
+            f"error: {frames / 'a.bin'}: image must be (H, W, 1|3), got shape (8, 8, 2)")
+        assert not (tmp_path / "o").exists()
+
     def test_mismatched_sizes_write_nothing(self, tmp_path, capsys):
         frames = tmp_path / "frames"
         frames.mkdir()

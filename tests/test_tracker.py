@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from types import SimpleNamespace
@@ -18,7 +19,6 @@ from headtrack.tracker import (
     TrackerConfig,
     TrackerError,
     _ltwh_to_z,
-    _mv,
     _z_to_ltwh,
     associate,
     byte_associate,
@@ -112,24 +112,25 @@ class TestKalman:
         assert back.tolist() == pytest.approx([b.left, b.top, b.width, b.height])
 
     def test_scalar_closed_form(self):
-        # diagonal F/Q/R decouple the 4 observed dims into independent
-        # scalar filters; compare against the textbook scalar recursion
-        q, r = 0.04, 0.25
-        km = KalmanModel(F=np.eye(8), Q=q * np.eye(8), R=r * np.eye(4))
-        b0, b1 = BBox(10, 10, 8, 16), BBox(12, 11, 8, 16)
-        mean, cov = km.initiate(b0)
-        p0 = np.diag(cov)[:4].copy()
-        mean, cov = km.predict(mean, cov)
-        assert np.allclose(np.diag(cov)[:4], p0 + q)
-        z = _ltwh_to_z(b1)
-        m_prev = mean[:4].copy()
-        p_pred = p0 + q
+        # one predict from rest leaves cov[:4, :4] diagonal, so the update
+        # filters each observed dim as an independent scalar filter; compare
+        # against the textbook scalar recursion
+        km, h = KalmanModel(), 16.0
+        b0, b1 = BBox(10, 10, 8, h), BBox(12, 11, 8, h)
+        pos, vel = km.STD_POS * h, km.STD_VEL * h
+        p0 = np.square([2 * pos, 2 * pos, 1e-2, 2 * pos])
+        v0 = np.square([10 * vel, 10 * vel, 1e-5, 10 * vel])
+        q, r = np.square([pos, pos, 1e-2, pos]), np.square([pos, pos, 1e-1, pos])
+        mean, cov = km.predict(*km.initiate(b0))
+        p_pred = p0 + v0 + q
+        assert np.allclose(cov[:4, :4], np.diag(p_pred), rtol=1e-12, atol=0)
+        m_prev, z = mean[:4].copy(), _ltwh_to_z(b1)
         mean, cov = km.update(mean, cov, b1)
-        for i in range(4):
-            k = p_pred[i] / (p_pred[i] + r)
-            assert mean[i] == pytest.approx(m_prev[i] + k * (z[i] - m_prev[i]))
-            expect_p = (1 - k) ** 2 * p_pred[i] + k ** 2 * r
-            assert cov[i, i] == pytest.approx(expect_p)
+        s = p_pred + r
+        assert mean[:4] == pytest.approx(m_prev + p_pred / s * (z - m_prev))
+        assert mean[4:] == pytest.approx(v0 / s * (z - m_prev))
+        k = p_pred / s
+        assert np.diag(cov)[:4] == pytest.approx((1 - k) ** 2 * p_pred + k ** 2 * r)
 
     def test_covariance_symmetric_psd(self):
         km = KalmanModel()
@@ -167,8 +168,32 @@ BOXES = st.builds(BBox, st.floats(-20, 60), st.floats(-20, 60), st.floats(1, 20)
                   st.floats(1, 20))
 
 
-def oracle_noise(fixed, std):
-    return fixed if fixed is not None else np.diag(np.square(std))
+# The fixed model's matrices, multiplied out by the oracles: F adds each
+# velocity to its position, H observes (cx, cy, aspect, height), and Q and R
+# are diagonal with scales proportional to the height h
+F = np.eye(8) + np.eye(8, k=4)
+H = np.eye(4, 8)
+
+
+def diag(d):
+    """(..., n) -> (..., n, n) with d on each diagonal and exact zeros elsewhere."""
+    return np.where(np.eye(d.shape[-1], dtype=bool), d[..., None], 0.0)
+
+
+def Q(h):
+    p, v = KalmanModel.STD_POS * h, KalmanModel.STD_VEL * h
+    return diag(np.square(np.stack([p, p, np.full_like(h, 1e-2), p,
+                                    v, v, np.full_like(h, 1e-5), v], axis=-1)))
+
+
+def R(h):
+    p = KalmanModel.STD_POS * h
+    return diag(np.square(np.stack([p, p, np.full_like(h, 1e-1), p], axis=-1)))
+
+
+def mv(a, x):
+    """Matrix-vector product over leading batch dimensions of a and x."""
+    return (a @ x[..., None])[..., 0]
 
 
 def oracle_initiate(km, b):
@@ -180,71 +205,100 @@ def oracle_initiate(km, b):
     return mean, np.diag(np.square([p, p, 1e-2, p, v, v, 1e-5, v]))
 
 
-def oracle_predict(km, mean, cov):
+def oracle_predict(mean, cov):
     """The per-track filter step, one (8,) state at a time: the oracle of the
     batched `KalmanModel.predict`."""
-    mean = km.F @ mean
-    p, v = km.STD_POS * mean[3], km.STD_VEL * mean[3]
-    cov = km.F @ cov @ km.F.T + oracle_noise(km.Q, [p, p, 1e-2, p, v, v, 1e-5, v])
+    mean = F @ mean
+    cov = F @ cov @ F.T + Q(mean[3])
     return mean, (cov + cov.T) / 2.0
 
 
-H = np.eye(4, 8)  # the observation matrix: the filter observes (cx, cy, aspect, height)
-
-
-def oracle_update(km, mean, cov, b):
+def oracle_update(mean, cov, b):
     """The per-track update, one (8,) state and one box at a time."""
     z = np.array([b.left + b.width / 2.0, b.top + b.height / 2.0, b.width / b.height,
                   b.height])
-    p = km.STD_POS * mean[3]
-    R = oracle_noise(km.R, [p, p, 1e-1, p])
-    S = H @ cov @ H.T + R
+    r = R(mean[3])
+    S = H @ cov @ H.T + r
     K = np.linalg.solve(S.T, (cov @ H.T).T).T
     mean = mean + K @ (z - H @ mean)
     ikh = np.eye(8) - K @ H
-    cov = ikh @ cov @ ikh.T + K @ R @ K.T
+    cov = ikh @ cov @ ikh.T + K @ r @ K.T
     return mean, (cov + cov.T) / 2.0
 
 
-def matmul_update(km, mean, cov, measurement):
-    """The batched update with H multiplied out, over any leading batch
+def matmul_predict(mean, cov):
+    """The batched predict with F and Q multiplied out, over any leading batch
+    dimensions: the oracle of `KalmanModel.predict`, which slices instead."""
+    mean = mv(F, mean)
+    cov = F @ cov @ F.T + Q(mean[..., 3])
+    return mean, (cov + cov.swapaxes(-1, -2)) / 2.0
+
+
+def matmul_update(mean, cov, measurement):
+    """The batched update with H and R multiplied out, over any leading batch
     dimensions: the oracle of `KalmanModel.update`, which slices instead."""
     z = _ltwh_to_z(measurement)
-    R = km._obs_noise(mean[..., 3])
-    S = H @ cov @ H.T + R
+    r = R(mean[..., 3])
+    S = H @ cov @ H.T + r
     K = np.linalg.solve(S.swapaxes(-1, -2), (cov @ H.T).swapaxes(-1, -2)).swapaxes(-1, -2)
-    mean = mean + _mv(K, z - _mv(H, mean))
+    mean = mean + mv(K, z - mv(H, mean))
     ikh = np.eye(8) - K @ H
-    cov = ikh @ cov @ ikh.swapaxes(-1, -2) + K @ R @ K.swapaxes(-1, -2)
+    cov = ikh @ cov @ ikh.swapaxes(-1, -2) + K @ r @ K.swapaxes(-1, -2)
     return mean, (cov + cov.swapaxes(-1, -2)) / 2.0
+
+
+def random_states(n, exponent, seed, cycles=3):
+    """Moving states initiated on n random boxes, and `cycles` noisy
+    measurements of those boxes. n = 0 gives one unbatched (8,) state. Boxes
+    span 1e-3 to 1e160 pixels; from about 1e153 the predicted covariance
+    overflows."""
+    rng = np.random.default_rng(seed)
+    shape, scale = (n,) if n else (), 10.0 ** exponent
+    box = np.stack([rng.uniform(-20, 60, shape), rng.uniform(-20, 60, shape),
+                    rng.uniform(1, 20, shape), rng.uniform(1, 20, shape)], axis=-1) * scale
+    mean, cov = KalmanModel().initiate(box)
+    mean[..., 4:6] = rng.normal(0.0, 2.0, shape + (2,)) * scale
+    return mean, cov, [box + rng.normal(0.0, 2.0, box.shape) * scale for _ in range(cycles)]
+
+
+def assert_same_where_finite(mean, cov, got, want):
+    """Every state finite before the step is the same bit for bit after either
+    form, and the two forms leave the same means non-finite."""
+    finite = np.isfinite(mean).all(axis=-1) & np.isfinite(cov).all(axis=(-2, -1))
+    for g, w, before in zip(got, want, (mean, cov)):
+        assert g.shape == w.shape == before.shape
+        assert np.array_equal(g[finite], w[finite], equal_nan=True)
+    assert np.array_equal(np.isfinite(got[0]).all(axis=-1), np.isfinite(want[0]).all(axis=-1))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow, and inf * 0 in the oracle
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 119), exponent=st.floats(-3, 160), seed=st.integers(0, 2 ** 32 - 1))
+def test_sliced_predict_equals_matmul_predict(n, exponent, seed):
+    """A state that is not finite before the predict has a non-finite mean
+    after either form (the sliced one leaves finite the entries that 0 * inf
+    makes nan in the oracle), so the tracker drops the same tracks."""
+    km = KalmanModel()
+    mean, cov, measurements = random_states(n, exponent, seed)
+    for meas in measurements:
+        got = km.predict(mean, cov)
+        assert_same_where_finite(mean, cov, got, matmul_predict(mean, cov))
+        mean, cov = km.update(*got, meas)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow, and inf * 0 in the oracle
 @settings(max_examples=300, deadline=None)
 @given(n=st.integers(0, 119), exponent=st.floats(-3, 160), seed=st.integers(0, 2 ** 32 - 1))
 def test_sliced_update_equals_matmul_update(n, exponent, seed):
-    """n = 0 filters one unbatched (8,) state. Boxes span 1e-3 to 1e160
-    pixels; from about 1e153 the predicted covariance overflows. A state that
-    is not finite before the update has a non-finite mean after either form
-    (the sliced one leaves the aspect finite where 0 * inf makes the oracle's
-    nan), so the tracker drops the same tracks; every finite state matches bit
-    for bit."""
-    rng = np.random.default_rng(seed)
-    km, shape, scale = KalmanModel(), (n,) if n else (), 10.0 ** exponent
-    box = np.stack([rng.uniform(-20, 60, shape), rng.uniform(-20, 60, shape),
-                    rng.uniform(1, 20, shape), rng.uniform(1, 20, shape)], axis=-1) * scale
-    mean, cov = km.initiate(box)
-    mean[..., 4:6] = rng.normal(0.0, 2.0, shape + (2,)) * scale
-    for _ in range(3):
+    """A state that is not finite before the update has a non-finite mean
+    after either form (the sliced one leaves the aspect finite where 0 * inf
+    makes the oracle's nan), so the tracker drops the same tracks."""
+    km = KalmanModel()
+    mean, cov, measurements = random_states(n, exponent, seed)
+    for meas in measurements:
         mean, cov = km.predict(mean, cov)
-        meas = box + rng.normal(0.0, 2.0, box.shape) * scale
-        got, want = km.update(mean, cov, meas), matmul_update(km, mean, cov, meas)
-        assert got[0].shape == mean.shape and got[1].shape == cov.shape
-        finite = np.isfinite(mean).all(axis=-1) & np.isfinite(cov).all(axis=(-2, -1))
-        for g, w in zip(got, want):
-            assert np.array_equal(g[finite], w[finite], equal_nan=True)
-        assert np.array_equal(np.isfinite(got[0]).all(axis=-1),
-                              np.isfinite(want[0]).all(axis=-1))
+        got = km.update(mean, cov, meas)
+        assert_same_where_finite(mean, cov, got, matmul_update(mean, cov, meas))
         mean, cov = got
 
 
@@ -257,12 +311,12 @@ def filter_both(km, boxes, seed, cycles):
     yield (means, covs), states
     for _ in range(cycles):
         means, covs = km.predict(means, covs)
-        states = [oracle_predict(km, m, c) for m, c in states]
+        states = [oracle_predict(m, c) for m, c in states]
         yield (means, covs), states
         shift = rng.normal(0.0, 2.0, (len(boxes), 2))
         meas = [b.translate(dx, dy) for b, (dx, dy) in zip(boxes, shift)]
         means, covs = km.update(means, covs, ltwh_array(meas))
-        states = [oracle_update(km, m, c, b) for (m, c), b in zip(states, meas)]
+        states = [oracle_update(m, c, b) for (m, c), b in zip(states, meas)]
         yield (means, covs), states
 
 
@@ -286,39 +340,30 @@ class TestBatchedKalman:
         rng = np.random.default_rng(seed)
         for _ in range(5):
             mean, cov = km.predict(mean, cov)
-            want = oracle_predict(km, *want)
+            want = oracle_predict(*want)
             meas = box.translate(*rng.normal(0.0, 2.0, 2))
             mean, cov = km.update(mean, cov, meas)
-            want = oracle_update(km, *want, meas)
+            want = oracle_update(*want, meas)
             assert mean.shape == (8,) and cov.shape == (8, 8)
             assert np.array_equal(mean, want[0]) and np.array_equal(cov, want[1])
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_custom_model_close_to_per_track_filter(self, seed):
-        rng = np.random.default_rng(seed)
-        F = np.eye(8) + rng.normal(0.0, 0.1, (8, 8))
-        a, b = rng.normal(0.0, 0.3, (8, 8)), rng.normal(0.0, 0.3, (4, 4))
-        km = KalmanModel(F=F, Q=a @ a.T + 0.1 * np.eye(8), R=b @ b.T + 0.5 * np.eye(4))
-        boxes = [BBox(*rng.uniform(0, 200, 2), *rng.uniform(5, 30, 2)) for _ in range(30)]
-        for (means, covs), states in filter_both(km, boxes, seed, cycles=5):
-            assert np.allclose(means, np.stack([m for m, _ in states]), rtol=1e-9, atol=1e-9)
-            assert np.allclose(covs, np.stack([c for _, c in states]), rtol=1e-9, atol=1e-9)
-
     def test_one_singular_innovation_in_batch_raises(self):
-        km = KalmanModel(R=np.zeros((4, 4)))
+        # a zero height and covariance leave S = diag(0, 0, 1e-2, 0) in row 2
+        km = KalmanModel()
         means, covs = km.initiate(ltwh_array(BBox(10.0 * i, 0, 10, 10) for i in range(4)))
-        covs[2] = 0.0
+        means[2, 3], covs[2] = 0.0, 0.0
         with pytest.raises(TrackerError):
             km.update(means, covs, ltwh_array(BBox(10.0 * i, 1, 10, 10) for i in range(4)))
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in F
     def test_non_finite_prediction_removes_only_that_track(self):
         tracker = Tracker(TrackerConfig(n_init=2))
         for f in (1, 2):
             tracker.step(f, [det(40.0 * i, 0) for i in range(4)])
         assert tracker.confirmed.all()
         tracker.mean[1, 4] = np.inf
-        tracker.step(3, [det(0, 0), det(80, 0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # the predict makes no inf * 0
+            tracker.step(3, [det(0, 0), det(80, 0)])
         assert tracker.tracks.tolist() == [1, 3, 4]
         assert tracker.age.tolist() == [0, 0, 1]
         assert np.isfinite(tracker.mean).all() and np.isfinite(tracker.cov).all()
