@@ -11,7 +11,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 # `iou` stays importable here: benchmarks/tracing.py counts calls at this site
-from .geometry import BBox, iou, iou_matrix, ltwh_array  # noqa: F401
+from .geometry import iou, iou_matrix, ltwh_array  # noqa: F401
 from .motio import AnnotationRecord
 
 
@@ -40,14 +40,12 @@ class TrackerConfig:
             raise TrackerError("need 0 <= low < high <= 1")
         if not (0 < self.iou_gate < 1):
             raise TrackerError("iou_gate must be in (0, 1)")
-        if self.max_age < 1 or self.n_init < 1:
+        if not (self.max_age >= 1 and self.n_init >= 1):  # nan fails too
             raise TrackerError("max_age and n_init must be >= 1")
 
 
-def _ltwh_to_z(a: BBox | np.ndarray) -> np.ndarray:
-    """(..., 4) ltwh rows, or one BBox, -> (..., 4) (cx, cy, aspect, height) rows."""
-    if isinstance(a, BBox):
-        a = ltwh_array([a])[0]
+def _ltwh_to_z(a: np.ndarray) -> np.ndarray:
+    """(..., 4) ltwh rows -> (..., 4) (cx, cy, aspect, height) rows."""
     left, top, w, h = np.moveaxis(a, -1, 0)
     return np.stack([left + w / 2.0, top + h / 2.0, w / h, h], axis=-1)
 
@@ -61,13 +59,6 @@ def _z_to_ltwh(z: np.ndarray) -> np.ndarray:
     return np.stack([z[..., 0] - w / 2.0, z[..., 1] - h / 2.0, w, h], axis=-1)
 
 
-def _sym(cov: np.ndarray) -> np.ndarray:
-    return (cov + cov.swapaxes(-1, -2)) / 2.0
-
-
-_DIAG = np.arange(8)  # index both axes with it to reach a diagonal
-
-
 def _state_var(h: np.ndarray, pos: float, vel: float) -> np.ndarray:
     """(..., 8) variances: (pos * h)^2 on cx, cy, height, (vel * h)^2 on their velocities."""
     p, v, a, av = pos * h, vel * h, np.full_like(h, 1e-2), np.full_like(h, 1e-5)
@@ -77,54 +68,50 @@ def _state_var(h: np.ndarray, pos: float, vel: float) -> np.ndarray:
 class KalmanModel:
     """Constant-velocity filter on (cx, cy, aspect, height) + velocities.
 
-    The one fixed SORT/DeepSORT model, applied as slices: F adds each
-    velocity to its position, H = [I 0] observes the positions, and the
-    process and observation noise, scaled by the box height, go on the
-    diagonal. `predict` and `update` take any leading batch dimensions:
-    mean (..., 8) and cov (..., 8, 8) filter one track or N at once.
+    The one fixed SORT/DeepSORT model: F adds each velocity to its position,
+    H observes the positions, and the process and observation noise, scaled
+    by the box height, and the initial covariance are diagonal. So each of
+    the four dimensions is its own (position, velocity) filter with a scalar
+    measurement, and every step is elementwise arithmetic. `mean` (..., 8)
+    holds the positions, then the velocities. `cov` (..., 3, 4) holds the
+    rows p_pp, p_pv and p_vv of each dimension's 2x2 covariance; the 8x8
+    covariance is zero outside those four blocks. `predict` and `update` take
+    any leading batch dimensions, to filter one track or N at once.
     """
 
     STD_POS = 1.0 / 20.0
     STD_VEL = 1.0 / 160.0
 
-    def initiate(self, measurement: BBox | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """A state at rest on each measurement: mean (8,) and cov (8, 8) for a
-        BBox, or mean (N, 8) and cov (N, 8, 8) for (N, 4) ltwh rows."""
+    def initiate(self, measurement: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A state at rest on each (..., 4) ltwh row: mean (..., 8), cov (..., 3, 4)."""
         z = _ltwh_to_z(measurement)
-        cov = np.zeros(z.shape[:-1] + (8, 8))
-        cov[..., _DIAG, _DIAG] = _state_var(z[..., 3], 2 * self.STD_POS, 10 * self.STD_VEL)
-        return np.concatenate([z, np.zeros_like(z)], axis=-1), cov
+        var = _state_var(z[..., 3], 2 * self.STD_POS, 10 * self.STD_VEL)
+        return (np.concatenate([z, np.zeros_like(z)], axis=-1),
+                np.stack([var[..., :4], np.zeros_like(z), var[..., 4:]], axis=-2))
 
     def predict(self, mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        mean, cov = mean.copy(), cov.copy()
+        mean = mean.copy()
         mean[..., :4] += mean[..., 4:]
-        # rows, then columns: (F @ cov) @ F.T, the order in which the matmul form rounds
-        cov[..., :4, :] += cov[..., 4:, :]
-        cov[..., :, :4] += cov[..., :, 4:]
-        cov[..., _DIAG, _DIAG] += _state_var(mean[..., 3], self.STD_POS, self.STD_VEL)
-        return mean, _sym(cov)
+        a, b, c = np.moveaxis(cov, -2, 0)
+        q = _state_var(mean[..., 3], self.STD_POS, self.STD_VEL)
+        # F P F^T summed in the order in which the 8x8 matmul form rounds
+        return mean, np.stack([(a + b) + (b + c) + q[..., :4], b + c, c + q[..., 4:]], axis=-2)
 
     def update(self, mean: np.ndarray, cov: np.ndarray,
-               measurement: BBox | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One measurement per state: a BBox for mean (8,), or (N, 4) ltwh
-        rows for mean (N, 8)."""
+               measurement: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One (..., 4) ltwh measurement row per state."""
         z = _ltwh_to_z(measurement)
         pos = self.STD_POS * mean[..., 3]
         r = np.square(np.stack([pos, pos, np.full_like(pos, 1e-1), pos], axis=-1))
-        # H = [I 0], so H @ cov @ H.T, cov @ H.T, H @ mean and K @ H are slices
-        S = cov[..., :4, :4].copy()
-        S[..., _DIAG[:4], _DIAG[:4]] += r
-        try:
-            K = np.linalg.solve(S.swapaxes(-1, -2),
-                                cov[..., :, :4].swapaxes(-1, -2)).swapaxes(-1, -2)
-        except np.linalg.LinAlgError as e:
-            raise TrackerError(f"singular innovation covariance: {e}") from None
-        mean = mean + (K @ (z - mean[..., :4])[..., None])[..., 0]
-        ikh = np.tile(np.eye(8), K.shape[:-2] + (1, 1))
-        ikh[..., :4] -= K
-        # Joseph form keeps PSD; K @ diag(r) @ K.T scales K's columns by r
-        cov = ikh @ cov @ ikh.swapaxes(-1, -2) + (K * r[..., None, :]) @ K.swapaxes(-1, -2)
-        return mean, _sym(cov)
+        a, b, c = np.moveaxis(cov, -2, 0)
+        s = a + r
+        if (s == 0).any():
+            raise TrackerError("singular innovation covariance")
+        k1, k2, y = a / s, b / s, z - mean[..., :4]
+        # (I - KH)P: each block's determinant becomes r/s times the old one,
+        # so a PSD block stays PSD
+        return (np.concatenate([mean[..., :4] + k1 * y, mean[..., 4:] + k2 * y], axis=-1),
+                np.stack([r * k1, r * k2, c - k2 * b], axis=-2))
 
 
 class Assignment(NamedTuple):
@@ -182,7 +169,7 @@ class Tracker:
     """Single-sequence tracker; step() must be called with increasing frames.
 
     Live tracks are parallel arrays in spawn order, which is track-id order:
-    `tracks` (N,) ids, `mean` (N, 8) and `cov` (N, 8, 8) Kalman states,
+    `tracks` (N,) ids, `mean` (N, 8) and `cov` (N, 3, 4) Kalman states,
     `hits` (N,) matches including the spawn, `age` (N,) frames since the last
     match and `confirmed` (N,) whether the track was ever confirmed. A track
     that was never confirmed is tentative and dies on its first miss; a
@@ -193,7 +180,7 @@ class Tracker:
         self.cfg = cfg or TrackerConfig()
         self.kalman = KalmanModel()
         self.tracks = np.zeros(0, dtype=np.int64)
-        self.mean, self.cov = np.zeros((0, 8)), np.zeros((0, 8, 8))
+        self.mean, self.cov = np.zeros((0, 8)), np.zeros((0, 3, 4))
         self.hits = np.zeros(0, dtype=np.int64)
         self.age = np.zeros(0, dtype=np.int64)
         self.confirmed = np.zeros(0, dtype=bool)

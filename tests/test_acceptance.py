@@ -25,7 +25,7 @@ from headtrack.fusion import (
     spatial_mask_fuse,
     split_regroup,
 )
-from headtrack.geometry import BBox, iou
+from headtrack.geometry import BBox, iou, ltwh_array
 from headtrack.maps import (
     FlowConfig,
     ImageFrame,
@@ -44,6 +44,7 @@ from headtrack.tracker import (
     hungarian,
     run_tracker,
 )
+from test_tracker import block_cov
 
 # published per-scenario statistics: name -> (boxes, frames, printed density)
 PUBLISHED_ROWS = {
@@ -348,16 +349,17 @@ def test_09_metric_fixture_and_partition(capsys):
 def test_10_filter_covariance_health(capsys):
     km = KalmanModel()
     rng = np.random.default_rng(4)
-    mean, cov = km.initiate(BBox(100, 100, 20, 30))
+    mean, cov = km.initiate(ltwh_array([BBox(100, 100, 20, 30)])[0])
     worst_sym, worst_eig = 0.0, 0.0
     for _ in range(10_000):
         mean, cov = km.predict(mean, cov)
         jitter = rng.normal(0, 2.0, 4)
         meas = BBox(100 + jitter[0], 100 + jitter[1],
                     max(20 + jitter[2], 2.0), max(30 + jitter[3], 2.0))
-        mean, cov = km.update(mean, cov, meas)
-        worst_sym = max(worst_sym, float(np.abs(cov - cov.T).max()))
-        worst_eig = min(worst_eig, float(np.linalg.eigvalsh(cov).min()))
+        mean, cov = km.update(mean, cov, ltwh_array([meas])[0])
+        full = block_cov(cov)  # the 8x8 covariance
+        worst_sym = max(worst_sym, float(np.abs(full - full.T).max()))
+        worst_eig = min(worst_eig, float(np.linalg.eigvalsh(full).min()))
     ok = worst_sym < 1e-9 and worst_eig >= -1e-9
     report(capsys, 10, "filter-covariance-health", ok,
            f"max asym {worst_sym:.1e}, min eig {worst_eig:.1e}, 10000 cycles")

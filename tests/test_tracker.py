@@ -105,50 +105,60 @@ class TestHungarian:
             hungarian(np.array([[np.inf, 1.0], [1.0, 1.0]]))
 
 
+def block_cov(cov):
+    """(..., 3, 4) rows p_pp, p_pv, p_vv -> the (..., 8, 8) covariance over
+    (cx, cy, aspect, height) and their velocities, exact zeros outside the
+    four (position, velocity) blocks."""
+    full, i = np.zeros(cov.shape[:-2] + (8, 8)), np.arange(4)
+    full[..., i, i], full[..., i, i + 4] = cov[..., 0, :], cov[..., 1, :]
+    full[..., i + 4, i], full[..., i + 4, i + 4] = cov[..., 1, :], cov[..., 2, :]
+    return full
+
+
 class TestKalman:
     def test_state_round_trip(self):
         b = BBox(12.5, 40.0, 30.0, 44.0)
-        back = _z_to_ltwh(_ltwh_to_z(b))
+        back = _z_to_ltwh(_ltwh_to_z(ltwh_array([b])[0]))
         assert back.tolist() == pytest.approx([b.left, b.top, b.width, b.height])
 
     def test_scalar_closed_form(self):
-        # one predict from rest leaves cov[:4, :4] diagonal, so the update
-        # filters each observed dim as an independent scalar filter; compare
-        # against the textbook scalar recursion
+        # compare one predict from rest and one update against the textbook
+        # scalar recursion of each observed dimension
         km, h = KalmanModel(), 16.0
-        b0, b1 = BBox(10, 10, 8, h), BBox(12, 11, 8, h)
+        b0, b1 = ltwh_array([BBox(10, 10, 8, h), BBox(12, 11, 8, h)])
         pos, vel = km.STD_POS * h, km.STD_VEL * h
         p0 = np.square([2 * pos, 2 * pos, 1e-2, 2 * pos])
         v0 = np.square([10 * vel, 10 * vel, 1e-5, 10 * vel])
         q, r = np.square([pos, pos, 1e-2, pos]), np.square([pos, pos, 1e-1, pos])
         mean, cov = km.predict(*km.initiate(b0))
         p_pred = p0 + v0 + q
-        assert np.allclose(cov[:4, :4], np.diag(p_pred), rtol=1e-12, atol=0)
+        assert np.allclose(block_cov(cov)[:4, :4], np.diag(p_pred), rtol=1e-12, atol=0)
         m_prev, z = mean[:4].copy(), _ltwh_to_z(b1)
         mean, cov = km.update(mean, cov, b1)
         s = p_pred + r
         assert mean[:4] == pytest.approx(m_prev + p_pred / s * (z - m_prev))
         assert mean[4:] == pytest.approx(v0 / s * (z - m_prev))
         k = p_pred / s
-        assert np.diag(cov)[:4] == pytest.approx((1 - k) ** 2 * p_pred + k ** 2 * r)
+        assert np.diag(block_cov(cov))[:4] == pytest.approx((1 - k) ** 2 * p_pred + k ** 2 * r)
 
     def test_covariance_symmetric_psd(self):
         km = KalmanModel()
-        mean, cov = km.initiate(BBox(5, 5, 20, 30))
+        mean, cov = km.initiate(ltwh_array([BBox(5, 5, 20, 30)])[0])
         rng = np.random.default_rng(0)
         for _ in range(50):
             mean, cov = km.predict(mean, cov)
             jitter = rng.normal(0, 1.0, 2)
-            mean, cov = km.update(mean, cov, BBox(5 + jitter[0], 5 + jitter[1], 20, 30))
-            assert np.array_equal(cov, cov.T)
-            assert np.linalg.eigvalsh(cov).min() > -1e-10
+            mean, cov = km.update(mean, cov, np.array([5 + jitter[0], 5 + jitter[1], 20, 30]))
+            full = block_cov(cov)
+            assert np.array_equal(full, full.T)
+            assert np.linalg.eigvalsh(full).min() > -1e-10
 
     def test_constant_velocity_extrapolates(self):
         km = KalmanModel()
-        mean, cov = km.initiate(BBox(0, 0, 10, 10))
+        mean, cov = km.initiate(np.array([0.0, 0, 10, 10]))
         for step in range(1, 11):
             mean, cov = km.predict(mean, cov)
-            mean, cov = km.update(mean, cov, BBox(3.0 * step, 0, 10, 10))
+            mean, cov = km.update(mean, cov, np.array([3.0 * step, 0, 10, 10]))
         mean, cov = km.predict(mean, cov)
         # after ten frames of steady 3 px/frame motion the predicted center
         # should lead the last measurement by roughly one step
@@ -156,21 +166,20 @@ class TestKalman:
 
     def test_update_moves_toward_measurement(self):
         km = KalmanModel()
-        mean, cov = km.initiate(BBox(0, 0, 10, 10))
-        mean, cov = km.predict(mean, cov)
-        before = abs(mean[0] - _ltwh_to_z(BBox(4, 0, 10, 10))[0])
-        mean, cov = km.update(mean, cov, BBox(4, 0, 10, 10))
-        after = abs(mean[0] - _ltwh_to_z(BBox(4, 0, 10, 10))[0])
-        assert after < before
+        mean, cov = km.predict(*km.initiate(np.array([0.0, 0, 10, 10])))
+        z = np.array([4.0, 0, 10, 10])
+        before = abs(mean[0] - _ltwh_to_z(z)[0])
+        mean, cov = km.update(mean, cov, z)
+        assert abs(mean[0] - _ltwh_to_z(z)[0]) < before
 
 
 BOXES = st.builds(BBox, st.floats(-20, 60), st.floats(-20, 60), st.floats(1, 20),
                   st.floats(1, 20))
 
 
-# The fixed model's matrices, multiplied out by the oracles: F adds each
-# velocity to its position, H observes (cx, cy, aspect, height), and Q and R
-# are diagonal with scales proportional to the height h
+# The fixed model's matrices, multiplied out by the matmul oracles: F adds
+# each velocity to its position, H observes (cx, cy, aspect, height), and Q
+# and R are diagonal with scales proportional to the height h
 F = np.eye(8) + np.eye(8, k=4)
 H = np.eye(4, 8)
 
@@ -196,47 +205,59 @@ def mv(a, x):
     return (a @ x[..., None])[..., 0]
 
 
+# The per-track filter, one dimension at a time on Python floats, in the
+# operation order of `KalmanModel`: its exact oracle. A state is a list of
+# 8 floats (positions, then velocities) and a 3-list of 4-lists (p_pp, p_pv,
+# p_vv per dimension); STD_ASPECT and OBS_ASPECT are the aspect's fixed
+# process and observation standard deviations.
+STD_ASPECT, STD_ASPECT_VEL, OBS_ASPECT = 1e-2, 1e-5, 1e-1
+
+
 def oracle_initiate(km, b):
-    """The per-box initiation, one BBox at a time: the oracle of the batched
-    `KalmanModel.initiate`."""
-    mean = np.zeros(8)
-    mean[:4] = [b.left + b.width / 2.0, b.top + b.height / 2.0, b.width / b.height, b.height]
+    z = [b.left + b.width / 2.0, b.top + b.height / 2.0, b.width / b.height, b.height]
     p, v = 2 * km.STD_POS * b.height, 10 * km.STD_VEL * b.height
-    return mean, np.diag(np.square([p, p, 1e-2, p, v, v, 1e-5, v]))
+    pp = [p * p, p * p, STD_ASPECT * STD_ASPECT, p * p]
+    vv = [v * v, v * v, STD_ASPECT_VEL * STD_ASPECT_VEL, v * v]
+    return z + [0.0] * 4, [pp, [0.0] * 4, vv]
 
 
-def oracle_predict(mean, cov):
-    """The per-track filter step, one (8,) state at a time: the oracle of the
-    batched `KalmanModel.predict`."""
-    mean = F @ mean
-    cov = F @ cov @ F.T + Q(mean[3])
-    return mean, (cov + cov.T) / 2.0
+def oracle_predict(km, state):
+    mean, (pp, pv, vv) = state
+    mean = [mean[i] + mean[i + 4] for i in range(4)] + mean[4:]
+    p, v = km.STD_POS * mean[3], km.STD_VEL * mean[3]
+    q_pos = [p * p, p * p, STD_ASPECT * STD_ASPECT, p * p]
+    q_vel = [v * v, v * v, STD_ASPECT_VEL * STD_ASPECT_VEL, v * v]
+    return mean, [[(a + b) + (b + c) + q for a, b, c, q in zip(pp, pv, vv, q_pos)],
+                  [b + c for b, c in zip(pv, vv)],
+                  [c + q for c, q in zip(vv, q_vel)]]
 
 
-def oracle_update(mean, cov, b):
-    """The per-track update, one (8,) state and one box at a time."""
-    z = np.array([b.left + b.width / 2.0, b.top + b.height / 2.0, b.width / b.height,
-                  b.height])
-    r = R(mean[3])
-    S = H @ cov @ H.T + r
-    K = np.linalg.solve(S.T, (cov @ H.T).T).T
-    mean = mean + K @ (z - H @ mean)
-    ikh = np.eye(8) - K @ H
-    cov = ikh @ cov @ ikh.T + K @ r @ K.T
-    return mean, (cov + cov.T) / 2.0
+def oracle_update(km, state, b):
+    mean, (pp, pv, vv) = state
+    z = [b.left + b.width / 2.0, b.top + b.height / 2.0, b.width / b.height, b.height]
+    p = km.STD_POS * mean[3]
+    out = [[0.0] * 4 for _ in range(3)]
+    mean = list(mean)
+    for i, r in enumerate([p * p, p * p, OBS_ASPECT * OBS_ASPECT, p * p]):
+        a, b_, c = pp[i], pv[i], vv[i]
+        s = a + r
+        k1, k2, y = a / s, b_ / s, z[i] - mean[i]
+        mean[i], mean[i + 4] = mean[i] + k1 * y, mean[i + 4] + k2 * y
+        out[0][i], out[1][i], out[2][i] = r * k1, r * k2, c - k2 * b_
+    return mean, out
 
 
 def matmul_predict(mean, cov):
-    """The batched predict with F and Q multiplied out, over any leading batch
-    dimensions: the oracle of `KalmanModel.predict`, which slices instead."""
+    """The predict with F and Q multiplied out on the (..., 8, 8) covariance,
+    over any leading batch dimensions. (F @ cov) @ F.T is symmetric as
+    computed, since each entry sums its two nonzero terms in one order."""
     mean = mv(F, mean)
-    cov = F @ cov @ F.T + Q(mean[..., 3])
-    return mean, (cov + cov.swapaxes(-1, -2)) / 2.0
+    return mean, F @ cov @ F.T + Q(mean[..., 3])
 
 
 def matmul_update(mean, cov, measurement):
-    """The batched update with H and R multiplied out, over any leading batch
-    dimensions: the oracle of `KalmanModel.update`, which slices instead."""
+    """The update with H and R multiplied out on the (..., 8, 8) covariance,
+    over any leading batch dimensions: a linear solve and the Joseph form."""
     z = _ltwh_to_z(measurement)
     r = R(mean[..., 3])
     S = H @ cov @ H.T + r
@@ -261,44 +282,75 @@ def random_states(n, exponent, seed, cycles=3):
     return mean, cov, [box + rng.normal(0.0, 2.0, box.shape) * scale for _ in range(cycles)]
 
 
-def assert_same_where_finite(mean, cov, got, want):
-    """Every state finite before the step is the same bit for bit after either
-    form, and the two forms leave the same means non-finite."""
-    finite = np.isfinite(mean).all(axis=-1) & np.isfinite(cov).all(axis=(-2, -1))
-    for g, w, before in zip(got, want, (mean, cov)):
-        assert g.shape == w.shape == before.shape
-        assert np.array_equal(g[finite], w[finite], equal_nan=True)
+def compared(mean, cov, got, want):
+    """The states that are finite before the step and after it in both forms,
+    once the forms are checked to leave the same means non-finite and `got`
+    to be non-finite only where `want` is: `want`'s 8x8 matmuls can turn an
+    overflow into nan across a whole row, or overflow in the Joseph form
+    where `got` does not."""
+    got = got[0], block_cov(got[1])
+    assert got[0].shape == want[0].shape == mean.shape
+    assert got[1].shape == want[1].shape == cov.shape[:-2] + (8, 8)
     assert np.array_equal(np.isfinite(got[0]).all(axis=-1), np.isfinite(want[0]).all(axis=-1))
+    assert not (~np.isfinite(got[1]) & np.isfinite(want[1])).any()
+    finite = np.isfinite(mean).all(axis=-1) & np.isfinite(cov).all(axis=(-2, -1))
+    for m, c in (got, want):
+        finite &= np.isfinite(m).all(axis=-1) & np.isfinite(c).all(axis=(-2, -1))
+    return got, finite
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow, and inf * 0 in the oracle
 @settings(max_examples=300, deadline=None)
 @given(n=st.integers(0, 119), exponent=st.floats(-3, 160), seed=st.integers(0, 2 ** 32 - 1))
 def test_sliced_predict_equals_matmul_predict(n, exponent, seed):
-    """A state that is not finite before the predict has a non-finite mean
-    after either form (the sliced one leaves finite the entries that 0 * inf
-    makes nan in the oracle), so the tracker drops the same tracks."""
+    """Bit for bit wherever both forms stay finite; a state that is not
+    finite before the predict has a non-finite mean after either form, so the
+    tracker drops the same tracks."""
     km = KalmanModel()
     mean, cov, measurements = random_states(n, exponent, seed)
     for meas in measurements:
         got = km.predict(mean, cov)
-        assert_same_where_finite(mean, cov, got, matmul_predict(mean, cov))
+        want = matmul_predict(mean, block_cov(cov))
+        got_full, finite = compared(mean, cov, got, want)
+        for g, w in zip(got_full, want):
+            assert np.array_equal(g[finite], w[finite])
         mean, cov = km.update(*got, meas)
+
+
+# The update's elementwise division and (I - KH)P against the oracle's
+# LAPACK solve and Joseph form, as a fraction of each entry's scale before
+# the update: the largest |entry| of its dimension's 2x2 covariance block,
+# and of the state's mean and measurement row. Relative to the entry itself
+# the covariance cannot be bounded: when the height, and with it r, is tiny,
+# p_vv - k2 * p_pv cancels to a few parts in 1e5. The largest differences
+# measured over these ranges were 2.8e-16 (covariance) and 4.5e-16 (mean).
+UPDATE_RTOL = 1e-14
+
+
+def block_scale(cov):
+    """(..., 3, 4) -> (..., 8, 8): each block entry's block's largest |entry|."""
+    return block_cov(np.broadcast_to(np.abs(cov).max(axis=-2)[..., None, :], cov.shape))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow, and inf * 0 in the oracle
 @settings(max_examples=300, deadline=None)
 @given(n=st.integers(0, 119), exponent=st.floats(-3, 160), seed=st.integers(0, 2 ** 32 - 1))
 def test_sliced_update_equals_matmul_update(n, exponent, seed):
-    """A state that is not finite before the update has a non-finite mean
-    after either form (the sliced one leaves the aspect finite where 0 * inf
-    makes the oracle's nan), so the tracker drops the same tracks."""
+    """Within UPDATE_RTOL wherever both forms stay finite, with the same exact
+    zeros outside the four blocks; a state that is not finite before the
+    update has a non-finite mean after either form, so the tracker drops the
+    same tracks."""
     km = KalmanModel()
     mean, cov, measurements = random_states(n, exponent, seed)
     for meas in measurements:
         mean, cov = km.predict(mean, cov)
         got = km.update(mean, cov, meas)
-        assert_same_where_finite(mean, cov, got, matmul_update(mean, cov, meas))
+        want = matmul_update(mean, block_cov(cov), meas)
+        (g_mean, g_cov), finite = compared(mean, cov, got, want)
+        assert np.all(np.abs(g_cov - want[1])[finite] <= UPDATE_RTOL * block_scale(cov)[finite])
+        rows = np.concatenate([mean, np.broadcast_to(_ltwh_to_z(meas), mean[..., :4].shape)], -1)
+        scale = np.abs(rows).max(axis=-1, keepdims=True)
+        assert np.all(np.abs(g_mean - want[0])[finite] <= UPDATE_RTOL * scale[finite])
         mean, cov = got
 
 
@@ -311,12 +363,12 @@ def filter_both(km, boxes, seed, cycles):
     yield (means, covs), states
     for _ in range(cycles):
         means, covs = km.predict(means, covs)
-        states = [oracle_predict(m, c) for m, c in states]
+        states = [oracle_predict(km, s) for s in states]
         yield (means, covs), states
         shift = rng.normal(0.0, 2.0, (len(boxes), 2))
         meas = [b.translate(dx, dy) for b, (dx, dy) in zip(boxes, shift)]
         means, covs = km.update(means, covs, ltwh_array(meas))
-        states = [oracle_update(m, c, b) for (m, c), b in zip(states, meas)]
+        states = [oracle_update(km, s, b) for s, b in zip(states, meas)]
         yield (means, covs), states
 
 
@@ -327,33 +379,35 @@ class TestBatchedKalman:
     def test_default_model_equals_per_track_filter(self, n, data, seed):
         boxes = data.draw(st.lists(BOXES, min_size=n, max_size=n))
         for (means, covs), states in filter_both(KalmanModel(), boxes, seed, cycles=5):
-            assert np.array_equal(means, np.stack([m for m, _ in states]))
-            assert np.array_equal(covs, np.stack([c for _, c in states]))
+            assert np.array_equal(means, np.array([m for m, _ in states]))
+            assert np.array_equal(covs, np.array([c for _, c in states]))
 
     @settings(max_examples=50, deadline=None)
     @given(box=BOXES, seed=st.integers(0, 2 ** 32 - 1))
     def test_one_unbatched_state_equals_per_track_filter(self, box, seed):
         km = KalmanModel()
-        mean, cov = km.initiate(box)
+        mean, cov = km.initiate(ltwh_array([box])[0])
         want = oracle_initiate(km, box)
-        assert np.array_equal(mean, want[0]) and np.array_equal(cov, want[1])
+        assert (mean.tolist(), cov.tolist()) == want
         rng = np.random.default_rng(seed)
         for _ in range(5):
             mean, cov = km.predict(mean, cov)
-            want = oracle_predict(*want)
+            want = oracle_predict(km, want)
             meas = box.translate(*rng.normal(0.0, 2.0, 2))
-            mean, cov = km.update(mean, cov, meas)
-            want = oracle_update(*want, meas)
-            assert mean.shape == (8,) and cov.shape == (8, 8)
-            assert np.array_equal(mean, want[0]) and np.array_equal(cov, want[1])
+            mean, cov = km.update(mean, cov, ltwh_array([meas])[0])
+            want = oracle_update(km, want, meas)
+            assert mean.shape == (8,) and cov.shape == (3, 4)
+            assert (mean.tolist(), cov.tolist()) == want
 
     def test_one_singular_innovation_in_batch_raises(self):
-        # a zero height and covariance leave S = diag(0, 0, 1e-2, 0) in row 2
+        # a zero height and covariance leave s = (0, 0, 1e-2, 0) in row 2
         km = KalmanModel()
         means, covs = km.initiate(ltwh_array(BBox(10.0 * i, 0, 10, 10) for i in range(4)))
         means[2, 3], covs[2] = 0.0, 0.0
-        with pytest.raises(TrackerError):
-            km.update(means, covs, ltwh_array(BBox(10.0 * i, 1, 10, 10) for i in range(4)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # raised before any 0 / 0
+            with pytest.raises(TrackerError):
+                km.update(means, covs, ltwh_array(BBox(10.0 * i, 1, 10, 10) for i in range(4)))
 
     def test_non_finite_prediction_removes_only_that_track(self):
         tracker = Tracker(TrackerConfig(n_init=2))
@@ -619,7 +673,7 @@ class TrackState:
 
 
 def _stacked(tracks):
-    """The tracks' means (N, 8) and covariances (N, 8, 8), one row per track."""
+    """The tracks' means (N, 8) and covariances (N, 3, 4), one row per track."""
     return np.stack([t.mean for t in tracks]), np.stack([t.cov for t in tracks])
 
 
@@ -705,7 +759,8 @@ class OracleTracker:
 
         for di in unmatched_dets:
             d = detections[di]
-            self.tracks.append(TrackState(self._next_id, *self.kalman.initiate(d.bbox)))
+            self.tracks.append(TrackState(self._next_id,
+                                          *self.kalman.initiate(ltwh_array([d.bbox])[0])))
             self._next_id += 1
             if warm_up:  # emit fresh tracks too
                 outputs.append(AnnotationRecord(frame, self.tracks[-1].track_id, d.bbox,
@@ -760,6 +815,13 @@ class TestConfigValidation:
     def test_gate_range(self):
         with pytest.raises(TrackerError):
             TrackerConfig(iou_gate=1.5)
+
+    @pytest.mark.parametrize("field", ["n_init", "max_age"])
+    @pytest.mark.parametrize("value", [0, np.nan])
+    def test_lifecycle_counts_below_one_rejected(self, field, value):
+        # nan < 1 is False, so only not (x >= 1) rejects nan
+        with pytest.raises(TrackerError):
+            TrackerConfig(**{field: value})
 
     def test_mode_from_string(self):
         assert TrackerConfig(mode="byte").mode is Mode.byte
