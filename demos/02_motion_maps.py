@@ -10,7 +10,6 @@ import numpy as np
 from headtrack.geometry import BBox
 from headtrack.maps import (
     SOURCE_SLICES,
-    FlowConfig,
     ImageFrame,
     build_stack,
     density_from_boxes,
@@ -41,7 +40,7 @@ diff = frame_difference(curr, prev)
 print(f"frame difference: nonzero at {np.count_nonzero(diff)} pixels "
       f"(only where the moving square passed)")
 
-flow = optical_flow(curr, prev, FlowConfig(block_size=5, search_radius=4, levels=2))
+flow = optical_flow(curr, prev)
 # flow is (H, W, 2): pixel p of curr matches p - (u, v) in prev
 inside = flow[22:30, 24:32]
 print(f"flow on the square: median (u, v) = "

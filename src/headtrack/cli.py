@@ -177,6 +177,10 @@ def cmd_gen_motion(args) -> int:
     sizes = {f.data.shape[:2] for f in frames()}
     if len(sizes) > 1:
         raise InputError(f"frames in {frame_dir} differ in (height, width): {sorted(sizes)}")
+    (size,) = sizes
+    if len(paths) > 1 and min(size) < maps.BLOCK_SIZE:  # a lone frame gets zero maps
+        raise InputError(f"frames in {frame_dir} are {size[0]}x{size[1]}, smaller than "
+                         f"one {maps.BLOCK_SIZE}x{maps.BLOCK_SIZE} flow block")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     prev = None

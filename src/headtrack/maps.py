@@ -24,6 +24,9 @@ from scipy.ndimage import uniform_filter1d
 from .geometry import BBox
 
 LUMA_WEIGHTS = np.array([0.299, 0.587, 0.114])
+# Optical flow: odd SAD block side, search radius per pyramid level, and
+# pyramid levels.
+BLOCK_SIZE, SEARCH_RADIUS, LEVELS = 5, 4, 3
 # Channels of each source in the (8, H, W) fusion input, in fusion order.
 SOURCE_SLICES = {"diff": slice(0, 1), "flow": slice(1, 3), "rgb": slice(3, 6),
                  "depth": slice(6, 7), "density": slice(7, 8)}
@@ -55,19 +58,6 @@ class ImageFrame:
         return self.data @ LUMA_WEIGHTS
 
 
-@dataclass
-class FlowConfig:
-    block_size: int = 5
-    search_radius: int = 4
-    levels: int = 3
-
-    def __post_init__(self):
-        if self.block_size < 3 or self.block_size % 2 == 0:
-            raise MapError("block_size must be an odd integer >= 3")
-        if self.search_radius < 1 or self.levels < 1:
-            raise MapError("search_radius and levels must be >= 1")
-
-
 def frame_difference(curr: ImageFrame, prev: ImageFrame) -> np.ndarray:
     """(H, W) per-pixel absolute luminance difference |curr - prev|."""
     if curr.data.shape[:2] != prev.data.shape[:2]:
@@ -83,16 +73,16 @@ def _downsample2(img: np.ndarray) -> np.ndarray:
 
 
 def _match_level(curr: np.ndarray, prev: np.ndarray, init_u: np.ndarray,
-                 init_v: np.ndarray, cfg: FlowConfig) -> tuple[np.ndarray, np.ndarray]:
+                 init_v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One SAD block-matching pass over every displacement any pixel may take.
 
-    A pixel may take a displacement within search_radius of zero or of its own
+    A pixel may take a displacement within SEARCH_RADIUS of zero or of its own
     initial estimate, so a bad coarse-level guess cannot push the refinement
     out of reach. Displacements are visited once each in the global order
     (u^2 + v^2, u, v), so each pixel keeps the first strict minimum over its
     own candidates: ties go to the smaller magnitude, then lexicographic (u, v).
     """
-    r, half = cfg.search_radius, cfg.block_size // 2
+    r, half = SEARCH_RADIUS, BLOCK_SIZE // 2
     h, w = curr.shape
     window = [(du, dv) for dv in range(-r, r + 1) for du in range(-r, r + 1)]
     # the estimates are integer-valued: pack each (u, v) into one key whose
@@ -140,9 +130,9 @@ def _match_level(curr: np.ndarray, prev: np.ndarray, init_u: np.ndarray,
         np.subtract(curr[:ry, :rx], padded[pad - v:pad - v + ry, pad - u:pad - u + rx], out=diff)
         np.abs(diff, out=diff)
         cols = buf_b[:ry * rx].reshape(ry, rx)
-        uniform_filter1d(diff, cfg.block_size, axis=0, output=cols, mode="nearest")
+        uniform_filter1d(diff, BLOCK_SIZE, axis=0, output=cols, mode="nearest")
         sad = buf_a[:(yb - ya) * rx].reshape(yb - ya, rx)
-        uniform_filter1d(cols[ya:yb], cfg.block_size, axis=1, output=sad, mode="nearest")
+        uniform_filter1d(cols[ya:yb], BLOCK_SIZE, axis=1, output=sad, mode="nearest")
         sad = sad[:, :xb]
         cost = best_cost[ya:yb, :xb]
         better = sad < cost
@@ -153,21 +143,23 @@ def _match_level(curr: np.ndarray, prev: np.ndarray, init_u: np.ndarray,
     return cands[best, 0].astype(np.float64), cands[best, 1].astype(np.float64)
 
 
-def optical_flow(curr: ImageFrame, prev: ImageFrame, cfg: FlowConfig | None = None) -> np.ndarray:
-    """Coarse-to-fine block matching with SAD cost and integer displacements.
+def optical_flow(curr: ImageFrame, prev: ImageFrame) -> np.ndarray:
+    """Coarse-to-fine block matching with SAD cost and integer displacements,
+    at one fixed setting: 5x5 blocks (BLOCK_SIZE), a search radius of 4 pixels
+    per level (SEARCH_RADIUS) and up to 3 pyramid levels (LEVELS), fewer when a
+    coarser level would be smaller than one block.
 
     Returns the (H, W, 2) per-pixel displacement (u, v) in pixels/frame:
     pixel p in the current frame matches p - (u, v) in the previous one.
     """
-    cfg = cfg or FlowConfig()
     if curr.data.shape[:2] != prev.data.shape[:2]:
         raise MapError("optical_flow: dimension mismatch")
-    if min(curr.data.shape[:2]) < cfg.block_size:
+    if min(curr.data.shape[:2]) < BLOCK_SIZE:
         raise MapError("optical_flow: frame smaller than one block")
     pyr_curr = [curr.luminance()]
     pyr_prev = [prev.luminance()]
-    for _ in range(cfg.levels - 1):
-        if min(pyr_curr[-1].shape) // 2 < cfg.block_size:
+    for _ in range(LEVELS - 1):
+        if min(pyr_curr[-1].shape) // 2 < BLOCK_SIZE:
             break
         pyr_curr.append(_downsample2(pyr_curr[-1]))
         pyr_prev.append(_downsample2(pyr_prev[-1]))
@@ -178,7 +170,7 @@ def optical_flow(curr: ImageFrame, prev: ImageFrame, cfg: FlowConfig | None = No
         if u.shape != c.shape:  # upsample estimate from the coarser level
             u = 2.0 * np.repeat(np.repeat(u, 2, axis=0), 2, axis=1)[:c.shape[0], :c.shape[1]]
             v = 2.0 * np.repeat(np.repeat(v, 2, axis=0), 2, axis=1)[:c.shape[0], :c.shape[1]]
-        u, v = _match_level(c, p, u, v, cfg)
+        u, v = _match_level(c, p, u, v)
     return np.stack([u, v], axis=2)
 
 

@@ -35,6 +35,11 @@ class MetricsError(ValueError):
     pass
 
 
+def _check_iou_threshold(iou_threshold: float) -> None:
+    if not (math.isfinite(iou_threshold) and 0 < iou_threshold <= 1):
+        raise MetricsError(f"IoU threshold must be in (0, 1], got {iou_threshold}")
+
+
 def match_frame(gt: list[tuple[int, BBox]], pred: list[tuple[int, BBox]],
                 prev: dict[int, int], ious: np.ndarray, thr: float) -> dict[int, int]:
     """One frame's gt_id -> pred_id matching.
@@ -108,6 +113,7 @@ def detection_ap(gt: dict[int, list[BBox]], preds: list[tuple[int, float, BBox]]
     content: preds rank by (-score, frame, left, top, width, height), and each
     frame's gt boxes are matched in (left, top, width, height) order.
     """
+    _check_iou_threshold(iou_threshold)
     n_gt = sum(len(v) for v in gt.values())
     if n_gt == 0:
         raise MetricsError("empty ground truth")
@@ -123,7 +129,7 @@ def detection_ap(gt: dict[int, list[BBox]], preds: list[tuple[int, float, BBox]]
         ious = iou_matrix(ltwh_array(preds[i][2] for i in idx),
                           ltwh_array(sorted(gt.get(frame, []), key=_LTWH)))
         for i, row in zip(idx, ious):
-            if row.size and 0 < row.max() >= iou_threshold:
+            if row.size and row.max() >= iou_threshold:
                 ious[:, row.argmax()] = 0.0   # a gt box is matched at most once
                 tp[i] = True
     tp_cum = np.cumsum(tp[order])
@@ -187,8 +193,7 @@ def sequence_counts(gt: list[AnnotationRecord], pred: list[AnnotationRecord],
                     iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> Counter:
     """One sweep over a sequence (the union of frames present in gt or pred):
     the counts that every MotReport column derives from."""
-    if not (math.isfinite(iou_threshold) and 0 < iou_threshold <= 1):
-        raise MetricsError(f"IoU threshold must be in (0, 1], got {iou_threshold}")
+    _check_iou_threshold(iou_threshold)
     by_frame_gt, by_frame_pred = _by_frame(gt), _by_frame(pred)
     pairs: dict[int, int] = {}        # gt id -> pred id in the last frame
     last_match: dict[int, int] = {}   # gt id -> last-ever matched pred id

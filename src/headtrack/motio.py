@@ -338,23 +338,6 @@ def read_config(path, cls, **overrides):
     return cls(**kwargs)
 
 
-def read_sequence_meta(path) -> SequenceMeta:
-    """Read a key=value metadata file with keys name, fps, frames, width, height, view."""
-    kv, v = read_kv(path), {}
-    for key, parse in (("name", str), ("fps", float), ("frames", int),
-                       ("width", int), ("height", int), ("view", str)):
-        if key not in kv:
-            raise AnnotationError(f"missing metadata key {key!r}")
-        try:
-            v[key] = parse(kv[key])
-        except ValueError as e:
-            raise AnnotationError(f"{path}: {key}={kv[key]!r}: {e}") from None
-    try:
-        return SequenceMeta(v["name"], v["fps"], v["frames"], (v["width"], v["height"]), v["view"])
-    except ValueError as e:
-        raise AnnotationError(f"{path}: {e}") from None
-
-
 def write_sequence_meta(path, meta: SequenceMeta) -> None:
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"name={meta.name}\n")

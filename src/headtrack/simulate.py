@@ -76,6 +76,8 @@ class NoiseModel:
         if min(self.center_jitter, self.size_jitter, self.tp_score[1], self.fp_score[1],
                self.seed) < 0:
             raise SimError("jitter sigmas, score sigmas and seed must be >= 0")
+        if not 0 <= self.occlusion_drop <= 1:   # scores stay in [0, 1]
+            raise SimError("need 0 <= occlusion_drop <= 1")
 
 
 def _rng(seed: int) -> np.random.Generator:

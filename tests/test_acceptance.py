@@ -27,7 +27,6 @@ from headtrack.fusion import (
 )
 from headtrack.geometry import BBox, iou, ltwh_array
 from headtrack.maps import (
-    FlowConfig,
     ImageFrame,
     density_from_boxes,
     frame_difference,
@@ -350,7 +349,7 @@ def test_10_filter_covariance_health(capsys):
     km = KalmanModel()
     rng = np.random.default_rng(4)
     mean, cov = km.initiate(ltwh_array([BBox(100, 100, 20, 30)])[0])
-    worst_sym, worst_eig = 0.0, 0.0
+    worst_sym, worst_eig = 0.0, np.inf
     for _ in range(10_000):
         mean, cov = km.predict(mean, cov)
         jitter = rng.normal(0, 2.0, 4)
@@ -374,8 +373,7 @@ def test_11_motion_maps(capsys):
                and np.array_equal(frame_difference(a, b), frame_difference(b, a)))
 
     base = np.random.default_rng(3).random((48, 48))
-    flow = optical_flow(ImageFrame(np.roll(base, 2, axis=1)), ImageFrame(base),
-                        FlowConfig(block_size=5, search_radius=3, levels=3))
+    flow = optical_flow(ImageFrame(np.roll(base, 2, axis=1)), ImageFrame(base))
     interior = (slice(6, -6), slice(6, -6))
     u, v = flow[:, :, 0], flow[:, :, 1]
     hit = float(np.mean((u[interior] == 2) & (v[interior] == 0)))

@@ -33,8 +33,7 @@ class TestGenScenario:
         assert (gt.parent / (gt.name + ".manifest.json")).exists()
         manifest = json.loads((gt.parent / (gt.name + ".manifest.json")).read_text())
         assert manifest["command"] == "gen-scenario"
-        meta = motio.read_sequence_meta(str(gt) + ".meta")
-        assert meta.frame_count == 200
+        assert motio.read_kv(str(gt) + ".meta")["frames"] == "200"
         recs = motio.read_annotation_file(gt, FieldOrder.paper_order)
         assert len(recs) == 20 * 200
 
@@ -62,6 +61,7 @@ class TestGenScenario:
         ("--noise", "size_jitter=1e308"),
         ("--noise", "size_jitter=1e200"),                # the box area overflows
         ("--noise", "fp_rate=1e20"),                     # beyond numpy's Poisson range
+        ("--noise", "occlusion_drop=2"),                 # occluded scores leave [0, 1]
         # the headings overflow to nan
         pytest.param("--config", "agent_count=4\nduration=5\nheading_sigma=1e308",
                      id="--config-heading_sigma=1e308"),
@@ -407,6 +407,22 @@ class TestGenMotion:
                    "--out-dir", str(out)) == EXIT_INPUT
         assert "differ in (height, width): [(20, 24), (20, 26)]" in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == before
+
+    def test_frames_smaller_than_a_block_write_nothing(self, tmp_path, capsys):
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        for i in range(1, 4):
+            maps.save_map(frames / f"f_{i:04d}.bin", np.full((4, 4), i / 4))
+        out = tmp_path / "motion"
+        assert run("gen-motion", "--frames-dir", str(frames),
+                   "--out-dir", str(out)) == EXIT_INPUT
+        assert "are 4x4, smaller than one 5x5 flow block" in capsys.readouterr().err
+        assert not out.exists()
+        # one small frame has no predecessor, so it needs no flow
+        for p in frames.glob("f_000[23].bin*"):
+            p.unlink()
+        assert run("gen-motion", "--frames-dir", str(frames), "--out-dir", str(out)) == 0
+        assert np.all(maps.load_map(out / "flow_0001.bin") == 0)
 
     def test_empty_dir(self, tmp_path):
         frames = tmp_path / "frames"

@@ -10,8 +10,9 @@ from scipy.ndimage import uniform_filter, uniform_filter1d
 from headtrack import maps
 from headtrack.geometry import BBox
 from headtrack.maps import (
+    BLOCK_SIZE,
+    SEARCH_RADIUS,
     SOURCE_SLICES,
-    FlowConfig,
     ImageFrame,
     MapError,
     build_stack,
@@ -75,7 +76,7 @@ class TestOpticalFlow:
         base = rng.random((48, 48))
         prev = gray(base)
         curr = gray(np.roll(base, 2, axis=1))
-        f = optical_flow(curr, prev, FlowConfig(block_size=5, search_radius=3, levels=3))
+        f = optical_flow(curr, prev)
         interior = (slice(6, -6), slice(6, -6))
         hit = np.mean((f[interior + (0,)] == 2) & (f[interior + (1,)] == 0))
         assert hit >= 0.9
@@ -90,12 +91,7 @@ class TestOpticalFlow:
 
     def test_too_small_frame(self):
         with pytest.raises(MapError):
-            optical_flow(gray(np.zeros((3, 3))), gray(np.zeros((3, 3))),
-                         FlowConfig(block_size=5))
-
-    def test_even_block_rejected(self):
-        with pytest.raises(MapError):
-            FlowConfig(block_size=4)
+            optical_flow(gray(np.zeros((3, 3))), gray(np.zeros((3, 3))))
 
 
 # The per-estimate block matcher that the single ordered pass replaced, kept
@@ -115,8 +111,8 @@ def _sad_map(curr: np.ndarray, prev: np.ndarray, du: int, dv: int, block: int) -
 
 
 def _match_level(curr: np.ndarray, prev: np.ndarray, init_u: np.ndarray,
-                 init_v: np.ndarray, cfg: FlowConfig) -> tuple[np.ndarray, np.ndarray]:
-    r = cfg.search_radius
+                 init_v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    r = SEARCH_RADIUS
     offsets = [(du, dv) for dv in range(-r, r + 1) for du in range(-r, r + 1)]
     best_cost = np.full(curr.shape, np.inf)
     best_u = np.zeros(curr.shape)
@@ -134,7 +130,7 @@ def _match_level(curr: np.ndarray, prev: np.ndarray, init_u: np.ndarray,
         for u, v in cands:
             key = (int(u), int(v))
             if key not in sad_cache:
-                sad_cache[key] = _sad_map(curr, prev, key[0], key[1], cfg.block_size)
+                sad_cache[key] = _sad_map(curr, prev, key[0], key[1], BLOCK_SIZE)
             better = mask & (sad_cache[key] < best_cost)
             best_cost[better] = sad_cache[key][better]
             best_u[better] = u
@@ -142,10 +138,10 @@ def _match_level(curr: np.ndarray, prev: np.ndarray, init_u: np.ndarray,
     return best_u, best_v
 
 
-def reference_flow(curr: ImageFrame, prev: ImageFrame, cfg: FlowConfig) -> np.ndarray:
+def reference_flow(curr: ImageFrame, prev: ImageFrame) -> np.ndarray:
     """optical_flow's pyramid with the oracle matcher at every level."""
     with mock.patch.object(maps, "_match_level", _match_level):
-        return optical_flow(curr, prev, cfg)
+        return optical_flow(curr, prev)
 
 
 def corner_patch(h: int, w: int, dy: int, dx: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -163,15 +159,13 @@ def corner_patch(h: int, w: int, dy: int, dx: int, seed: int) -> tuple[np.ndarra
 
 @st.composite
 def frame_pairs(draw):
-    """A random frame pair and flow config. The current frame is the previous
-    one moved by a few pixels plus noise, unrelated to it, or a corner patch
-    moved over a static background; quantising both to a few grey levels makes
-    many displacements tie on SAD."""
-    cfg = FlowConfig(block_size=draw(st.sampled_from([3, 5, 7])),
-                     search_radius=draw(st.integers(1, 4)), levels=draw(st.integers(1, 3)))
+    """A random frame pair. The current frame is the previous one moved by a
+    few pixels plus noise, unrelated to it, or a corner patch moved over a
+    static background; quantising both to a few grey levels makes many
+    displacements tie on SAD."""
     kind = draw(st.sampled_from(["shift", "unrelated", "corner"]))
-    h = draw(st.integers(16 if kind == "corner" else cfg.block_size, 26))
-    w = draw(st.integers(16 if kind == "corner" else cfg.block_size, 26))
+    h = draw(st.integers(16 if kind == "corner" else BLOCK_SIZE, 26))
+    w = draw(st.integers(16 if kind == "corner" else BLOCK_SIZE, 26))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     prev = rng.random((h, w))
@@ -185,17 +179,16 @@ def frame_pairs(draw):
     levels = draw(st.sampled_from([None, 2, 3, 4]))
     if levels is not None:
         prev, curr = (np.round(a * (levels - 1)) / (levels - 1) for a in (prev, curr))
-    return gray(curr), gray(prev), cfg
+    return gray(curr), gray(prev)
 
 
 @settings(max_examples=80, deadline=None)
 @given(pair=frame_pairs())
-@example(pair=(*map(gray, corner_patch(24, 26, 6, 6, 0)), FlowConfig(5, 2, 3)))
-@example(pair=(*map(gray, corner_patch(24, 26, 3, 2, 0)), FlowConfig(3, 2, 2)))
-@example(pair=(*map(gray, corner_patch(20, 18, 2, 4, 0)), FlowConfig(3, 2, 2)))
+@example(pair=tuple(map(gray, corner_patch(24, 26, 6, 6, 0))))
+@example(pair=tuple(map(gray, corner_patch(24, 26, 3, 2, 0))))
+@example(pair=tuple(map(gray, corner_patch(20, 18, 2, 4, 0))))
 def test_optical_flow_equals_per_estimate_matcher(pair):
-    curr, prev, cfg = pair
-    got, want = optical_flow(curr, prev, cfg), reference_flow(curr, prev, cfg)
+    got, want = optical_flow(*pair), reference_flow(*pair)
     assert np.array_equal(got, want)
 
 
@@ -204,10 +197,8 @@ def estimate_fields(draw):
     """A frame pair with integer initial estimates of the kinds coarse levels
     rarely hand down: negative minima, spans of up to 24 pixels, one value
     everywhere (so every v is the same), or one outlier pixel."""
-    cfg = FlowConfig(block_size=draw(st.sampled_from([3, 5])),
-                     search_radius=draw(st.integers(1, 3)), levels=1)
-    h = draw(st.integers(cfg.block_size, 14))
-    w = draw(st.integers(cfg.block_size, 14))
+    h = draw(st.integers(BLOCK_SIZE, 14))
+    w = draw(st.integers(BLOCK_SIZE, 14))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     prev = np.round(rng.random((h, w)) * 3) / 3
     curr = np.roll(prev, (draw(st.integers(-3, 3)), draw(st.integers(-3, 3))), axis=(0, 1))
@@ -223,7 +214,7 @@ def estimate_fields(draw):
     if kind == "outlier":
         y, x = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
         fields[draw(st.integers(0, 1))][y, x] += draw(st.integers(-12, 12))
-    return curr, prev, *fields, cfg
+    return curr, prev, *fields
 
 
 @settings(max_examples=80, deadline=None)

@@ -399,6 +399,10 @@ class TestEvaluate:
             sequence_counts(gt, gt, thr)
         with pytest.raises(MetricsError):
             evaluate(gt, gt, iou_threshold=thr)
+        # on one exact match AP read 0.0 at nan and 1.5, and 1.0 at 0 and -1
+        b = BBox(0, 0, 10, 10)
+        with pytest.raises(MetricsError):
+            detection_ap({1: [b]}, [(1, 0.9, b)], thr)
 
     def test_iou_threshold_one_accepted(self):
         gt = [rec(f, t, 30 * t + f) for f in range(1, 6) for t in (1, 2)]

@@ -347,6 +347,10 @@ class TestCorrupt:
             NoiseModel(miss_rate=1.0)
         with pytest.raises(SimError):
             NoiseModel(center_jitter=-1.0)
+        # occluded scores left [0, 1]: 2.0 scored two overlapping heads 2.0
+        for drop in (2.0, -1.0, math.nan):
+            with pytest.raises(SimError):
+                NoiseModel(occlusion_drop=drop)
 
 
 class TestReadConfig:
