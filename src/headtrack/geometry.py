@@ -2,8 +2,9 @@
 
 Boxes are continuous (sub-pixel) and stored as (left, top, width, height).
 Area is width * height with no +1 pixel convention. `iou` scores one pair;
-`iou_matrix` scores every pair of two (N, 4) ltwh arrays with the same
-arithmetic, so both give bit-identical values.
+`iou_rows` scores row-aligned pairs of two (K, 4) ltwh arrays and
+`iou_matrix` every pair of two (N, 4) ones, with the same arithmetic, so all
+three give bit-identical values.
 """
 from __future__ import annotations
 
@@ -93,26 +94,32 @@ def _overlap_array(lo_a: np.ndarray, len_a: np.ndarray,
                              np.minimum(hi_a, hi_b) - np.maximum(lo_a, lo_b)))
 
 
+def iou_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of each row of a (K, 4) with the same row of b (K, 4), both ltwh:
+    `iou` of each pair, bit for bit."""
+    al, at, aw, ah = a.T
+    bl, bt, bw, bh = b.T
+    w = _overlap_array(al, aw, bl, bw)
+    h = _overlap_array(at, ah, bt, bh)
+    area_a, area_b = aw * ah, bw * bh
+    inter = np.where((w > 0) & (h > 0),
+                     np.minimum(np.minimum(w * h, area_a), area_b), 0.0)
+    return inter / (area_a + area_b - inter)
+
+
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """IoU of every row of a (N, 4) with every row of b (M, 4), both ltwh: an
     (N, M) array whose every entry is bit-identical to `iou` of that pair.
     Only pairs whose extents meet on both axes can have a positive `_overlap`
-    on both, so only they get the exact arithmetic; the rest are 0 / union,
+    on both, so only they go through `iou_rows`; the rest are 0 / union,
     which is +0.0 for valid boxes (union > 0 or inf)."""
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     al, at, aw, ah = a.T
     bl, bt, bw, bh = b.T
     i, j = np.nonzero((al[:, None] <= bl + bw) & (bl <= (al + aw)[:, None])
                       & (at[:, None] <= bt + bh) & (bt <= (at + ah)[:, None]))
-    al, at, aw, ah = a[i].T
-    bl, bt, bw, bh = b[j].T
-    w = _overlap_array(al, aw, bl, bw)
-    h = _overlap_array(at, ah, bt, bh)
-    area_a, area_b = aw * ah, bw * bh
-    inter = np.where((w > 0) & (h > 0),
-                     np.minimum(np.minimum(w * h, area_a), area_b), 0.0)
     out = np.zeros((len(a), len(b)))
-    out[i, j] = inter / (area_a + area_b - inter)
+    out[i, j] = iou_rows(a[i], b[j])
     return out
 
 

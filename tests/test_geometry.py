@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from headtrack import geometry, metrics, simulate, tracker
-from headtrack.geometry import BBox, _overlap_array, aspect_ratio, iou, iou_matrix, ltwh_array
+from headtrack.geometry import (BBox, _overlap_array, aspect_ratio, iou, iou_matrix, iou_rows,
+                                ltwh_array)
 
 boxes = st.builds(
     BBox,
@@ -30,17 +31,23 @@ coords = st.one_of(st.sampled_from([0.0, 1.0, -1e3, 1e150, -1e300, 1e300]),
 wide_boxes = st.builds(BBox, coords, coords, magnitudes, magnitudes)
 
 
-def iou_matrix_full(a, b):
-    """The full-array oracle: the exact arithmetic on every one of the N x M
-    pairs, with no broad phase."""
-    al, at, aw, ah = np.asarray(a, dtype=np.float64).T[:, :, None]
-    bl, bt, bw, bh = np.asarray(b, dtype=np.float64).T[:, None, :]
+def iou_full(a, b):
+    """The full-formula oracle: the exact arithmetic on every pair of two
+    ltwh arrays that broadcast against each other, with no broad phase."""
+    al, at, aw, ah = np.moveaxis(np.asarray(a, dtype=np.float64), -1, 0)
+    bl, bt, bw, bh = np.moveaxis(np.asarray(b, dtype=np.float64), -1, 0)
     w = _overlap_array(al, aw, bl, bw)
     h = _overlap_array(at, ah, bt, bh)
     area_a, area_b = aw * ah, bw * bh
     inter = np.where((w > 0) & (h > 0),
                      np.minimum(np.minimum(w * h, area_a), area_b), 0.0)
     return inter / (area_a + area_b - inter)
+
+
+def iou_matrix_full(a, b):
+    """`iou_full` on every one of the N x M pairs of two (N, 4) and (M, 4) arrays."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return iou_full(a[:, None, :], b[None, :, :]).reshape(len(a), len(b))
 
 
 def assert_same_bits(got, want):
@@ -124,6 +131,16 @@ def test_iou_matrix_equals_scalar_iou(a, b):
     assert np.array_equal(got, iou_loops(a, b))
 
 
+@settings(max_examples=500)
+@given(st.lists(st.tuples(*[st.one_of(boxes, grid_boxes, wide_boxes)] * 2), max_size=12))
+def test_iou_rows_equals_scalar_iou(pairs):
+    a, b = ltwh_array(p[0] for p in pairs), ltwh_array(p[1] for p in pairs)
+    got = iou_rows(a, b)
+    assert got.shape == (len(pairs),)
+    assert_same_bits(got, np.array([iou(x, y) for x, y in pairs]).reshape(-1))
+    assert_same_bits(got, iou_full(a, b))
+
+
 @pytest.mark.parametrize("a,b", [
     (BBox(0, 0, 10, 10), BBox(100, 100, 5, 5)),    # disjoint
     (BBox(0, 0, 10, 10), BBox(10, 0, 10, 10)),     # touching left/right edges
@@ -193,8 +210,8 @@ def test_iou_matrix_on_overflowed_prediction():
 
 
 def _pipeline(seed):
-    """Every consumer of iou_matrix on a 90-head scene: corrupt's occlusion
-    test, Byte association, the evaluator and detection AP."""
+    """Every consumer of iou_matrix and iou_rows on a 90-head scene: corrupt's
+    occlusion test, Byte association, the evaluator and detection AP."""
     gt, _ = simulate.simulate(simulate.ScenarioConfig(agent_count=90, duration=12, seed=seed))
     dets = simulate.corrupt(gt, simulate.NoiseModel(
         miss_rate=0.1, fp_rate=5.0, center_jitter=1.0, size_jitter=0.5,
@@ -213,14 +230,17 @@ def test_consumers_equal_with_full_formula(monkeypatch, seed):
     real = _pipeline(seed)
     callers = set()
 
-    def oracle_matrix(a, b):
-        callers.add(inspect.currentframe().f_back.f_code.co_name)
-        return iou_matrix_full(a, b)
+    def recorded(full):
+        def patched(a, b):
+            callers.add(inspect.currentframe().f_back.f_code.co_name)
+            return full(a, b)
+        return patched
 
-    for module in (geometry, metrics, simulate, tracker):
-        monkeypatch.setattr(module, "iou_matrix", oracle_matrix)
+    for module in (geometry, metrics, tracker):
+        monkeypatch.setattr(module, "iou_matrix", recorded(iou_matrix_full))
+    monkeypatch.setattr(simulate, "iou_rows", recorded(iou_full))
     oracle = _pipeline(seed)
-    assert callers == {"corrupt", "associate", "sequence_counts", "detection_ap"}
+    assert callers == {"_occluded", "associate", "sequence_counts", "detection_ap"}
     assert real[0] == oracle[0]        # corrupt's records
     assert real[1] == oracle[1]        # tracker rows
     assert real[2] == oracle[2]        # MotReport

@@ -1,11 +1,13 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import headtrack.simulate as simulate_module
 from headtrack.geometry import BBox, iou, iou_matrix, ltwh_array
 from headtrack.motio import AnnotationRecord, ConfigError, read_config
 from headtrack.simulate import (
@@ -102,10 +104,12 @@ class TestSimulate:
             ScenarioConfig(duration=0)
 
 
-def simulate_per_axis(cfg):
+def simulate_per_axis(cfg, seen=None):
     """The oracle: `simulate` as it was when it bounced agents off the walls one
-    axis at a time, as the (duration, agent_count, 4) array of each frame's box
-    fields, and the number of wall bounces."""
+    axis at a time and steered them on (N, N, 2) arrays, as the (duration,
+    agent_count, 4) array of each frame's box fields, and the number of wall
+    bounces. `seen`, a dict, counts the pairs whose distance met the 1e-6
+    floor ("floor") or equalled the repulsion radius ("radius")."""
     rng = _rng(cfg.seed)
     w, h = cfg.arena
     n = cfg.agent_count
@@ -125,6 +129,9 @@ def simulate_per_axis(cfg):
             delta = pos[:, None, :] - pos[None, :, :]
             dist = np.linalg.norm(delta, axis=2)
             np.fill_diagonal(dist, np.inf)
+            if seen is not None:
+                seen["floor"] = seen.get("floor", 0) + int((dist <= 1e-6).sum())
+                seen["radius"] = seen.get("radius", 0) + int((dist == cfg.repulsion_radius).sum())
             near = dist < cfg.repulsion_radius
             push = np.where(near[:, :, None],
                             delta / np.maximum(dist, 1e-6)[:, :, None] ** 2, 0.0)
@@ -177,6 +184,37 @@ def test_bounce_equals_per_axis_oracle_at_random(arena, agents, speed, sigma, re
                          heading_sigma=sigma, head_size_range=(6.0, 12.0),
                          repulsion_strength=repulsion, duration=30, seed=seed)
     assert _box_fields(cfg).tobytes() == simulate_per_axis(cfg)[0].tobytes()
+
+
+@pytest.mark.parametrize("arena", [(640, 480), (260, 260)], ids=["640x480", "260x260"])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_repulsion_equals_oracle_at_roof_plus_density(seed, arena):
+    # 90 heads, as in the paper's densest scene, each summing 89 terms; in the
+    # smaller arena most heads have several neighbours inside the radius, so
+    # a change to the order of summation shows in the last bits
+    cfg = ScenarioConfig(arena=arena, agent_count=90, duration=20, seed=seed)
+    assert _box_fields(cfg).tobytes() == simulate_per_axis(cfg)[0].tobytes()
+
+
+@pytest.mark.parametrize("cfg, met", [
+    # equal heads thrown far past the walls land on the same clipped corners:
+    # coincident agents meet the 1e-6 floor, and corners 20 px apart sit
+    # exactly one repulsion radius apart
+    (ScenarioConfig(arena=(30, 30), agent_count=9, head_size_range=(10.0, 10.0),
+                    speed_range=(100.0, 200.0), repulsion_radius=20.0, duration=30, seed=3),
+     ("floor", "radius")),
+    # a strip one head wide, filled to capacity, starts every agent at the
+    # same x; steps longer than the strip then pile them onto its two ends
+    (ScenarioConfig(arena=(12, 240), agent_count=20, head_size_range=(12.0, 12.0),
+                    speed_range=(300.0, 600.0), heading_sigma=1.0, repulsion_radius=15.0,
+                    duration=40, seed=5),
+     ("floor",)),
+], ids=["corners", "coincident-starts"])
+def test_repulsion_equals_oracle_at_the_distance_floor_and_radius(cfg, met):
+    seen = {}
+    want, _ = simulate_per_axis(cfg, seen)
+    assert all(seen[key] > 0 for key in met)
+    assert _box_fields(cfg).tobytes() == want.tobytes()
 
 
 def small_gt(seed=0):
@@ -296,13 +334,15 @@ class TestCorrupt:
         scores = sorted(d.confidence for d in dets[1])
         assert scores == [0.5, 0.5, 1.0]
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.tuples(st.integers(1, 3), st.floats(0, 40), st.floats(0, 40),
-                              st.integers(4, 16), st.integers(4, 16)), max_size=25))
-    def test_occlusion_flags_equal_pairwise_loop(self, rows):
+    @staticmethod
+    def assert_occlusion_flags_equal_pairwise_loop(rows):
+        """corrupt's occlusion flags, read off its scores, against the scalar
+        `iou` of every pair in each frame, earlier row first; rows are
+        (frame, left, top, width, height) in gt order."""
         gt = [AnnotationRecord(f, i + 1, BBox(x, y, w, h))
               for i, (f, x, y, w, h) in enumerate(rows)]
         dets = corrupt(gt, NoiseModel(occlusion_drop=0.5))
+        assert sorted(dets) == sorted({r.frame for r in gt})
         for frame, ds in dets.items():
             recs = [r for r in gt if r.frame == frame]
             want = [False] * len(recs)
@@ -311,6 +351,54 @@ class TestCorrupt:
                     if iou(recs[i].bbox, recs[j].bbox) > OCCLUSION_IOU:
                         want[i] = want[j] = True
             assert [d.confidence == 0.5 for d in ds] == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 3), st.floats(0, 40), st.floats(0, 40),
+                              st.integers(4, 16), st.integers(4, 16)), max_size=25))
+    def test_occlusion_flags_equal_pairwise_loop(self, rows):
+        self.assert_occlusion_flags_equal_pairwise_loop(rows)
+
+    # integer boxes on a small grid: edges that touch exactly, identical boxes,
+    # ties in left edge, and frames numbered out of order, interleaved in the
+    # input and often holding a single box
+    _grid_rows = st.lists(st.tuples(st.sampled_from([9, 2, 5, 1, 7]), st.integers(0, 12),
+                                    st.integers(0, 12), st.integers(1, 6), st.integers(1, 6)),
+                          max_size=40)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_grid_rows)
+    def test_occlusion_flags_equal_pairwise_loop_on_grid(self, rows):
+        self.assert_occlusion_flags_equal_pairwise_loop(rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_grid_rows, st.integers(1, 8))
+    def test_occlusion_flags_equal_pairwise_loop_across_blocks(self, rows, block):
+        # blocks of a few boxes: frames split over many blocks, and frames
+        # larger than a block
+        with mock.patch.object(simulate_module, "OCCLUSION_BLOCK", block):
+            self.assert_occlusion_flags_equal_pairwise_loop(rows)
+
+    @pytest.mark.parametrize("rows", [
+        [(3, 0, 0, 4, 4), (3, 4, 0, 4, 4), (3, 0, 4, 4, 4), (3, 4, 4, 4, 4)],  # edges touch
+        [(1, 2, 2, 5, 5), (1, 2, 2, 5, 5), (1, 2, 2, 5, 5)],                     # identical
+        [(2, 0, 0, 4, 4), (1, 1, 0, 4, 4), (2, 1, 0, 4, 4), (1, 30, 0, 4, 4),    # out of order,
+         (4, 0, 0, 9, 9), (2, 9, 9, 1, 1)],                                      # one-box frame
+        [(1, 0.1, 0.2, 0.3, 0.7), (1, 0.1, 0.2, 0.3, 0.7), (1, 0.4, 0.2, 0.3, 0.7)],
+    ])
+    def test_occlusion_flags_on_edge_cases(self, rows):
+        self.assert_occlusion_flags_equal_pairwise_loop(rows)
+
+    def test_occlusion_flags_over_more_than_one_block(self):
+        # 90 heads x 200 frames is more boxes than one block of the pass holds;
+        # without repulsion, over a thousand heads overlap, and every flag
+        # shows in the records, which must equal the per-frame oracle's
+        gt, _ = simulate(ScenarioConfig(agent_count=90, duration=200, repulsion_strength=0.0,
+                                        seed=2))
+        assert len(gt) > simulate_module.OCCLUSION_BLOCK
+        noise = NoiseModel(miss_rate=0.1, center_jitter=1.0, occlusion_drop=0.5, seed=2)
+        got, want = _numbered_pairs(corrupt(gt, noise)), corrupt_loop(gt, noise)
+        assert _detection_fields(got) == _detection_fields(want)
+        assert sum(score == 0.5 for ps in got.values() for _, score in ps) > 1000
 
     def test_scores_clipped_to_unit_interval(self):
         gt = small_gt(4)
@@ -351,6 +439,37 @@ class TestCorrupt:
         for drop in (2.0, -1.0, math.nan):
             with pytest.raises(SimError):
                 NoiseModel(occlusion_drop=drop)
+
+
+@pytest.mark.parametrize("change", [
+    {"size_jitter": math.nan},                          # turned jitter off
+    {"center_jitter": math.nan, "size_jitter": 0.3},    # a bare ValueError from BBox
+    {"center_jitter": 0.5, "size_jitter": math.nan},
+    {"tp_score": (math.nan, 0.1)},                      # nan confidences
+    {"tp_score": (0.9, math.nan)},
+    {"tp_score": (math.inf, 0.1)},
+    {"tp_score": (0.9, math.inf)},
+    {"fp_score": (math.nan, 0.1)},
+    {"fp_score": (0.3, math.nan)},
+    {"fp_score": (-math.inf, 0.1)},
+])
+def test_non_finite_noise_rejected(change):
+    with pytest.raises(SimError):
+        NoiseModel(**change)
+
+
+@pytest.mark.parametrize("change", [
+    {"repulsion_radius": math.nan},        # simulate raised on a nan box
+    {"repulsion_radius": math.inf},
+    {"repulsion_strength": math.inf},      # likewise
+    {"repulsion_strength": math.nan},
+    {"speed_range": (0.5, math.inf)},      # simulate raised OverflowError
+    {"arena": (math.nan, 480)},
+    {"arena": (math.inf, 480)},
+])
+def test_non_finite_scenario_rejected(change):
+    with pytest.raises(SimError):
+        ScenarioConfig(**change)
 
 
 class TestReadConfig:
