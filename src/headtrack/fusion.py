@@ -1,21 +1,25 @@
 """Multi-source feature fusion at toy scale.
 
 Five pseudo-siamese conv extractors (same architecture, independent weights)
-map each source into C channels; the fused pipeline is:
+map each source into CHANNELS channels; the fused pipeline is:
 
   channel concat -> conv/conv + coordinate & channel attention
   -> sigmoid spatial mask blended with the concat features (alpha1 / beta1)
   -> per-source channel split, per-group conv/conv regroup
   -> motion (diff, flow) and static (rgb, depth, density) branches projected
-     to a common channel count
+     to FUSE_CHANNELS channels
   -> Hadamard blend of the branches (alpha2 / beta2)
 
-All math runs through the reverse-mode layer in autodiff so every weight and
-the four scalar coefficients are checkable against finite differences.
+The architecture is fixed by the module constants and CONVS; FusionConfig
+sets only the seed. FusionParams holds each tensor once, by name, read as
+`params.conv(name, x)` or `params[name]`. All math runs through the
+reverse-mode layer in autodiff so every weight and the four scalar
+coefficients are checkable against finite differences.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,9 +29,29 @@ from .autodiff import Tensor
 from .maps import SOURCE_SLICES
 
 SOURCE_ORDER = tuple(SOURCE_SLICES)
+STACK_CHANNELS = max(sl.stop for sl in SOURCE_SLICES.values())  # 8
 MOTION_GROUPS = 2   # diff, flow
 STATIC_GROUPS = 3   # rgb, depth, density
 COEFFICIENTS = ("alpha1", "beta1", "alpha2", "beta2")
+# per-source extractor width, motion/static branch width, kernel size of the
+# spatial convs, std of the drawn weights
+CHANNELS, FUSE_CHANNELS, KERNEL, INIT_STD = 4, 8, 3, 0.01
+_CAT = len(SOURCE_ORDER) * CHANNELS
+
+# Every stride-1 same-padded conv as (name, in channels, out channels, kernel
+# size), in the order its weight is drawn.
+CONVS = (
+    *((f"extractor.{name}.{i}", sl.stop - sl.start if i == 0 else CHANNELS, CHANNELS, KERNEL)
+      for name, sl in SOURCE_SLICES.items() for i in range(2)),
+    ("attn.0", _CAT, _CAT, KERNEL), ("attn.1", _CAT, _CAT, KERNEL),
+    ("coa", _CAT, _CAT, 1), ("cha", _CAT, _CAT, 1),
+    ("mask.0", _CAT, _CAT, KERNEL), ("mask.1", _CAT, _CAT, KERNEL),
+    *((f"regroup.{name}.{i}", CHANNELS, CHANNELS, KERNEL)
+      for name in SOURCE_ORDER for i in range(2)),
+    ("proj_motion", MOTION_GROUPS * CHANNELS, FUSE_CHANNELS, 1),
+    ("proj_static", STATIC_GROUPS * CHANNELS, FUSE_CHANNELS, 1),
+    ("head", FUSE_CHANNELS, 1, 1),
+)
 
 
 class FusionError(ValueError):
@@ -35,62 +59,40 @@ class FusionError(ValueError):
 
 
 @dataclass
-class ConvBlock:
-    """One stride-1 same-padded convolution with bias."""
-
-    weight: Tensor
-    bias: Tensor
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return ad.conv2d(x, self.weight, self.bias)
-
-
-@dataclass
 class FusionConfig:
-    channels: int = 4       # per-source extractor output channels
-    fuse_channels: int = 8  # common width of the motion/static branches
-    kernel: int = 3
-    init_std: float = 0.01
     seed: int = 0
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise FusionError(f"seed must be >= 0, got {self.seed}")
+        try:
+            ok = operator.index(self.seed) >= 0
+        except TypeError:
+            ok = False
+        if not ok:
+            raise FusionError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 class FusionParams:
     """All learnable state of the fusion pipeline, addressable by name. Each
-    tensor is registered as it is drawn, so the names are in RNG draw order."""
+    conv registers `<name>.weight` (drawn from N(0, INIT_STD)) and a zero
+    `<name>.bias` in CONVS order, then the four coefficients follow at 1, so
+    the names are in RNG draw order."""
 
     def __init__(self, cfg: FusionConfig | None = None):
-        self.cfg = cfg or FusionConfig()
-        c, k, f = self.cfg.channels, self.cfg.kernel, self.cfg.fuse_channels
-        rng = np.random.default_rng(self.cfg.seed)
+        rng = np.random.default_rng((cfg or FusionConfig()).seed)
         self._params: dict[str, Tensor] = {}
-
-        def block(name, cin, cout, ksize=k):
-            w = Tensor(rng.normal(0.0, self.cfg.init_std, (cout, cin, ksize, ksize)),
-                       requires_grad=True)
-            b = Tensor(np.zeros(cout), requires_grad=True)
-            self._params[f"{name}.weight"], self._params[f"{name}.bias"] = w, b
-            return ConvBlock(w, b)
-
-        self.extractors = {name: [block(f"extractor.{name}.0", sl.stop - sl.start, c),
-                                  block(f"extractor.{name}.1", c, c)]
-                           for name, sl in SOURCE_SLICES.items()}
-        cat = 5 * c
-        self.attn_convs = [block(f"attn.{i}", cat, cat) for i in range(2)]
-        self.coa_conv = block("coa", cat, cat, 1)
-        self.cha_conv = block("cha", cat, cat, 1)
-        self.mask_convs = [block(f"mask.{i}", cat, cat) for i in range(2)]
-        self.regroup = {name: [block(f"regroup.{name}.{i}", c, c) for i in range(2)]
-                        for name in SOURCE_ORDER}
-        self.proj_motion = block("proj_motion", MOTION_GROUPS * c, f, 1)
-        self.proj_static = block("proj_static", STATIC_GROUPS * c, f, 1)
-        self.head_conv = block("head", f, 1, 1)
+        for name, cin, cout, k in CONVS:
+            self._params[f"{name}.weight"] = Tensor(
+                rng.normal(0.0, INIT_STD, (cout, cin, k, k)), requires_grad=True)
+            self._params[f"{name}.bias"] = Tensor(np.zeros(cout), requires_grad=True)
         for name in COEFFICIENTS:
             self._params[name] = Tensor(np.float64(1.0), requires_grad=True)
-            setattr(self, name, self._params[name])
+
+    def __getitem__(self, name: str) -> Tensor:
+        return self._params[name]
+
+    def conv(self, name: str, x: Tensor) -> Tensor:
+        """The registered conv `name` applied to x."""
+        return ad.conv2d(x, self._params[f"{name}.weight"], self._params[f"{name}.bias"])
 
     def named_parameters(self) -> dict[str, Tensor]:
         return dict(self._params)
@@ -111,10 +113,14 @@ class FusionParams:
 def extract_and_concat(stack: np.ndarray, params: FusionParams) -> Tensor:
     """Run each source's extractor on its channels of the (8, H, W) stack
     (maps.source_stack) and concatenate their outputs channel-wise."""
+    shape = np.shape(stack)
+    if len(shape) != 3 or shape[0] != STACK_CHANNELS or min(shape[1:]) < 1:
+        raise FusionError(f"need a ({STACK_CHANNELS}, H, W) stack with H, W >= 1, "
+                          f"got shape {shape}")
     feats = []
     for name, sl in SOURCE_SLICES.items():
-        blk1, blk2 = params.extractors[name]
-        feats.append(blk2(blk1(Tensor(stack[sl]))))
+        x = params.conv(f"extractor.{name}.0", Tensor(stack[sl]))
+        feats.append(params.conv(f"extractor.{name}.1", x))
     return ad.concat(feats, axis=0)
 
 
@@ -123,43 +129,40 @@ def coordinate_attention(x: Tensor, params: FusionParams) -> Tensor:
     plus sigmoid on each, both broadcast-multiplied into the features."""
     pool_h = ad.mean(x, axis=2)   # (C, H, 1)
     pool_w = ad.mean(x, axis=1)   # (C, 1, W)
-    w_h = ad.sigmoid(params.coa_conv(pool_h))
-    w_w = ad.sigmoid(params.coa_conv(pool_w))
+    w_h = ad.sigmoid(params.conv("coa", pool_h))
+    w_w = ad.sigmoid(params.conv("coa", pool_w))
     return ad.mul(ad.mul(x, w_h), w_w)
 
 
 def channel_attention(x: Tensor, params: FusionParams) -> Tensor:
     """Global average per channel -> 1x1 conv -> sigmoid -> channel-wise scale."""
     pooled = ad.mean(x, axis=(1, 2))  # (C, 1, 1)
-    w = ad.sigmoid(params.cha_conv(pooled))
+    w = ad.sigmoid(params.conv("cha", pooled))
     return ad.mul(x, w)
 
 
 def conv_attention(h_cat: Tensor, params: FusionParams) -> Tensor:
-    x = params.attn_convs[1](params.attn_convs[0](h_cat))
+    x = params.conv("attn.1", params.conv("attn.0", h_cat))
     return channel_attention(coordinate_attention(x, params), params)
 
 
 def spatial_mask_fuse(h_agg: Tensor, h_cat: Tensor, alpha1: Tensor, beta1: Tensor,
                       params: FusionParams) -> Tensor:
     """alpha1 * Sigmoid(Conv(Conv(h_agg))) (.) h_cat + beta1 * h_cat."""
-    mask = ad.sigmoid(params.mask_convs[1](params.mask_convs[0](h_agg)))
+    mask = ad.sigmoid(params.conv("mask.1", params.conv("mask.0", h_agg)))
     return ad.add(ad.mul(ad.mul(mask, h_cat), alpha1), ad.mul(h_cat, beta1))
 
 
 def split_regroup(h_agg: Tensor, params: FusionParams) -> tuple[Tensor, Tensor]:
     """Split into the five per-source channel groups, conv each, and
     re-concatenate into motion (diff, flow) and static (rgb, depth, density)."""
-    total = h_agg.shape[0]
-    if total % len(SOURCE_ORDER):
-        raise FusionError(f"{total} channels not divisible into "
-                          f"{len(SOURCE_ORDER)} source groups")
-    c = total // len(SOURCE_ORDER)
+    if h_agg.shape[0] != _CAT:
+        raise FusionError(f"need {_CAT} channels, {CHANNELS} per source group, "
+                          f"got {h_agg.shape[0]}")
     groups = []
     for i, name in enumerate(SOURCE_ORDER):
-        g = ad.narrow(h_agg, 0, i * c, c)
-        blk1, blk2 = params.regroup[name]
-        groups.append(blk2(blk1(g)))
+        g = params.conv(f"regroup.{name}.0", ad.narrow(h_agg, 0, i * CHANNELS, CHANNELS))
+        groups.append(params.conv(f"regroup.{name}.1", g))
     h_motion = ad.concat(groups[:MOTION_GROUPS], axis=0)
     h_static = ad.concat(groups[MOTION_GROUPS:], axis=0)
     return h_motion, h_static
@@ -175,19 +178,19 @@ def motion_static_fuse(h_static: Tensor, h_motion: Tensor,
 
 
 def forward(stack: np.ndarray, params: FusionParams) -> Tensor:
-    """Full fusion pipeline; output has fuse_channels channels."""
+    """Full fusion pipeline; output has FUSE_CHANNELS channels."""
     h_cat = extract_and_concat(stack, params)
     h_agg = conv_attention(h_cat, params)
-    h_agg = spatial_mask_fuse(h_agg, h_cat, params.alpha1, params.beta1, params)
+    h_agg = spatial_mask_fuse(h_agg, h_cat, params["alpha1"], params["beta1"], params)
     h_motion, h_static = split_regroup(h_agg, params)
-    h_motion = params.proj_motion(h_motion)
-    h_static = params.proj_static(h_static)
-    return motion_static_fuse(h_static, h_motion, params.alpha2, params.beta2)
+    h_motion = params.conv("proj_motion", h_motion)
+    h_static = params.conv("proj_static", h_static)
+    return motion_static_fuse(h_static, h_motion, params["alpha2"], params["beta2"])
 
 
 def toy_head(h_agg: Tensor, params: FusionParams) -> Tensor:
     """1x1 conv + sigmoid producing a per-pixel head-center score map."""
-    return ad.sigmoid(params.head_conv(h_agg))
+    return ad.sigmoid(params.conv("head", h_agg))
 
 
 def loss_for(stack: np.ndarray, params: FusionParams) -> Tensor:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,15 @@ class SimError(ValueError):
     pass
 
 
+def _check_seed(seed) -> None:
+    try:
+        if operator.index(seed) >= 0:
+            return
+    except TypeError:
+        pass
+    raise SimError(f"seed must be an integer >= 0, got {seed!r}")
+
+
 @dataclass
 class ScenarioConfig:
     arena: tuple[int, int] = (640, 480)    # (W, H) pixels
@@ -42,6 +52,7 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_seed(self.seed)
         if self.agent_count < 1:
             raise SimError("agent_count must be >= 1")
         (v0, v1), (s0, s1) = self.speed_range, self.head_size_range
@@ -53,10 +64,8 @@ class ScenarioConfig:
         if not all(map(math.isfinite, (*self.arena, *self.speed_range, *self.head_size_range,
                                        self.repulsion_radius, self.repulsion_strength))):
             raise SimError("arena, speed, head size and repulsion values must be finite")
-        if (not 0 <= self.heading_sigma <= MAX_HEADING_SIGMA or self.seed < 0
-                or not 0 < self.fps < math.inf):
-            raise SimError(f"need 0 <= heading_sigma <= {MAX_HEADING_SIGMA:g}, seed >= 0, "
-                           "0 < fps < inf")
+        if not 0 <= self.heading_sigma <= MAX_HEADING_SIGMA or not 0 < self.fps < math.inf:
+            raise SimError(f"need 0 <= heading_sigma <= {MAX_HEADING_SIGMA:g} and 0 < fps < inf")
         w, h = self.arena
         if min(w, h) < s1 or w * h < self.agent_count * s1 * s1:
             raise SimError("arena too small for agent_count or head size")
@@ -74,14 +83,15 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
+        _check_seed(self.seed)
         if not (0 <= self.miss_rate < 1) or not (0 <= self.fp_rate <= MAX_FP_RATE):
             raise SimError(f"need 0 <= miss_rate < 1 and 0 <= fp_rate <= {MAX_FP_RATE:g}")
         if not all(0 <= s <= MAX_JITTER for s in (self.center_jitter, self.size_jitter)):
             raise SimError(f"need 0 <= jitter sigmas <= {MAX_JITTER:g} px")
         if not all(map(math.isfinite, (*self.tp_score, *self.fp_score))):
             raise SimError("score means and sigmas must be finite")
-        if min(self.tp_score[1], self.fp_score[1], self.seed) < 0:
-            raise SimError("score sigmas and seed must be >= 0")
+        if min(self.tp_score[1], self.fp_score[1]) < 0:
+            raise SimError("score sigmas must be >= 0")
         if not 0 <= self.occlusion_drop <= 1:   # scores stay in [0, 1]
             raise SimError("need 0 <= occlusion_drop <= 1")
 

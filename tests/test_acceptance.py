@@ -15,6 +15,7 @@ import pytest
 
 from headtrack import autodiff as ad
 from headtrack.fusion import (
+    INIT_STD,
     FusionConfig,
     FusionParams,
     extract_and_concat,
@@ -85,10 +86,12 @@ def random_stack(rng, h=4, w=4):
 def well_scaled_params(seed):
     """Weights and biases large enough that true gradients sit well above
     the finite-difference roundoff floor."""
-    p = FusionParams(FusionConfig(seed=seed, init_std=0.15))
+    p = FusionParams(FusionConfig(seed=seed))
     rng = np.random.default_rng(seed + 4096)
     for name, t in p.named_parameters().items():
-        if name.endswith("bias"):
+        if name.endswith("weight"):
+            t.data *= 0.15 / INIT_STD
+        elif name.endswith("bias"):
             t.data = rng.normal(0.0, 0.15, t.data.shape)
     return p
 
@@ -177,13 +180,13 @@ def test_03_fusion_identity_reductions(capsys):
     ok1 = np.array_equal(mask_out.data, h_cat.data)
 
     h_motion, h_static = split_regroup(h_cat, p)
-    ms = p.proj_motion(h_motion)
-    ss = p.proj_static(h_static)
+    ms = p.conv("proj_motion", h_motion)
+    ss = p.conv("proj_static", h_static)
     fused = motion_static_fuse(ss, ms, zero, one)
     ok2 = np.array_equal(fused.data, ss.data)
 
     defaults = FusionParams()
-    ok3 = all(float(getattr(defaults, n).data) == 1.0
+    ok3 = all(float(defaults[n].data) == 1.0
               for n in ("alpha1", "beta1", "alpha2", "beta2"))
     ok = ok1 and ok2 and ok3
     report(capsys, 3, "fusion-identity-reductions", ok,

@@ -1,4 +1,5 @@
 import gc
+import math
 
 import numpy as np
 import pytest
@@ -8,11 +9,17 @@ from hypothesis import strategies as st
 from headtrack import autodiff as ad
 from headtrack.autodiff import Tensor
 from headtrack.fusion import (
+    CHANNELS,
+    FUSE_CHANNELS,
+    INIT_STD,
+    KERNEL,
     SOURCE_ORDER,
-    ConvBlock,
     FusionConfig,
+    FusionError,
     FusionParams,
+    channel_attention,
     conv_attention,
+    coordinate_attention,
     extract_and_concat,
     forward,
     grad_check,
@@ -38,121 +45,147 @@ def zero_stack(h=4, w=4):
     return np.zeros((8, h, w))
 
 
-def set_identity(block):
-    """Center-tap identity: output channel j copies input channel j % in_ch."""
-    k = block.weight.shape[-1]
-    block.weight.data = np.zeros_like(block.weight.data)
-    for j in range(block.weight.shape[0]):
-        block.weight.data[j, j % block.weight.shape[1], k // 2, k // 2] = 1.0
-    block.bias.data = np.zeros_like(block.bias.data)
+def set_center_tap(p, name, weight=1.0, bias=0.0):
+    """Conv `name` to its center tap only, output channel j reading input
+    channel j % in_ch times `weight`, plus `bias`; the defaults make it an
+    identity. A center-tap conv is a per-pixel map, so padding never shows."""
+    w = p[f"{name}.weight"]
+    k = w.shape[-1]
+    w.data = np.zeros_like(w.data)
+    for j in range(w.shape[0]):
+        w.data[j, j % w.shape[1], k // 2, k // 2] = weight
+    p[f"{name}.bias"].data = np.full_like(p[f"{name}.bias"].data, bias)
 
 
-def well_scaled_params(seed, init_std=0.15):
-    p = FusionParams(FusionConfig(seed=seed, init_std=init_std))
+def well_scaled_params(seed, scale=0.15):
+    """The seed's weights scaled up to std `scale`, with biases drawn at the
+    same std, so true gradients sit well above the finite-difference floor."""
+    p = FusionParams(FusionConfig(seed=seed))
     rng = np.random.default_rng(seed + 4096)
     for name, t in p.named_parameters().items():
-        if name.endswith("bias"):
-            t.data = rng.normal(0.0, init_std, t.data.shape)
+        if name.endswith("weight"):
+            t.data *= scale / INIT_STD
+        elif name.endswith("bias"):
+            t.data = rng.normal(0.0, scale, t.data.shape)
     return p
 
 
-# The registry's names in RNG draw order, as the hand-written list that the
-# registry replaced gave them; the maps_fusion digest hashes gradient norms
-# in this order.
-PARAMETER_NAMES = [
-    "extractor.diff.0.weight", "extractor.diff.0.bias",
-    "extractor.diff.1.weight", "extractor.diff.1.bias",
-    "extractor.flow.0.weight", "extractor.flow.0.bias",
-    "extractor.flow.1.weight", "extractor.flow.1.bias",
-    "extractor.rgb.0.weight", "extractor.rgb.0.bias",
-    "extractor.rgb.1.weight", "extractor.rgb.1.bias",
-    "extractor.depth.0.weight", "extractor.depth.0.bias",
-    "extractor.depth.1.weight", "extractor.depth.1.bias",
-    "extractor.density.0.weight", "extractor.density.0.bias",
-    "extractor.density.1.weight", "extractor.density.1.bias",
-    "attn.0.weight", "attn.0.bias",
-    "attn.1.weight", "attn.1.bias",
-    "coa.weight", "coa.bias",
-    "cha.weight", "cha.bias",
-    "mask.0.weight", "mask.0.bias",
-    "mask.1.weight", "mask.1.bias",
-    "regroup.diff.0.weight", "regroup.diff.0.bias",
-    "regroup.diff.1.weight", "regroup.diff.1.bias",
-    "regroup.flow.0.weight", "regroup.flow.0.bias",
-    "regroup.flow.1.weight", "regroup.flow.1.bias",
-    "regroup.rgb.0.weight", "regroup.rgb.0.bias",
-    "regroup.rgb.1.weight", "regroup.rgb.1.bias",
-    "regroup.depth.0.weight", "regroup.depth.0.bias",
-    "regroup.depth.1.weight", "regroup.depth.1.bias",
-    "regroup.density.0.weight", "regroup.density.0.bias",
-    "regroup.density.1.weight", "regroup.density.1.bias",
-    "proj_motion.weight", "proj_motion.bias",
-    "proj_static.weight", "proj_static.bias",
-    "head.weight", "head.bias",
-    "alpha1", "beta1", "alpha2", "beta2",
+def _conv(name, cin, cout, k):
+    return [(f"{name}.weight", (cout, cin, k, k)), (f"{name}.bias", (cout,))]
+
+
+# The registry's names and shapes in RNG draw order, as the hand-written list
+# that the registry replaced gave them; the maps_fusion digest hashes gradient
+# norms in this order.
+PARAMETERS = [
+    *_conv("extractor.diff.0", 1, 4, 3), *_conv("extractor.diff.1", 4, 4, 3),
+    *_conv("extractor.flow.0", 2, 4, 3), *_conv("extractor.flow.1", 4, 4, 3),
+    *_conv("extractor.rgb.0", 3, 4, 3), *_conv("extractor.rgb.1", 4, 4, 3),
+    *_conv("extractor.depth.0", 1, 4, 3), *_conv("extractor.depth.1", 4, 4, 3),
+    *_conv("extractor.density.0", 1, 4, 3), *_conv("extractor.density.1", 4, 4, 3),
+    *_conv("attn.0", 20, 20, 3), *_conv("attn.1", 20, 20, 3),
+    *_conv("coa", 20, 20, 1), *_conv("cha", 20, 20, 1),
+    *_conv("mask.0", 20, 20, 3), *_conv("mask.1", 20, 20, 3),
+    *_conv("regroup.diff.0", 4, 4, 3), *_conv("regroup.diff.1", 4, 4, 3),
+    *_conv("regroup.flow.0", 4, 4, 3), *_conv("regroup.flow.1", 4, 4, 3),
+    *_conv("regroup.rgb.0", 4, 4, 3), *_conv("regroup.rgb.1", 4, 4, 3),
+    *_conv("regroup.depth.0", 4, 4, 3), *_conv("regroup.depth.1", 4, 4, 3),
+    *_conv("regroup.density.0", 4, 4, 3), *_conv("regroup.density.1", 4, 4, 3),
+    *_conv("proj_motion", 8, 8, 1), *_conv("proj_static", 12, 8, 1),
+    *_conv("head", 8, 1, 1),
+    ("alpha1", ()), ("beta1", ()), ("alpha2", ()), ("beta2", ()),
 ]
-
-
-def conv_blocks(value):
-    """Every ConvBlock inside an attribute value (a block, list or dict)."""
-    if isinstance(value, ConvBlock):
-        return [value]
-    if isinstance(value, (list, dict)):
-        items = value.values() if isinstance(value, dict) else value
-        return [b for v in items for b in conv_blocks(v)]
-    return []
+PARAMETER_NAMES = [name for name, _ in PARAMETERS]
 
 
 class TestRegistry:
     def test_names_in_draw_order(self):
-        assert list(FusionParams().named_parameters()) == PARAMETER_NAMES
+        got = FusionParams().named_parameters()
+        assert list(got) == PARAMETER_NAMES
+        assert [t.shape for t in got.values()] == [shape for _, shape in PARAMETERS]
 
-    @pytest.mark.parametrize("kernel", [1, 3])
-    def test_attributes_hold_the_registered_tensors(self, kernel):
-        # grad_check perturbs each registered tensor in place, so the blocks
-        # that forward reads must be those very tensors
-        p = FusionParams(FusionConfig(kernel=kernel, seed=3))
-        blocks = [b for v in vars(p).values() for b in conv_blocks(v)]
-        held = [t for b in blocks for t in (b.weight, b.bias)]
-        held += [getattr(p, name) for name in ("alpha1", "beta1", "alpha2", "beta2")]
-        assert len(blocks) == 29
-        assert sorted(map(id, held)) == sorted(map(id, p.named_parameters().values()))
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    def test_tensors_equal_draw_order_oracle(self, seed):
+        # weights drawn one after another from one generator, biases zero,
+        # coefficients one
+        rng = np.random.default_rng(seed)
+        got = FusionParams(FusionConfig(seed=seed)).named_parameters()
+        for (name, shape), (got_name, t) in zip(PARAMETERS, got.items(), strict=True):
+            if name.endswith(".weight"):
+                want = rng.normal(0.0, INIT_STD, shape)
+            else:
+                want = np.zeros(shape) if name.endswith(".bias") else np.ones(shape)
+            assert got_name == name and np.array_equal(t.data, want), name
+
+    def test_backward_reaches_every_registered_tensor(self):
+        # grad_check perturbs each registered tensor in place, so forward and
+        # toy_head must read every one of them
+        p = FusionParams(FusionConfig(seed=3))
+        p.zero_grad()
+        loss_for(mkstack(np.random.default_rng(3)), p).backward()
+        for name, t in p.named_parameters().items():
+            assert t.grad is not None and t.grad.shape == t.shape, name
+            assert np.all(np.isfinite(t.grad)), name
+
+    def test_registry_is_the_only_state(self):
+        assert list(vars(FusionParams())) == ["_params"]
+
+    @pytest.mark.parametrize("seed", [1.5, math.nan, math.inf, "3", None, -1])
+    def test_bad_seed_rejected(self, seed):
+        # 1.5 and nan failed later inside numpy, "3" and None with a bare
+        # TypeError from the comparison
+        with pytest.raises(FusionError):
+            FusionConfig(seed=seed)
+
+    def test_numpy_integer_seed_draws_as_int(self):
+        a = FusionParams(FusionConfig(seed=np.int64(3))).named_parameters()
+        b = FusionParams(FusionConfig(seed=3)).named_parameters()
+        assert all(np.array_equal(a[n].data, b[n].data) for n in PARAMETER_NAMES)
 
 
 class TestExtractConcat:
     def test_channel_count(self):
         p = FusionParams()
         h_cat = extract_and_concat(mkstack(np.random.default_rng(0)), p)
-        assert h_cat.shape == (5 * p.cfg.channels, 4, 4)
+        assert h_cat.shape == (5 * CHANNELS, 4, 4)
         # each extractor reads its source's slice of the stack
         assert SOURCE_ORDER == ("diff", "flow", "rgb", "depth", "density")
-        assert [p.extractors[n][0].weight.shape[1] for n in SOURCE_ORDER] == [1, 2, 3, 1, 1]
+        assert [p[f"extractor.{n}.0.weight"].shape[1] for n in SOURCE_ORDER] == [1, 2, 3, 1, 1]
 
     def test_identity_extractors_restack(self):
         s = mkstack(np.random.default_rng(1))
         p = FusionParams()
-        for blocks in p.extractors.values():
-            for b in blocks:
-                set_identity(b)
+        for name in SOURCE_ORDER:
+            for i in range(2):
+                set_center_tap(p, f"extractor.{name}.{i}")
         h_cat = extract_and_concat(s, p)
-        c = p.cfg.channels
+        c = CHANNELS
         for gi, name in enumerate(SOURCE_ORDER):
             src = s[SOURCE_SLICES[name]]
             for j in range(c):
                 assert np.array_equal(h_cat.data[gi * c + j], src[j % src.shape[0]])
 
     def test_hand_computed_1x1(self):
-        # 1x1 kernels turn each extractor into a per-pixel linear map;
-        # oracle is plain matrix arithmetic on the raw planes
+        # with only the center tap set, each extractor conv acts as a 1x1
+        # kernel, a per-pixel linear map; oracle is plain matrix arithmetic
+        # on the raw planes
         s = mkstack(np.random.default_rng(2), 2, 2)
-        p = FusionParams(FusionConfig(kernel=1, seed=7, init_std=0.5))
+        p = FusionParams(FusionConfig(seed=7))
+        rng = np.random.default_rng(7)
+        for name in SOURCE_ORDER:
+            for i in range(2):
+                w, b = p[f"extractor.{name}.{i}.weight"], p[f"extractor.{name}.{i}.bias"]
+                center = rng.normal(0.0, 0.5, w.shape[:2])
+                w.data = np.zeros_like(w.data)
+                w.data[:, :, KERNEL // 2, KERNEL // 2] = center
+                b.data = rng.normal(0.0, 0.5, b.shape)
         h_cat = extract_and_concat(s, p)
-        c = p.cfg.channels
+        c = CHANNELS
         for gi, name in enumerate(SOURCE_ORDER):
-            w1 = p.extractors[name][0].weight.data[:, :, 0, 0]
-            b1 = p.extractors[name][0].bias.data
-            w2 = p.extractors[name][1].weight.data[:, :, 0, 0]
-            b2 = p.extractors[name][1].bias.data
+            w1 = p[f"extractor.{name}.0.weight"].data[:, :, KERNEL // 2, KERNEL // 2]
+            b1 = p[f"extractor.{name}.0.bias"].data
+            w2 = p[f"extractor.{name}.1.weight"].data[:, :, KERNEL // 2, KERNEL // 2]
+            b2 = p[f"extractor.{name}.1.bias"].data
             src = s[SOURCE_SLICES[name]]
             x = src.reshape(len(src), -1)
             expect = (w2 @ ((w1 @ x) + b1[:, None])) + b2[:, None]
@@ -160,13 +193,26 @@ class TestExtractConcat:
 
     def test_pseudo_siamese_structure(self):
         p = FusionParams()
-        shapes = [[b.weight.shape for b in p.extractors[n]] for n in SOURCE_ORDER]
+        shapes = [[p[f"extractor.{n}.{i}.weight"].shape for i in range(2)]
+                  for n in SOURCE_ORDER]
         # same architecture depth and kernel geometry, independent weights
         assert all(len(s) == len(shapes[0]) for s in shapes)
         assert all(s[0][2:] == shapes[0][0][2:] for s in shapes)
-        assert p.extractors["diff"][0].weight is not p.extractors["depth"][0].weight
-        assert not np.array_equal(p.extractors["diff"][1].weight.data,
-                                  p.extractors["depth"][1].weight.data)
+        assert p["extractor.diff.0.weight"] is not p["extractor.depth.0.weight"]
+        assert not np.array_equal(p["extractor.diff.1.weight"].data,
+                                  p["extractor.depth.1.weight"].data)
+
+    @pytest.mark.parametrize("shape", [
+        (9, 4, 4),     # dropped channel 8 silently
+        (7, 4, 4),     # "input has 0 channels" from conv2d
+        (8, 0, 3),     # "non-finite tensor data" after a numpy warning
+        (8, 3, 0),
+        (8, 4),
+        (1, 8, 4, 4),
+    ])
+    def test_stack_shape_rejected(self, shape):
+        with pytest.raises(FusionError):
+            forward(np.zeros(shape), FusionParams())
 
 
 @pytest.mark.parametrize("axis", [0, 1, 2])
@@ -189,10 +235,10 @@ class TestConvAttention:
     def test_saturated_gates_pass_through(self):
         s = mkstack(np.random.default_rng(3))
         p = FusionParams(FusionConfig(seed=3))
-        p.coa_conv.bias.data[:] = 50.0
-        p.cha_conv.bias.data[:] = 50.0
+        p["coa.bias"].data[:] = 50.0
+        p["cha.bias"].data[:] = 50.0
         out = conv_attention(extract_and_concat(s, p), p)
-        conv_only = p.attn_convs[1](p.attn_convs[0](extract_and_concat(s, p)))
+        conv_only = p.conv("attn.1", p.conv("attn.0", extract_and_concat(s, p)))
         assert np.allclose(out.data, conv_only.data, atol=1e-8)
 
     def test_constant_input_constant_per_channel(self):
@@ -200,45 +246,37 @@ class TestConvAttention:
         cat = 20
         x = Tensor(np.tile(np.arange(1.0, cat + 1.0)[:, None, None], (1, h, w)))
         p = FusionParams(FusionConfig(seed=4))
-        for b in p.attn_convs:
-            set_identity(b)
-        from headtrack.fusion import channel_attention, coordinate_attention
+        for name in ("attn.0", "attn.1"):
+            set_center_tap(p, name)
         out = channel_attention(coordinate_attention(x, p), p)
         for ch in range(cat):
             assert np.allclose(out.data[ch], out.data[ch].flat[0])
 
     def test_hand_computed_tiny_fixture(self):
-        # single-channel 2x2 input with hand-set 1x1 weights everywhere
-        x = np.array([[1.0, 2.0], [3.0, 4.0]])
-
+        # 2x2 planes with every conv a scalar map per channel (center tap on
+        # the diagonal), so each channel follows the one-channel closed form
         def sig(v):
             return 1.0 / (1.0 + np.exp(-v))
 
-        # conv-conv with weights (2, bias 1) then (0.5, bias -1)
-        z = 0.5 * (2 * x + 1) - 1
-        pool_h = z.mean(axis=1, keepdims=True)
-        pool_w = z.mean(axis=0, keepdims=True)
-        wh = sig(3.0 * pool_h + 0.2)     # coa conv weight 3, bias 0.2
-        ww = sig(3.0 * pool_w + 0.2)
-        coa = z * wh * ww
-        cha = coa * sig(-1.5 * coa.mean() + 0.1)  # cha conv weight -1.5, bias 0.1
-        # drive the module with an equivalent 1-channel configuration
-        p = FusionParams(FusionConfig(channels=1, fuse_channels=1, kernel=1, seed=0))
-        # shrink to a single-channel attention stage by slicing params
-        for blk, wv, bv in ((p.attn_convs[0], 2.0, 1.0), (p.attn_convs[1], 0.5, -1.0),
-                            (p.coa_conv, 3.0, 0.2), (p.cha_conv, -1.5, 0.1)):
-            blk.weight.data = np.full((1, 1, 1, 1), 0.0)
-            blk.bias.data = np.array([bv])
-            blk.weight.data[0, 0, 0, 0] = wv
-        # bypass the 5-source concat: feed the plane straight through
-        out = conv_attention(Tensor(x[None, :, :]), _single_channel_view(p))
-        assert np.allclose(out.data[0], cha)
+        def closed_form(x):
+            # conv-conv with weights (2, bias 1) then (0.5, bias -1)
+            z = 0.5 * (2 * x + 1) - 1
+            pool_h = z.mean(axis=1, keepdims=True)
+            pool_w = z.mean(axis=0, keepdims=True)
+            wh = sig(3.0 * pool_h + 0.2)     # coa conv weight 3, bias 0.2
+            ww = sig(3.0 * pool_w + 0.2)
+            coa = z * wh * ww
+            return coa * sig(-1.5 * coa.mean() + 0.1)  # cha conv weight -1.5, bias 0.1
 
-
-def _single_channel_view(p):
-    """The attention stage only touches these four blocks; reuse params
-    whose attention convs were resized to one channel."""
-    return p
+        p = FusionParams()
+        for name, wv, bv in (("attn.0", 2.0, 1.0), ("attn.1", 0.5, -1.0),
+                             ("coa", 3.0, 0.2), ("cha", -1.5, 0.1)):
+            set_center_tap(p, name, wv, bv)
+        x = np.array([[1.0, 2.0], [3.0, 4.0]])
+        planes = np.stack([x * (1.0 - 0.1 * ch) for ch in range(5 * CHANNELS)])
+        out = conv_attention(Tensor(planes), p)
+        for ch, plane in enumerate(planes):
+            assert np.allclose(out.data[ch], closed_form(plane))
 
 
 class TestSpatialMaskFuse:
@@ -257,41 +295,46 @@ class TestSpatialMaskFuse:
         p = FusionParams(FusionConfig(seed=6))
         s = mkstack(rng)
         h_cat = extract_and_concat(s, p)
-        for b in p.mask_convs:
-            b.weight.data[:] = 0.0
-            b.bias.data[:] = -60.0  # sigmoid -> ~0
+        for name in ("mask.0", "mask.1"):
+            p[f"{name}.weight"].data[:] = 0.0
+            p[f"{name}.bias"].data[:] = -60.0  # sigmoid -> ~0
         out = spatial_mask_fuse(h_cat, h_cat, Tensor(np.float64(1.0)),
                                 Tensor(np.float64(0.0)), p)
         assert np.allclose(out.data, 0.0, atol=1e-20)
 
     def test_scalar_fixture(self):
-        # 1-channel 1x1 "image": output = (m + 1) * h_cat with both coeffs 1
-        p = FusionParams(FusionConfig(channels=1, fuse_channels=1, kernel=1, seed=1))
-        for b, wv, bv in ((p.mask_convs[0], 1.0, 0.0), (p.mask_convs[1], 1.0, 0.5)):
-            b.weight.data = np.array(wv).reshape(1, 1, 1, 1)
-            b.bias.data = np.array([bv])
-        h_cat = Tensor(np.array(2.0).reshape(1, 1, 1))
-        h_agg = Tensor(np.array(3.0).reshape(1, 1, 1))
+        # 1x1 "image", each mask conv a scalar map per channel:
+        # output = (m + 1) * h_cat with both coeffs 1
+        p = FusionParams(FusionConfig(seed=1))
+        set_center_tap(p, "mask.0", 1.0, 0.0)
+        set_center_tap(p, "mask.1", 1.0, 0.5)
+        h_cat = Tensor(np.full((5 * CHANNELS, 1, 1), 2.0))
+        h_agg = Tensor(np.full((5 * CHANNELS, 1, 1), 3.0))
         m = 1.0 / (1.0 + np.exp(-(3.0 + 0.5)))
         out = spatial_mask_fuse(h_agg, h_cat, Tensor(np.float64(1.0)),
                                 Tensor(np.float64(1.0)), p)
-        assert out.data[0, 0, 0] == pytest.approx((m + 1.0) * 2.0)
+        assert out.data == pytest.approx(np.full(out.shape, (m + 1.0) * 2.0))
 
     def test_mask_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(7)
-        p = FusionParams(FusionConfig(seed=7, init_std=0.3))
+        p = FusionParams(FusionConfig(seed=7))
+        for name in ("mask.0", "mask.1"):
+            p[f"{name}.weight"].data *= 0.3 / INIT_STD
         h = Tensor(rng.standard_normal((20, 4, 4)))
-        mask = ad.sigmoid(p.mask_convs[1](p.mask_convs[0](h)))
+        mask = ad.sigmoid(p.conv("mask.1", p.conv("mask.0", h)))
         assert np.all(mask.data > 0) and np.all(mask.data < 1)
+
+
+def regroup_convs():
+    return [f"regroup.{name}.{i}" for name in SOURCE_ORDER for i in range(2)]
 
 
 class TestSplitRegroup:
     def test_identity_convs_slice_channels(self):
         p = FusionParams(FusionConfig(seed=8))
-        for blocks in p.regroup.values():
-            for b in blocks:
-                set_identity(b)
-        c = p.cfg.channels
+        for name in regroup_convs():
+            set_center_tap(p, name)
+        c = CHANNELS
         x = Tensor(np.random.default_rng(8).random((5 * c, 4, 4)))
         h_motion, h_static = split_regroup(x, p)
         assert np.array_equal(h_motion.data, x.data[:2 * c])
@@ -299,20 +342,18 @@ class TestSplitRegroup:
 
     def test_zero_weights_zero_output(self):
         p = FusionParams(FusionConfig(seed=9))
-        for blocks in p.regroup.values():
-            for b in blocks:
-                b.weight.data[:] = 0.0
-                b.bias.data[:] = 0.0
+        for name in regroup_convs():
+            p[f"{name}.weight"].data[:] = 0.0
+            p[f"{name}.bias"].data[:] = 0.0
         x = Tensor(np.random.default_rng(9).random((20, 4, 4)))
         h_motion, h_static = split_regroup(x, p)
         assert np.all(h_motion.data == 0) and np.all(h_static.data == 0)
 
     def test_group_order_traceable(self):
         p = FusionParams(FusionConfig(seed=10))
-        for blocks in p.regroup.values():
-            for b in blocks:
-                set_identity(b)
-        c = p.cfg.channels
+        for name in regroup_convs():
+            set_center_tap(p, name)
+        c = CHANNELS
         consts = np.arange(1.0, 6.0)
         x = Tensor(np.repeat(consts, c)[:, None, None] * np.ones((5 * c, 2, 2)))
         h_motion, h_static = split_regroup(x, p)
@@ -321,8 +362,15 @@ class TestSplitRegroup:
 
     def test_indivisible_channels(self):
         p = FusionParams()
-        with pytest.raises(Exception):
+        with pytest.raises(FusionError):
             split_regroup(Tensor(np.zeros((7, 2, 2))), p)
+
+    @pytest.mark.parametrize("channels", [10, 25])
+    def test_five_groups_of_the_wrong_width(self, channels):
+        # these split into five groups, but not of CHANNELS each; conv2d
+        # raised a bare ValueError on the first group
+        with pytest.raises(FusionError):
+            split_regroup(Tensor(np.zeros((channels, 2, 2))), FusionParams())
 
 
 class TestMotionStaticFuse:
@@ -357,7 +405,7 @@ class TestForward:
     def test_output_shape(self):
         p = FusionParams()
         out = forward(mkstack(np.random.default_rng(14)), p)
-        assert out.shape == (p.cfg.fuse_channels, 4, 4)
+        assert out.shape == (FUSE_CHANNELS, 4, 4)
         head = toy_head(out, p)
         assert head.shape == (1, 4, 4)
         assert np.all((head.data > 0) & (head.data < 1))
@@ -369,13 +417,13 @@ class TestForward:
         out = forward(s, p)
         h_cat = extract_and_concat(s, p)
         _, h_static = split_regroup(h_cat, p)
-        expect = p.proj_static(h_static)
+        expect = p.conv("proj_static", h_static)
         assert np.array_equal(out.data, expect.data)
 
     def test_default_coefficients_are_one(self):
         p = FusionParams()
         for name in ("alpha1", "beta1", "alpha2", "beta2"):
-            assert float(getattr(p, name).data) == 1.0
+            assert float(p[name].data) == 1.0
 
     def test_deterministic(self):
         s = mkstack(np.random.default_rng(16))
@@ -390,10 +438,10 @@ class TestBackward:
         s = mkstack(np.random.default_rng(17))
         h_cat = extract_and_concat(s, p)
         h_agg = conv_attention(h_cat, p)
-        out = spatial_mask_fuse(h_agg, h_cat, p.alpha1, p.beta1, p)
+        out = spatial_mask_fuse(h_agg, h_cat, p["alpha1"], p["beta1"], p)
         p.zero_grad()
         ad.tsum(out).backward()
-        assert float(p.beta1.grad) == pytest.approx(float(h_cat.data.sum()))
+        assert float(p["beta1"].grad) == pytest.approx(float(h_cat.data.sum()))
 
     def test_grad_check_random_stack(self):
         p = well_scaled_params(18)

@@ -472,6 +472,21 @@ def test_non_finite_scenario_rejected(change):
         ScenarioConfig(**change)
 
 
+@pytest.mark.parametrize("config", [ScenarioConfig, NoiseModel])
+@pytest.mark.parametrize("seed", [1.5, math.nan, math.inf, "3", None, -1])
+def test_bad_seed_rejected(config, seed):
+    # 1.5 and nan failed only inside numpy's SeedSequence, "3" and None with
+    # a bare TypeError from the comparison
+    with pytest.raises(SimError):
+        config(seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, 3, np.int64(3), 2**64])
+def test_integer_seed_accepted(seed):
+    assert ScenarioConfig(seed=seed).seed == seed
+    assert NoiseModel(seed=seed).seed == seed
+
+
 class TestReadConfig:
     def test_scenario_round_trip(self, tmp_path):
         p = tmp_path / "scen.cfg"
