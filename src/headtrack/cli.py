@@ -13,8 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, maps, motio, simulate
-from .fusion import FusionConfig, FusionError, FusionParams, forward
+from . import __version__, maps, metrics, motio, simulate
+from .fusion import COEFFICIENTS, FusionConfig, FusionError, FusionParams, forward
 from .metrics import MetricsError, MotReport, evaluate, report, sequence_counts
 from .motio import AnnotationError, AnnotationRecord, ConfigError, FieldOrder
 from .simulate import NoiseModel, ScenarioConfig
@@ -116,8 +116,7 @@ def cmd_stats(args) -> int:
     records = _read_records(args.ann, FieldOrder(args.order))
     if not records:
         raise InputError(f"{args.ann}: no annotation records")
-    frames = max(r.frame for r in records) if args.frames is None else args.frames
-    stats = motio.compute_stats(records, frames)
+    stats = motio.compute_stats(records, args.frames)
     payload = {
         "boxes": stats.boxes,
         "frames": stats.frames,
@@ -198,8 +197,7 @@ def cmd_fuse_demo(args) -> int:
     stack = maps.source_stack({name: maps.load_map(Path(args.stack_dir) / f"{name}.bin")
                                for name in maps.SOURCE_SLICES})
     params = FusionParams(FusionConfig(seed=args.seed or 0))
-    params.set_coefficients(alpha1=args.alpha1, beta1=args.beta1,
-                            alpha2=args.alpha2, beta2=args.beta2)
+    params.set_coefficients(**{c: getattr(args, c) for c in COEFFICIENTS})
     try:  # with the warnings off, an overflow still raises as a non-finite Tensor
         with np.errstate(over="ignore", invalid="ignore"):
             out = forward(stack, params)
@@ -241,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="CLEAR-MOT / identity metrics report")
     p.add_argument("--gt", required=True)
     p.add_argument("--pred", required=True)
-    p.add_argument("--iou", type=float, default=0.5)
+    p.add_argument("--iou", type=float, default=metrics.DEFAULT_IOU_THRESHOLD)
     p.add_argument("--out")
     p.add_argument("--json", action="store_true")
     add_order(p)
@@ -272,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stack-dir", required=True)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
-    for coeff in ("alpha1", "beta1", "alpha2", "beta2"):
+    for coeff in COEFFICIENTS:
         p.add_argument(f"--{coeff}", type=float)
     p.set_defaults(func=cmd_fuse_demo)
 

@@ -4,11 +4,11 @@ Five pseudo-siamese conv extractors (same architecture, independent weights)
 map each source into CHANNELS channels; the fused pipeline is:
 
   channel concat -> conv/conv + coordinate & channel attention
-  -> sigmoid spatial mask blended with the concat features (alpha1 / beta1)
+  -> sigmoid spatial mask blended with the concat features (mask alpha / beta)
   -> per-source channel split, per-group conv/conv regroup
   -> motion (diff, flow) and static (rgb, depth, density) branches projected
      to FUSE_CHANNELS channels
-  -> Hadamard blend of the branches (alpha2 / beta2)
+  -> Hadamard blend of the branches (blend alpha / beta)
 
 The architecture is fixed by the module constants and CONVS; FusionConfig
 sets only the seed. FusionParams holds each tensor once, by name, read as
@@ -26,13 +26,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .maps import SOURCE_SLICES
+from .maps import SOURCE_SLICES, STACK_CHANNELS
 
 SOURCE_ORDER = tuple(SOURCE_SLICES)
-STACK_CHANNELS = max(sl.stop for sl in SOURCE_SLICES.values())  # 8
 MOTION_GROUPS = 2   # diff, flow
 STATIC_GROUPS = 3   # rgb, depth, density
-COEFFICIENTS = ("alpha1", "beta1", "alpha2", "beta2")
+COEFFICIENTS = ("alpha1", "beta1", "alpha2", "beta2")  # mask alpha, beta; blend alpha, beta
 # per-source extractor width, motion/static branch width, kernel size of the
 # spatial convs, std of the drawn weights
 CHANNELS, FUSE_CHANNELS, KERNEL, INIT_STD = 4, 8, 3, 0.01
@@ -101,11 +100,11 @@ class FusionParams:
         for t in self._params.values():
             t.zero_grad()
 
-    def set_coefficients(self, alpha1=None, beta1=None, alpha2=None, beta2=None):
-        given = {name: v for name, v in zip(COEFFICIENTS, (alpha1, beta1, alpha2, beta2))
-                 if v is not None}
-        if not all(map(math.isfinite, given.values())):
-            raise FusionError(f"coefficients must be finite, got {given}")
+    def set_coefficients(self, **values: float | None):
+        """Set the named COEFFICIENTS to the given values; None leaves one as it is."""
+        given = {name: v for name, v in values.items() if v is not None}
+        if not (given.keys() <= set(COEFFICIENTS) and all(map(math.isfinite, given.values()))):
+            raise FusionError(f"coefficients {COEFFICIENTS} must be finite, got {given}")
         for name, v in given.items():
             self._params[name].data = np.asarray(np.float64(v))
 
@@ -146,11 +145,11 @@ def conv_attention(h_cat: Tensor, params: FusionParams) -> Tensor:
     return channel_attention(coordinate_attention(x, params), params)
 
 
-def spatial_mask_fuse(h_agg: Tensor, h_cat: Tensor, alpha1: Tensor, beta1: Tensor,
+def spatial_mask_fuse(h_agg: Tensor, h_cat: Tensor, alpha: Tensor, beta: Tensor,
                       params: FusionParams) -> Tensor:
-    """alpha1 * Sigmoid(Conv(Conv(h_agg))) (.) h_cat + beta1 * h_cat."""
+    """alpha * Sigmoid(Conv(Conv(h_agg))) (.) h_cat + beta * h_cat."""
     mask = ad.sigmoid(params.conv("mask.1", params.conv("mask.0", h_agg)))
-    return ad.add(ad.mul(ad.mul(mask, h_cat), alpha1), ad.mul(h_cat, beta1))
+    return ad.add(ad.mul(ad.mul(mask, h_cat), alpha), ad.mul(h_cat, beta))
 
 
 def split_regroup(h_agg: Tensor, params: FusionParams) -> tuple[Tensor, Tensor]:
@@ -169,23 +168,24 @@ def split_regroup(h_agg: Tensor, params: FusionParams) -> tuple[Tensor, Tensor]:
 
 
 def motion_static_fuse(h_static: Tensor, h_motion: Tensor,
-                       alpha2: Tensor, beta2: Tensor) -> Tensor:
-    """alpha2 * (h_static (.) h_motion) + beta2 * h_static."""
+                       alpha: Tensor, beta: Tensor) -> Tensor:
+    """alpha * (h_static (.) h_motion) + beta * h_static."""
     if h_static.shape != h_motion.shape:
         raise FusionError(f"static {h_static.shape} and motion {h_motion.shape} "
                           "branches must match")
-    return ad.add(ad.mul(ad.mul(h_static, h_motion), alpha2), ad.mul(h_static, beta2))
+    return ad.add(ad.mul(ad.mul(h_static, h_motion), alpha), ad.mul(h_static, beta))
 
 
 def forward(stack: np.ndarray, params: FusionParams) -> Tensor:
     """Full fusion pipeline; output has FUSE_CHANNELS channels."""
+    mask_alpha, mask_beta, blend_alpha, blend_beta = (params[c] for c in COEFFICIENTS)
     h_cat = extract_and_concat(stack, params)
     h_agg = conv_attention(h_cat, params)
-    h_agg = spatial_mask_fuse(h_agg, h_cat, params["alpha1"], params["beta1"], params)
+    h_agg = spatial_mask_fuse(h_agg, h_cat, mask_alpha, mask_beta, params)
     h_motion, h_static = split_regroup(h_agg, params)
     h_motion = params.conv("proj_motion", h_motion)
     h_static = params.conv("proj_static", h_static)
-    return motion_static_fuse(h_static, h_motion, params["alpha2"], params["beta2"])
+    return motion_static_fuse(h_static, h_motion, blend_alpha, blend_beta)
 
 
 def toy_head(h_agg: Tensor, params: FusionParams) -> Tensor:

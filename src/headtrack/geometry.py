@@ -32,14 +32,6 @@ class BBox:
             raise ValueError(f"degenerate box (width, height and area must be > 0): {self!r}")
 
     @property
-    def right(self) -> float:
-        return self.left + self.width
-
-    @property
-    def bottom(self) -> float:
-        return self.top + self.height
-
-    @property
     def area(self) -> float:
         return self.width * self.height
 
@@ -68,7 +60,7 @@ def intersection_area(a: BBox, b: BBox) -> float:
     h = _overlap(a.top, a.height, b.top, b.height)
     if w <= 0 or h <= 0:
         return 0.0
-    # rounding in right/bottom can push w*h a hair past the smaller box
+    # rounding in the far edges can push w*h a hair past the smaller box
     return min(w * h, a.area, b.area)
 
 

@@ -30,6 +30,7 @@ BLOCK_SIZE, SEARCH_RADIUS, LEVELS = 5, 4, 3
 # Channels of each source in the (8, H, W) fusion input, in fusion order.
 SOURCE_SLICES = {"diff": slice(0, 1), "flow": slice(1, 3), "rgb": slice(3, 6),
                  "depth": slice(6, 7), "density": slice(7, 8)}
+STACK_CHANNELS = max(sl.stop for sl in SOURCE_SLICES.values())  # 8
 
 
 class MapError(ValueError):
@@ -281,7 +282,7 @@ def source_stack(sources: dict[str, np.ndarray]) -> np.ndarray:
     naming the first map whose size differs from rgb's or whose channel count
     differs from its slice's."""
     h, w = np.shape(sources["rgb"])[:2]
-    stack = np.empty((max(sl.stop for sl in SOURCE_SLICES.values()), h, w))
+    stack = np.empty((STACK_CHANNELS, h, w))
     for name, sl in SOURCE_SLICES.items():
         m = np.asarray(sources[name])
         m = m[:, :, None] if m.ndim == 2 else m

@@ -255,9 +255,11 @@ def write_annotation_file(path, records: Iterable[AnnotationRecord],
         f.writelines(write_annotations(records, order))
 
 
-def compute_stats(records: list[AnnotationRecord], frame_count: int) -> DatasetStats:
-    """Dataset statistics: box/track counts, per-frame density, ratio histogram."""
+def compute_stats(records: list[AnnotationRecord], frame_count: int | None = None) -> DatasetStats:
+    """Dataset statistics: box/track counts, per-frame density, ratio histogram.
+    frame_count defaults to the last frame."""
     max_frame = max((r.frame for r in records), default=1)
+    frame_count = max_frame if frame_count is None else frame_count
     if frame_count < max_frame:
         raise AnnotationError(
             f"frame_count {frame_count} below max frame index {max_frame}")
@@ -341,7 +343,8 @@ def read_config(path, cls, **overrides):
 def write_sequence_meta(path, meta: SequenceMeta) -> None:
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"name={meta.name}\n")
-        f.write(f"fps={_format_numbers([meta.fps])[0]}\n")
+        fps = float(meta.fps)  # exactly: an integral fps as an integer, any other as its repr
+        f.write(f"fps={int(fps) if fps.is_integer() else fps!r}\n")
         f.write(f"frames={meta.frame_count}\n")
         f.write(f"width={meta.resolution[0]}\n")
         f.write(f"height={meta.resolution[1]}\n")

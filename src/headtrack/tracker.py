@@ -170,10 +170,11 @@ class Tracker:
 
     Live tracks are parallel arrays in spawn order, which is track-id order:
     `tracks` (N,) ids, `mean` (N, 8) and `cov` (N, 3, 4) Kalman states,
-    `hits` (N,) matches including the spawn, `age` (N,) frames since the last
-    match and `confirmed` (N,) whether the track was ever confirmed. A track
-    that was never confirmed is tentative and dies on its first miss; a
-    confirmed track with age > 0 is lost and dies once age exceeds max_age.
+    `hits` (N,) matches including the spawn and `age` (N,) frames since the
+    last match, if every frame is stepped (an empty one with []). A track is
+    confirmed once hits >= max(n_init, 2), else tentative and removed on its
+    first miss; a confirmed track with age > 0 is lost and dies once age
+    exceeds max_age.
     """
 
     def __init__(self, cfg: TrackerConfig | None = None):
@@ -183,7 +184,6 @@ class Tracker:
         self.mean, self.cov = np.zeros((0, 8)), np.zeros((0, 3, 4))
         self.hits = np.zeros(0, dtype=np.int64)
         self.age = np.zeros(0, dtype=np.int64)
-        self.confirmed = np.zeros(0, dtype=bool)
         self._next_id = 1
         self._first_frame: int | None = None
         self._last_frame = 0
@@ -225,40 +225,44 @@ class Tracker:
         if len(ti):
             self.mean[ti], self.cov[ti] = self.kalman.update(self.mean[ti], self.cov[ti],
                                                              boxes[di])
-        matched = np.zeros(len(self.tracks), dtype=bool)
-        matched[ti] = True
+        det = np.full(len(self.tracks), -1)  # each track's detection index, -1 if none
+        det[ti] = di
+        matched = det >= 0
         self.hits += matched
         self.age = np.where(matched, 0, self.age + 1)
-        self.confirmed |= matched & (self.hits >= self.cfg.n_init)
-        emit = self.confirmed[ti] | warm_up
-        out_ids, out_dets = self.tracks[ti[emit]], di[emit]
+        confirm_at = max(self.cfg.n_init, 2)  # hits counts the spawn
+        keep = finite & (matched | ((self.hits >= confirm_at) & (self.age <= self.cfg.max_age)))
 
-        new_ids = np.arange(self._next_id, self._next_id + len(spawned))
-        self._next_id += len(spawned)
-        if warm_up:  # emit fresh tracks too
-            out_ids = np.concatenate([out_ids, new_ids])
-            out_dets = np.concatenate([out_dets, spawned])
-
-        keep = finite & (matched | (self.confirmed & (self.age <= self.cfg.max_age)))
-        mean, cov = self.kalman.initiate(boxes[spawned])
         n = len(spawned)
-        self.tracks = np.concatenate([self.tracks[keep], new_ids])
+        mean, cov = self.kalman.initiate(boxes[spawned])
+        self.tracks = np.concatenate([self.tracks[keep],
+                                      np.arange(self._next_id, self._next_id + n)])
+        self._next_id += n
         self.mean = np.concatenate([self.mean[keep], mean])
         self.cov = np.concatenate([self.cov[keep], cov])
         self.hits = np.concatenate([self.hits[keep], np.ones(n, dtype=np.int64)])
         self.age = np.concatenate([self.age[keep], np.zeros(n, dtype=np.int64)])
-        self.confirmed = np.concatenate([self.confirmed[keep], np.zeros(n, dtype=bool)])
-        # matched tracks come in id order, and every spawned id is larger
+        det = np.concatenate([det[keep], spawned])
+        # age 0 is matched or spawned this frame; ids ascend along the arrays
+        emit = (self.age == 0) & ((self.hits >= confirm_at) | warm_up)
         return [AnnotationRecord(frame, i, detections[d].bbox, detections[d].confidence)
-                for i, d in zip(out_ids.tolist(), out_dets.tolist())]
+                for i, d in zip(self.tracks[emit].tolist(), det[emit].tolist())]
 
 
 def run_tracker(frames: dict[int, list[AnnotationRecord]],
                 cfg: TrackerConfig | None = None) -> list[AnnotationRecord]:
-    """Track a whole sequence given per-frame detections keyed by frame index."""
+    """Track a whole sequence given per-frame detections keyed by frame index.
+
+    Every frame from the first key to the last is stepped, a missing one as
+    empty, so a det file (no line for an empty frame) gives the dict's rows.
+    Warm-up counts from the first key, so a leading empty frame still differs.
+    """
     tracker = Tracker(cfg)
     out: list[AnnotationRecord] = []
     for frame in sorted(frames):
+        # an empty frame gives no rows, and changes nothing once no track is live
+        while len(tracker.tracks) and tracker._last_frame + 1 < frame:
+            tracker.step(tracker._last_frame + 1, [])
         out.extend(tracker.step(frame, frames[frame]))
     return out
 

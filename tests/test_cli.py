@@ -10,6 +10,8 @@ from headtrack.cli import EXIT_CONFIG, EXIT_INPUT, main
 from headtrack.fusion import FusionConfig, FusionParams, forward
 from headtrack.metrics import aggregate, evaluate
 from headtrack.motio import FieldOrder
+from headtrack.simulate import NoiseModel, ScenarioConfig, corrupt, simulate
+from headtrack.tracker import TrackerConfig, run_tracker
 
 
 def run(*argv):
@@ -93,6 +95,12 @@ class TestGenScenario:
                    "--out-dets", str(dets)) == 0
         assert hashlib.sha256(dets.read_bytes()).hexdigest() == digest
 
+    def test_fractional_fps_written_exactly(self, tmp_path):
+        scen, gt = tmp_path / "scen.cfg", tmp_path / "g.txt"
+        scen.write_text("agent_count=2\nduration=3\nfps=23.976\n")
+        assert run("gen-scenario", "--config", str(scen), "--out-gt", str(gt)) == 0
+        assert motio.read_kv(str(gt) + ".meta")["fps"] == "23.976"
+
     def test_negative_seed_flag_exit_config(self, tmp_path):
         assert run("gen-scenario", "--seed", "-1",
                    "--out-gt", str(tmp_path / "x.txt")) == EXIT_CONFIG
@@ -146,6 +154,24 @@ class TestTrackEvaluate:
         assert row["MOTA"] == pytest.approx(1.0)
         assert row["IDF1"] == pytest.approx(1.0)
         assert row["IDs"] == 0
+
+    def test_track_on_file_equals_run_tracker_with_interior_empty_frames(self, tmp_path):
+        # the det file has no line for an empty frame; the dict from corrupt
+        # holds it as []. Here ten frames from 2 to 57 of 60 are empty.
+        scen, noise = tmp_path / "scen.cfg", tmp_path / "noise.cfg"
+        gt, dets, out = tmp_path / "g.txt", tmp_path / "d.txt", tmp_path / "t.txt"
+        scen.write_text("agent_count=3\nduration=60\n")
+        noise.write_text("miss_rate=0.6\ncenter_jitter=0.5\n")
+        assert run("gen-scenario", "--config", str(scen), "--noise", str(noise), "--seed", "2",
+                   "--out-gt", str(gt), "--out-dets", str(dets)) == 0
+        assert run("track", "--dets", str(dets), "--mode", "byte", "--out", str(out)) == 0
+        frames = corrupt(simulate(ScenarioConfig(agent_count=3, duration=60, seed=2))[0],
+                         NoiseModel(miss_rate=0.6, center_jitter=0.5, seed=2))
+        empty = [f for f, ds in frames.items() if not ds]
+        assert len(empty) == 10 and min(frames) < min(empty) and max(empty) < max(frames)
+        want = tmp_path / "want.txt"
+        motio.write_annotation_file(want, run_tracker(frames, TrackerConfig(mode="byte")))
+        assert motio.read_annotation_file(out) == motio.read_annotation_file(want)
 
     def test_evaluate_text_report(self, scenario, tmp_path, capsys):
         gt, dets = scenario

@@ -425,6 +425,13 @@ class TestForward:
         for name in ("alpha1", "beta1", "alpha2", "beta2"):
             assert float(p[name].data) == 1.0
 
+    @pytest.mark.parametrize("name", ["gamma", "head.bias"])
+    def test_set_coefficients_rejects_other_names(self, name):
+        p = FusionParams()
+        with pytest.raises(FusionError):
+            p.set_coefficients(**{name: 5.0})
+        assert float(p["head.bias"].data[0]) == 0.0 and "gamma" not in p.named_parameters()
+
     def test_deterministic(self):
         s = mkstack(np.random.default_rng(16))
         a = forward(s, FusionParams(FusionConfig(seed=16)))

@@ -397,6 +397,13 @@ class TestResample:
             resample_framerate([], 0)
 
 
+@pytest.mark.parametrize("fps,text", [(23.976, "23.976"), (1 / 3, repr(1 / 3))])
+def test_sequence_meta_fractional_fps_written_exactly(tmp_path, fps, text):
+    path = tmp_path / "seq.meta"
+    write_sequence_meta(path, SequenceMeta("lab", fps, 500, (640, 480), "overhead"))
+    assert motio.read_kv(path)["fps"] == text and float(text) == fps
+
+
 def test_sequence_meta_round_trip(tmp_path):
     path = tmp_path / "seq.meta"
     write_sequence_meta(path, SequenceMeta("lab", 25.0, 500, (640, 480), "overhead"))

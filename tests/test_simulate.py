@@ -51,7 +51,8 @@ class TestSimulate:
         recs, _ = simulate(cfg)
         for r in recs:
             assert r.bbox.left >= -1e-9 and r.bbox.top >= -1e-9
-            assert r.bbox.right <= 300 + 1e-9 and r.bbox.bottom <= 200 + 1e-9
+            assert r.bbox.left + r.bbox.width <= 300 + 1e-9
+            assert r.bbox.top + r.bbox.height <= 200 + 1e-9
 
     def test_sizes_constant_per_agent(self):
         recs, _ = simulate(ScenarioConfig(agent_count=5, duration=30, seed=5))
@@ -230,8 +231,8 @@ def corrupt_loop(gt, noise):
     by_frame = {}
     for r in gt:
         by_frame.setdefault(r.frame, []).append(r)
-    arena_w = max(r.bbox.right for r in gt) if gt else 100.0
-    arena_h = max(r.bbox.bottom for r in gt) if gt else 100.0
+    arena_w = max(r.bbox.left + r.bbox.width for r in gt) if gt else 100.0
+    arena_h = max(r.bbox.top + r.bbox.height for r in gt) if gt else 100.0
     out = {}
     for frame in sorted(by_frame):
         recs = by_frame[frame]

@@ -413,7 +413,7 @@ class TestBatchedKalman:
         tracker = Tracker(TrackerConfig(n_init=2))
         for f in (1, 2):
             tracker.step(f, [det(40.0 * i, 0) for i in range(4)])
-        assert tracker.confirmed.all()
+        assert tracker.hits.tolist() == [2] * 4  # confirmed
         tracker.mean[1, 4] = np.inf
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)  # the predict makes no inf * 0
@@ -528,7 +528,8 @@ class TestLifecycle:
         for f in (1, 2, 3, 4):
             out = t.step(f, [det(2.0 * f, 0)])
             assert [o.track_id for o in out] == [1]
-        assert t.confirmed.tolist() == [True] and t.age.tolist() == [0]
+        # past warm-up, frame 4's row is emitted because hits reached n_init
+        assert t.hits.tolist() == [4] and t.age.tolist() == [0]
 
     @pytest.mark.parametrize("start", [1, 101])
     def test_warm_up_counts_from_first_frame(self, start):
@@ -540,17 +541,17 @@ class TestLifecycle:
     def test_tentative_removed_on_first_miss(self):
         t = Tracker(TrackerConfig(n_init=3))
         t.step(1, [det(0, 0)])
-        assert t.confirmed.tolist() == [False]
-        t.step(2, [])
+        assert t.hits.tolist() == [1] and t.age.tolist() == [0]  # tentative
+        assert t.step(2, []) == []
         assert len(t.tracks) == 0
 
     def test_confirmed_survives_misses_until_max_age(self):
         t = Tracker(TrackerConfig(n_init=2, max_age=2))
         t.step(1, [det(0, 0)])
         t.step(2, [det(0, 0)])
-        assert t.confirmed.tolist() == [True] and t.age.tolist() == [0]
-        t.step(3, [])  # lost: confirmed, missed for one frame
-        assert t.confirmed.tolist() == [True] and t.age.tolist() == [1]
+        assert t.hits.tolist() == [2] and t.age.tolist() == [0]  # confirmed
+        assert t.step(3, []) == []  # lost: confirmed, missed for one frame
+        assert t.hits.tolist() == [2] and t.age.tolist() == [1]
         t.step(4, [])
         assert len(t.tracks) == 1
         t.step(5, [])
@@ -563,7 +564,7 @@ class TestLifecycle:
         t.step(3, [])
         out = t.step(4, [det(0, 0)])
         assert [o.track_id for o in out] == [1]
-        assert t.confirmed.tolist() == [True] and t.age.tolist() == [0]
+        assert t.hits.tolist() == [3] and t.age.tolist() == [0]
 
     def test_new_identity_after_removal(self):
         t = Tracker(TrackerConfig(n_init=1, max_age=1))
@@ -573,6 +574,19 @@ class TestLifecycle:
         assert t.step(4, [det(0, 0)]) == []  # respawned, not yet confirmed
         out = t.step(5, [det(0, 0)])
         assert [o.track_id for o in out] == [2]
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_interior_empty_frame_absent_or_present_as_empty_list(self, mode):
+        # two empty frames age every track past max_age, so both are stepped
+        # when the identities after them are new
+        cfg = TrackerConfig(mode=mode, n_init=2, max_age=1)
+        frames = random_frames(5)
+        frames[11] = frames[12] = []
+        rows = run_tracker(frames, cfg)
+        assert run_tracker({f: ds for f, ds in frames.items() if ds}, cfg) == rows
+        before = {o.track_id for o in rows if o.frame <= 10}
+        after = {o.track_id for o in rows if o.frame >= 13}
+        assert len(before) == len(after) == 5 and not before & after
 
     def test_out_of_order_frame_rejected(self):
         t = Tracker()
@@ -803,7 +817,9 @@ def detection_sequences(draw):
 def test_run_tracker_equals_object_tracker(frames, mode, n_init, max_age):
     cfg = TrackerConfig(mode=mode, n_init=n_init, max_age=max_age)
     oracle = OracleTracker(cfg)
-    want = [o for f in sorted(frames) for o in oracle.step(f, frames[f])]
+    # run_tracker steps every frame from the first key to the last
+    steps = range(min(frames), max(frames) + 1)
+    want = [o for f in steps for o in oracle.step(f, frames.get(f, []))]
     assert run_tracker(frames, cfg) == want
 
 
