@@ -3,12 +3,22 @@
 Exit codes: 0 success, 2 input error (an unwritable output path too), 3
 config error, 4 internal invariant violation. Every command that writes an
 output also writes a JSON run manifest alongside it for reproducibility.
+
+A failed command writes nothing: each output, sidecar and manifest is written
+in a staging directory `.headtrack-stage-*` beside it (for a missing
+`gen-motion --out-dir`, in its nearest existing ancestor) and moved into place
+with `os.replace` once all are written. A killed process can leave that
+directory behind or, killed during the renames, part of the outputs in place.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import shutil
 import sys
+import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -29,25 +39,43 @@ class InputError(Exception):
     pass
 
 
-def _write_manifest(out_path, command: str, args: argparse.Namespace) -> None:
-    manifest = {
-        "command": command,
-        "version": __version__,
-        "arguments": {k: str(v) for k, v in vars(args).items()
-                      if k != "func" and v is not None},
-    }
-    Path(str(out_path) + ".manifest.json").write_text(json.dumps(manifest, indent=2))
-
-
-def _check_out_dirs(*paths) -> None:
-    """Fail before any compute or write when an output's directory is
-    missing or the output is itself a directory, so that a failed command
-    leaves no partial output."""
-    for p in [Path(p) for p in paths if p]:
+@contextlib.contextmanager
+def _outputs(args: argparse.Namespace, *targets, manifests=None, make_dirs: bool = False):
+    """Stage a command's targets and a manifest for each (or for each of
+    `manifests`); yield target -> path to write it at; publish on a clean exit.
+    A path given twice, a target that is a directory and a missing directory
+    (made on publishing, with make_dirs) raise InputError before any compute."""
+    given = [t for t in targets if t]
+    named = Counter(Path(p).resolve() for p in
+                    [*given, *(f"{m}.manifest.json" for m in (manifests or given))])
+    for p, n in named.items():
+        if n > 1:
+            raise InputError(f"output path given twice: {p}")
         if p.is_dir():
             raise InputError(f"output is a directory: {p}")
-        if not p.parent.is_dir():
-            raise InputError(f"no such directory: {p.parent}")
+    stages: dict[Path, Path] = {}   # target directory -> its staging directory
+    try:
+        for d in dict.fromkeys(p.parent for p in named):
+            base = next(a for a in (d, *d.parents) if a.exists())
+            if not base.is_dir() or (base != d and not make_dirs):
+                raise InputError(f"no such directory: {d}")
+            stages[d] = Path(tempfile.mkdtemp(prefix=".headtrack-stage-", dir=base))
+        manifest = json.dumps({"command": args.command, "version": __version__,
+                               "arguments": {k: str(v) for k, v in vars(args).items()
+                                             if k != "func" and v is not None}}, indent=2)
+        for m in list(named)[len(given):]:
+            (stages[m.parent] / m.name).write_text(manifest)
+        yield {t: stages[p.parent] / p.name for t, p in zip(given, named)}
+        moves = [(f, d / f.name) for d, s in stages.items() for f in s.iterdir()]
+        blocked = next((dst for _, dst in moves if dst.is_dir()), None)
+        if blocked:   # a sidecar, which no command names
+            raise InputError(f"output is a directory: {blocked}")
+        for src, dst in moves:
+            dst.parent.mkdir(parents=True, exist_ok=True)
+            src.replace(dst)   # os.replace: one atomic rename(2)
+    finally:
+        for s in stages.values():
+            shutil.rmtree(s, ignore_errors=True)
 
 
 def _read_records(path, order: FieldOrder):
@@ -70,45 +98,44 @@ def _config(path, cls, **overrides):
 
 
 def cmd_track(args) -> int:
-    _check_out_dirs(args.out)
-    cfg = _config(args.config, TrackerConfig, mode=args.mode)
-    records = _read_records(args.dets, FieldOrder(args.order))
-    frames: dict[int, list[AnnotationRecord]] = {}
-    for r in records:
-        frames.setdefault(r.frame, []).append(r)
-    motio.write_annotation_file(args.out, run_tracker(frames, cfg), FieldOrder(args.order))
-    _write_manifest(args.out, "track", args)
+    with _outputs(args, args.out) as staged:
+        cfg = _config(args.config, TrackerConfig, mode=args.mode)
+        records = _read_records(args.dets, FieldOrder(args.order))
+        frames: dict[int, list[AnnotationRecord]] = {}
+        for r in records:
+            frames.setdefault(r.frame, []).append(r)
+        motio.write_annotation_file(staged[args.out], run_tracker(frames, cfg),
+                                    FieldOrder(args.order))
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    _check_out_dirs(args.out)
-    order = FieldOrder(args.order)
-    gt_p, pred_p = Path(args.gt), Path(args.pred)
-    if gt_p.is_dir() != pred_p.is_dir():
-        raise InputError("--gt and --pred must both be files or both directories")
-    if gt_p.is_dir():
-        names = sorted(p.name for p in gt_p.glob("*.txt"))
-        if not names:
-            raise InputError(f"no .txt sequences in {gt_p}")
-        counts = [sequence_counts(_read_records(gt_p / n, order),
-                                  _read_records(pred_p / n, order), args.iou)
-                  for n in names]
-        rows = [(n, report(c)) for n, c in zip(names, counts)]
-        rows.append(("OVERALL", report(*counts)))
-    else:
-        rows = [(gt_p.stem, evaluate(_read_records(gt_p, order),
-                                     _read_records(pred_p, order), args.iou))]
-    text = "\n".join([MotReport.header()] + [r.format_row(n) for n, r in rows]) + "\n"
-    payload = json.dumps({n: r.as_dict() for n, r in rows}, indent=2)
+    with _outputs(args, args.out) as staged:
+        order = FieldOrder(args.order)
+        gt_p, pred_p = Path(args.gt), Path(args.pred)
+        if gt_p.is_dir() != pred_p.is_dir():
+            raise InputError("--gt and --pred must both be files or both directories")
+        if gt_p.is_dir():
+            names = sorted(p.name for p in gt_p.glob("*.txt"))
+            if not names:
+                raise InputError(f"no .txt sequences in {gt_p}")
+            counts = [sequence_counts(_read_records(gt_p / n, order),
+                                      _read_records(pred_p / n, order), args.iou)
+                      for n in names]
+            rows = [(n, report(c)) for n, c in zip(names, counts)]
+            rows.append(("OVERALL", report(*counts)))
+        else:
+            rows = [(gt_p.stem, evaluate(_read_records(gt_p, order),
+                                         _read_records(pred_p, order), args.iou))]
+        text = "\n".join([MotReport.header()] + [r.format_row(n) for n, r in rows]) + "\n"
+        payload = json.dumps({n: r.as_dict() for n, r in rows}, indent=2)
+        if args.out:
+            staged[args.out].write_text(text)
+            Path(f"{staged[args.out]}.json").write_text(payload)
     if args.json:
         print(payload)
     else:
         print(text, end="")
-    if args.out:
-        Path(args.out).write_text(text)
-        Path(str(args.out) + ".json").write_text(payload)
-        _write_manifest(args.out, "evaluate", args)
     return 0
 
 
@@ -140,17 +167,15 @@ def cmd_stats(args) -> int:
 
 
 def cmd_gen_scenario(args) -> int:
-    _check_out_dirs(args.out_gt, args.out_dets)
-    scen = _config(args.config, ScenarioConfig, seed=args.seed)
-    noise = _config(args.noise, NoiseModel, seed=args.seed)
-    gt, meta = simulate.simulate(scen)
-    motio.write_annotation_file(args.out_gt, gt, FieldOrder(args.order))
-    motio.write_sequence_meta(str(args.out_gt) + ".meta", meta)
-    _write_manifest(args.out_gt, "gen-scenario", args)
-    if args.out_dets:
-        dets = [r for recs in simulate.corrupt(gt, noise).values() for r in recs]
-        motio.write_annotation_file(args.out_dets, dets, FieldOrder(args.order))
-        _write_manifest(args.out_dets, "gen-scenario", args)
+    with _outputs(args, args.out_gt, args.out_dets) as staged:
+        scen = _config(args.config, ScenarioConfig, seed=args.seed)
+        noise = _config(args.noise, NoiseModel, seed=args.seed)
+        gt, meta = simulate.simulate(scen)
+        motio.write_annotation_file(staged[args.out_gt], gt, FieldOrder(args.order))
+        motio.write_sequence_meta(f"{staged[args.out_gt]}.meta", meta)
+        if args.out_dets:
+            dets = [r for recs in simulate.corrupt(gt, noise).values() for r in recs]
+            motio.write_annotation_file(staged[args.out_dets], dets, FieldOrder(args.order))
     return 0
 
 
@@ -161,61 +186,52 @@ def cmd_gen_motion(args) -> int:
     paths = sorted(frame_dir.glob("*.bin"))
     if not paths:
         raise InputError(f"no .bin frames in {frame_dir}")
-
-    # each frame is read twice, to check every one before anything is
-    # written and then to process it, so that at most two are held at once
-    def frames():
-        for p in paths:
+    out_dir = Path(args.out_dir)
+    names = [out_dir / f"{m}_{i:04d}.bin"
+             for i in range(1, len(paths) + 1) for m in ("diff", "flow")]
+    with _outputs(args, *names, manifests=[out_dir / "motion"], make_dirs=True) as staged:
+        prev = None   # each frame is read once, and at most two are held
+        for i, p in enumerate(paths):
             data = maps.load_map(p)  # its errors name the file; ImageFrame's do not
             try:
-                frame = maps.ImageFrame(data)
+                curr = maps.ImageFrame(data)
             except maps.MapError as e:
                 raise InputError(f"{p}: {e}") from None
-            yield frame
-
-    sizes = {f.data.shape[:2] for f in frames()}
-    if len(sizes) > 1:
-        raise InputError(f"frames in {frame_dir} differ in (height, width): {sorted(sizes)}")
-    (size,) = sizes
-    if len(paths) > 1 and min(size) < maps.BLOCK_SIZE:  # a lone frame gets zero maps
-        raise InputError(f"frames in {frame_dir} are {size[0]}x{size[1]}, smaller than "
-                         f"one {maps.BLOCK_SIZE}x{maps.BLOCK_SIZE} flow block")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    prev = None
-    for i, curr in enumerate(frames(), start=1):
-        diff, flow = maps.motion_maps(curr, prev)
-        maps.save_map(out_dir / f"diff_{i:04d}.bin", diff)
-        maps.save_map(out_dir / f"flow_{i:04d}.bin", flow)
-        prev = curr
-    _write_manifest(out_dir / "motion", "gen-motion", args)
+            size = curr.data.shape[:2]
+            if prev is not None and size != prev.data.shape[:2]:  # prev has the first's size
+                raise InputError(f"frames in {frame_dir} differ in (height, width): "
+                                 f"{sorted({prev.data.shape[:2], size})}")
+            if len(paths) > 1 and min(size) < maps.BLOCK_SIZE:  # a lone frame gets zero maps
+                raise InputError(f"frames in {frame_dir} are {size[0]}x{size[1]}, smaller "
+                                 f"than one {maps.BLOCK_SIZE}x{maps.BLOCK_SIZE} flow block")
+            for name, m in zip(names[2 * i:2 * i + 2], maps.motion_maps(curr, prev)):
+                maps.save_map(staged[name], m)
+            prev = curr
     return 0
 
 
 def cmd_fuse_demo(args) -> int:
-    _check_out_dirs(args.out)
-    stack = maps.source_stack({name: maps.load_map(Path(args.stack_dir) / f"{name}.bin")
-                               for name in maps.SOURCE_SLICES})
-    params = FusionParams(FusionConfig(seed=args.seed or 0))
-    params.set_coefficients(**{c: getattr(args, c) for c in COEFFICIENTS})
-    try:  # with the warnings off, an overflow still raises as a non-finite Tensor
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = forward(stack, params)
-    except FloatingPointError as e:
-        raise InputError(f"fusion of {args.stack_dir}: {e}") from None
-    maps.save_map(args.out, out.data.transpose(1, 2, 0))
-    _write_manifest(args.out, "fuse-demo", args)
+    with _outputs(args, args.out) as staged:
+        stack = maps.source_stack({name: maps.load_map(Path(args.stack_dir) / f"{name}.bin")
+                                   for name in maps.SOURCE_SLICES})
+        params = FusionParams(FusionConfig(seed=args.seed or 0))
+        params.set_coefficients(**{c: getattr(args, c) for c in COEFFICIENTS})
+        try:  # with the warnings off, an overflow still raises as a non-finite Tensor
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = forward(stack, params)
+        except FloatingPointError as e:
+            raise InputError(f"fusion of {args.stack_dir}: {e}") from None
+        maps.save_map(staged[args.out], out.data.transpose(1, 2, 0))
     return 0
 
 
 def cmd_resample(args) -> int:
-    _check_out_dirs(args.out)
-    if args.factor < 1:
-        raise ConfigError(f"factor must be >= 1, got {args.factor}")
-    records = _read_records(args.ann, FieldOrder(args.order))
-    out = motio.resample_framerate(records, args.factor)
-    motio.write_annotation_file(args.out, out, FieldOrder(args.order))
-    _write_manifest(args.out, "resample", args)
+    with _outputs(args, args.out) as staged:
+        if args.factor < 1:
+            raise ConfigError(f"factor must be >= 1, got {args.factor}")
+        records = _read_records(args.ann, FieldOrder(args.order))
+        out = motio.resample_framerate(records, args.factor)
+        motio.write_annotation_file(staged[args.out], out, FieldOrder(args.order))
     return 0
 
 

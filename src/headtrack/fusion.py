@@ -19,7 +19,6 @@ coefficients are checkable against finite differences.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .maps import SOURCE_SLICES, STACK_CHANNELS
+from .motio import check_seed
 
 SOURCE_ORDER = tuple(SOURCE_SLICES)
 MOTION_GROUPS = 2   # diff, flow
@@ -62,12 +62,7 @@ class FusionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        try:
-            ok = operator.index(self.seed) >= 0
-        except TypeError:
-            ok = False
-        if not ok:
-            raise FusionError(f"seed must be an integer >= 0, got {self.seed!r}")
+        check_seed(self.seed, FusionError)
 
 
 class FusionParams:

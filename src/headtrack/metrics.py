@@ -45,7 +45,8 @@ def match_frame(gt: list[tuple[int, BBox]], pred: list[tuple[int, BBox]],
     """One frame's gt_id -> pred_id matching.
 
     gt and pred are (id, bbox) lists, ious their (len(gt), len(pred)) IoU
-    matrix and prev the previous frame's matching.
+    matrix and prev the previous frame's matching. Exact IoU ties in the
+    assignment go by box (left, top, width, height), then by id.
     """
     gt_boxes = dict(gt)
     pred_boxes = dict(pred)
@@ -55,6 +56,8 @@ def match_frame(gt: list[tuple[int, BBox]], pred: list[tuple[int, BBox]],
     used_pred = set(pairs.values())
     free_pred = [j for j, (p, _) in enumerate(pred) if p not in used_pred]
     if free_gt and free_pred:
+        free_gt.sort(key=lambda i: _LTWH(gt[i][1]))
+        free_pred.sort(key=lambda j: _LTWH(pred[j][1]))
         free = ious[np.ix_(free_gt, free_pred)]
         for i, j in hungarian(1.0 - free).matches.tolist():
             if free[i, j] >= thr:

@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice, repeat
-from operator import attrgetter, length_hint
+from operator import attrgetter, index, length_hint
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -338,6 +338,16 @@ def read_config(path, cls, **overrides):
             raise ConfigError(f"{path}: {k}={raw!r}: {e}") from None
     kwargs.update((k, v) for k, v in overrides.items() if v is not None)
     return cls(**kwargs)
+
+
+def check_seed(seed, error: type[ValueError]) -> None:
+    """Raise error unless seed is an integer >= 0 (anything with __index__)."""
+    try:
+        if index(seed) >= 0:
+            return
+    except TypeError:
+        pass
+    raise error(f"seed must be an integer >= 0, got {seed!r}")
 
 
 def write_sequence_meta(path, meta: SequenceMeta) -> None:

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 # `iou` stays importable here: benchmarks/tracing.py counts calls at this site
 from .geometry import BBox, iou, iou_rows, ltwh_array  # noqa: F401
-from .motio import AnnotationRecord, SequenceMeta
+from .motio import AnnotationRecord, SequenceMeta, check_seed
 
 OCCLUSION_IOU = 0.3  # pairwise GT overlap that triggers the score multiplier
 MAX_JITTER = 1e4     # px, cap on the jitter sigmas: jittered boxes stay finite
@@ -27,15 +26,6 @@ OCCLUSION_BLOCK = 1 << 14  # boxes per block of frames in corrupt's occlusion pa
 
 class SimError(ValueError):
     pass
-
-
-def _check_seed(seed) -> None:
-    try:
-        if operator.index(seed) >= 0:
-            return
-    except TypeError:
-        pass
-    raise SimError(f"seed must be an integer >= 0, got {seed!r}")
 
 
 @dataclass
@@ -52,7 +42,7 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_seed(self.seed)
+        check_seed(self.seed, SimError)
         if self.agent_count < 1:
             raise SimError("agent_count must be >= 1")
         (v0, v1), (s0, s1) = self.speed_range, self.head_size_range
@@ -83,7 +73,7 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        _check_seed(self.seed)
+        check_seed(self.seed, SimError)
         if not (0 <= self.miss_rate < 1) or not (0 <= self.fp_rate <= MAX_FP_RATE):
             raise SimError(f"need 0 <= miss_rate < 1 and 0 <= fp_rate <= {MAX_FP_RATE:g}")
         if not all(0 <= s <= MAX_JITTER for s in (self.center_jitter, self.size_jitter)):

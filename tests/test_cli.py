@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pathlib
 import warnings
 
 import numpy as np
@@ -456,6 +457,21 @@ class TestGenMotion:
         assert run("gen-motion", "--frames-dir", str(frames),
                    "--out-dir", str(tmp_path / "o")) == EXIT_INPUT
 
+    @pytest.mark.parametrize("out_exists", [False, True])
+    def test_overflow_in_the_last_map_writes_nothing(self, tmp_path, capsys, out_exists):
+        # the fourth difference map, |3e38 - -3e38|, is not finite as float32;
+        # the maps of frames 1-3 were once left behind
+        frames, out = tmp_path / "frames", tmp_path / "motion"
+        frames.mkdir()
+        if out_exists:
+            out.mkdir()
+        for i, v in enumerate([0.0, 0.0, -3e38, 3e38], start=1):
+            maps.save_map(frames / f"f_{i:04d}.bin", np.full((8, 8), v))
+        before = sorted(tmp_path.rglob("*"))
+        assert run("gen-motion", "--frames-dir", str(frames), "--out-dir", str(out)) == EXIT_INPUT
+        assert "diff_0004.bin: map has values that are not finite" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
 
 def write_stack(d, h=6, w=6):
     """The five map files of a fuse-demo stack directory."""
@@ -588,6 +604,129 @@ def test_unwritable_output_is_input_error(tmp_path, capsys, command):
         out, err = capsys.readouterr()
         assert err.startswith("error:") and out == ""
         assert sorted(tmp_path.rglob("*")) == before    # nothing written, not even in part
+
+
+def test_output_path_given_twice_is_input_error(tmp_path, capsys):
+    # rejected before any compute: the noise file would be a config error
+    (tmp_path / "n.cfg").write_text("fp_rate=inf\n")
+    x = tmp_path / "x.txt"
+    for dets in (str(x), f"{tmp_path}/./x.txt"):
+        before = sorted(tmp_path.rglob("*"))
+        assert run("gen-scenario", "--noise", str(tmp_path / "n.cfg"), "--out-gt", str(x),
+                   "--out-dets", dets) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: output path given twice: ")
+        assert sorted(tmp_path.rglob("*")) == before
+    # an output path may be an input of the same command
+    x.write_text("1,1,0,0,10,10,0.9,1,1\n1,2,1,0,10,10,0.9,1,1\n")
+    assert run("track", "--dets", str(x), "--out", str(x)) == 0
+    assert len(motio.read_annotation_file(x)) == 2
+
+
+# one small run of each command that writes files, all of whose outputs go to `out`
+WRITING = {
+    "gen-scenario": lambda d, out: ["--config", str(d / "scen.cfg"), "--seed", "2",
+                                    "--out-gt", str(out / "gt.txt"),
+                                    "--out-dets", str(out / "dets.txt")],
+    "track": lambda d, out: ["--dets", str(d / "a.txt"), "--out", str(out / "t.txt")],
+    "evaluate": lambda d, out: ["--gt", str(d / "a.txt"), "--pred", str(d / "a.txt"),
+                                "--out", str(out / "r.txt")],
+    "resample": lambda d, out: ["--ann", str(d / "a.txt"), "--factor", "2",
+                                "--out", str(out / "r.txt")],
+    "fuse-demo": lambda d, out: ["--stack-dir", str(d / "stack"), "--out", str(out / "f.bin")],
+    "gen-motion": lambda d, out: ["--frames-dir", str(d / "frames"), "--out-dir", str(out)],
+}
+# the number of files each run writes
+WRITTEN = {"gen-scenario": 5, "track": 2, "evaluate": 3, "resample": 2, "fuse-demo": 3,
+           "gen-motion": 9}
+
+
+def writing_inputs(d):
+    (d / "scen.cfg").write_text("agent_count=3\nduration=4\n")
+    (d / "a.txt").write_text("".join(f"{i},{f},{9 * i},{f},10,10,0.9,1,1\n"
+                                     for f in (1, 2, 3) for i in (1, 2)))
+    write_stack(d / "stack")
+    (d / "frames").mkdir()
+    for i in (1, 2):
+        maps.save_map(d / "frames" / f"f_{i}.bin", np.full((8, 8), i / 4))
+
+
+def tree(root) -> dict:
+    """Every path under root, with the bytes of each file."""
+    return {p: None if p.is_dir() else p.read_bytes() for p in root.rglob("*")}
+
+
+def written_names(tmp_path, command) -> list[str]:
+    """The names a clean run of command writes, in a directory of its own."""
+    writing_inputs(tmp_path)
+    (tmp_path / "clean").mkdir()
+    assert run(command, *WRITING[command](tmp_path, tmp_path / "clean")) == 0
+    return sorted(p.name for p in (tmp_path / "clean").iterdir())
+
+
+@pytest.mark.parametrize("command", WRITING)
+def test_blocked_output_writes_nothing(tmp_path, capsys, command):
+    """Each output, sidecar and manifest path in turn is a directory: the
+    command fails with nothing written and no staging directory left. (A
+    track file was once left behind when its manifest path was a directory.)"""
+    names = written_names(tmp_path, command)
+    capsys.readouterr()
+    assert len(names) == WRITTEN[command]
+    (tmp_path / "out").mkdir()
+    for name in names:
+        (tmp_path / "out" / name).mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        assert run(command, *WRITING[command](tmp_path, tmp_path / "out")) == EXIT_INPUT, name
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: output is a directory: "), name
+        assert sorted(tmp_path.rglob("*")) == before
+        (tmp_path / "out" / name).rmdir()
+
+
+class WriteFault:
+    """Every file a command writes goes through one of WRITERS; the
+    fail_at-th call raises OSError."""
+
+    WRITERS = [(pathlib.Path, "write_text"), (pathlib.Path, "write_bytes"),
+               (motio, "write_annotation_file"), (motio, "write_sequence_meta")]
+
+    def __init__(self, monkeypatch):
+        self.calls, self.fail_at = 0, 0
+        for owner, name in self.WRITERS:
+            monkeypatch.setattr(owner, name, self._wrap(getattr(owner, name)))
+
+    def _wrap(self, write):
+        def failing(*args, **kwargs):
+            self.calls += 1
+            if self.calls == self.fail_at:
+                raise OSError("disk full")
+            return write(*args, **kwargs)
+        return failing
+
+
+@pytest.mark.parametrize("command", WRITING)
+def test_each_failed_write_writes_nothing(tmp_path, capsys, monkeypatch, command):
+    """The k-th write fails, for each k: exit 2, empty stdout and every file
+    as it was, over the outputs of an earlier run, into an empty directory
+    and, for gen-motion, into a missing one. A clean run then makes one write
+    per file."""
+    names = written_names(tmp_path, command)
+    capsys.readouterr()
+    (tmp_path / "empty").mkdir()
+    fault = WriteFault(monkeypatch)
+    out_dirs = [tmp_path / "clean", tmp_path / "empty"]
+    if command == "gen-motion":   # the one command that makes its directory
+        out_dirs.append(tmp_path / "new")
+    for out_dir in out_dirs:
+        for k in range(1, len(names) + 1):
+            fault.calls, fault.fail_at = 0, k
+            before = tree(tmp_path)
+            code = run(command, *WRITING[command](tmp_path, out_dir))
+            assert (code, *capsys.readouterr()) == (EXIT_INPUT, "", "error: disk full\n"), k
+            assert tree(tmp_path) == before
+        fault.calls, fault.fail_at = 0, 0
+        assert run(command, *WRITING[command](tmp_path, out_dir)) == 0
+        assert fault.calls == len(names)
+        capsys.readouterr()
 
 
 class TestParser:

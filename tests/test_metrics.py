@@ -92,6 +92,17 @@ class TestIdSwitches:
                                ([(1, g)], [(7, near), (8, g)])]))
         assert (m.IDs, m.FN, m.FP) == (0, 0, 1)
 
+    @pytest.mark.parametrize("ids", [(1, 2), (2, 1)])
+    def test_exact_tie_goes_by_box_not_by_id(self, ids):
+        # the predictions at left 2 and left -2 overlap the gt box equally in
+        # frame 1; only the left -2 one is there in frame 2. Ordered by id,
+        # one labelling matched left 2 first and counted a switch (MOTA 0.0)
+        g, right, left = BBox(0, 0, 20, 20), BBox(2, 0, 20, 20), BBox(-2, 0, 20, 20)
+        a, b = ids
+        m = evaluate(*records([([(1, g)], [(a, right), (b, left)]),
+                               ([(1, g)], [(b, left)])]))
+        assert (m.IDs, m.MOTA) == (0, 0.5)
+
     def test_duplicate_ids_rejected(self):
         dup = [rec(1, 1, 0, 0, 5, 5), rec(1, 1, 9, 9, 5, 5)]
         for gt, pred in ((dup, []), ([rec(1, 1)], dup)):
@@ -451,8 +462,10 @@ def oracle_match_frame(gt, pred, acc):
     for g, p in acc.prev_pairs.items():
         if g in gt_boxes and p in pred_boxes and iou(gt_boxes[g], pred_boxes[p]) >= thr:
             pairs[g] = p
-    free_gt = [g for g in gt_ids if g not in pairs]
-    free_pred = [p for p in pred_ids if p not in set(pairs.values())]
+    # unmatched boxes enter the assignment by content; equal ones in id order
+    free_gt = sorted((g for g in gt_ids if g not in pairs), key=lambda g: ltwh(gt_boxes[g]))
+    free_pred = sorted((p for p in pred_ids if p not in set(pairs.values())),
+                       key=lambda p: ltwh(pred_boxes[p]))
     if free_gt and free_pred:
         free = np.array([[iou(gt_boxes[g], pred_boxes[p]) for p in free_pred]
                          for g in free_gt])
@@ -484,7 +497,8 @@ def oracle_clearmot(acc):
 def oracle_evaluate(gt, pred, thr):
     """The reference evaluator: frames in order and each frame's boxes in id
     order through the accumulator, then IDTP from the padded global
-    assignment over scalar-IoU overlap counts."""
+    assignment over scalar-IoU overlap counts. The unmatched boxes of a frame
+    enter its assignment in (left, top, width, height) order."""
     acc = EvalAccumulator(iou_threshold=thr)
     overlap = Counter()
     for f in sorted({r.frame for r in gt} | {r.frame for r in pred}):

@@ -1,10 +1,11 @@
 """Property tests: the CLI exit-code contract under fuzzed config files, map
 sidecars, fuse-demo seeds and coefficients, and annotation files, tracker invariance under a shift of every frame number and under a
 permutation of each frame's detections, and the evaluator's symmetries: a
-sequence scored against itself, gt and pred swapped, and records shuffled
-within a file."""
+sequence scored against itself, gt and pred swapped, records shuffled
+within a file, and ids relabelled."""
 import dataclasses
 import json
+import random
 import tempfile
 import warnings
 from pathlib import Path
@@ -97,7 +98,8 @@ COEFFICIENT_FLAGS = st.dictionaries(
        coefficients=COEFFICIENT_FLAGS)
 def test_fuse_demo_sidecar_exit_code(member, sidecar, seed, coefficients):
     """A fuzzed sidecar (None keeps the stored one), seed and coefficients:
-    exit 0, 2 or 3 with no numpy warning, and on 0 the output map reads back."""
+    exit 0, 2 or 3 with no numpy warning; on 0 the output map reads back, and
+    on any other exit nothing is written."""
     rng = np.random.default_rng(0)
     with tempfile.TemporaryDirectory() as d, warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -107,11 +109,14 @@ def test_fuse_demo_sidecar_exit_code(member, sidecar, seed, coefficients):
             maps.save_map(d / f"{name}.bin", rng.random((6, 6, channels)))
         if sidecar is not None:
             (d / f"{member}.bin.json").write_text(sidecar)
+        before = sorted(d.rglob("*"))
         code = main(["fuse-demo", "--stack-dir", str(d), "--seed", str(seed), *coefficients,
                      "--out", str(d / "out.bin")])
         assert code in (0, 2, 3)
         if code == 0:
             assert maps.load_map(d / "out.bin").shape == (6, 6, 8)
+        else:
+            assert sorted(d.rglob("*")) == before
 
 
 @FUZZ
@@ -124,8 +129,10 @@ def test_gen_motion_sidecar_exit_code(sidecar):
         for i in (1, 2):
             maps.save_map(frames / f"f_{i}.bin", rng.random((12, 12)))
         (frames / "f_2.bin.json").write_text(sidecar)
-        assert main(["gen-motion", "--frames-dir", str(frames),
-                     "--out-dir", str(Path(d) / "out")]) in (0, 2)
+        before = sorted(Path(d).rglob("*"))
+        code = main(["gen-motion", "--frames-dir", str(frames), "--out-dir", str(Path(d) / "out")])
+        assert code in (0, 2)
+        assert code == 0 or sorted(Path(d).rglob("*")) == before
 
 
 # a line is mostly well-formed (small integer id and frame, 7 numeric fields)
@@ -267,3 +274,45 @@ def test_report_invariant_under_record_shuffle(gt, pred, rnd):
     rnd.shuffle(shuffled_gt)
     rnd.shuffle(shuffled_pred)
     assert evaluate(shuffled_gt, shuffled_pred) == evaluate(gt, pred)
+
+
+# Mirrored pairs: each gt track sits at its own place on a 30 px grid, and its
+# two prediction ids sit 1-6 px before and after it along one axis, so both
+# overlap it equally. Each frame keeps any subset of the three boxes, so a
+# tie in one frame is decided by which box stays in the next.
+MIRRORED = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(1, 6), st.booleans(),
+              st.lists(st.integers(0, 7), min_size=1, max_size=4)),
+    min_size=1, max_size=3, unique_by=lambda t: t[:2],
+)
+
+
+def mirrored_records(tracks) -> tuple[list[AnnotationRecord], list[AnnotationRecord]]:
+    gt, pred = [], []
+    for k, (col, row, d, vertical, present) in enumerate(tracks):
+        x, y = 30 * col, 30 * row
+        dx, dy = (0, d) if vertical else (d, 0)
+        for f, mask in enumerate(present, start=1):
+            if mask & 1:
+                gt.append(AnnotationRecord(f, k + 1, BBox(x, y, 20, 20)))
+            for bit, sign, pid in ((2, -1, 2 * k + 1), (4, 1, 2 * k + 2)):
+                if mask & bit:
+                    pred.append(AnnotationRecord(f, pid, BBox(x + sign * dx, y + sign * dy,
+                                                              20, 20)))
+    return gt, pred
+
+
+def relabel(records, rnd) -> list[AnnotationRecord]:
+    ids = sorted({r.track_id for r in records})
+    new = dict(zip(ids, rnd.sample(range(1, 100), len(ids))))
+    return [dataclasses.replace(r, track_id=new[r.track_id]) for r in records]
+
+
+@settings(max_examples=200, deadline=None)
+@given(tracks=MIRRORED, rnd=st.randoms(use_true_random=False))
+@example(tracks=[(0, 0, 2, False, [7, 5])], rnd=random.Random(0))
+def test_report_invariant_under_id_relabelling(tracks, rnd):
+    gt, pred = mirrored_records(tracks)
+    if not gt:
+        return
+    assert evaluate(relabel(gt, rnd), relabel(pred, rnd)) == evaluate(gt, pred)
