@@ -26,9 +26,9 @@ import numpy as np
 from . import __version__, maps, metrics, motio, simulate
 from .fusion import COEFFICIENTS, FusionConfig, FusionError, FusionParams, forward
 from .metrics import MetricsError, MotReport, evaluate, report, sequence_counts
-from .motio import AnnotationError, AnnotationRecord, ConfigError, FieldOrder
+from .motio import AnnotationError, ConfigError, FieldOrder, records, table
 from .simulate import NoiseModel, ScenarioConfig
-from .tracker import Mode, TrackerConfig, run_tracker
+from .tracker import Mode, TrackerConfig, track_table
 
 EXIT_INPUT = 2
 EXIT_CONFIG = 3
@@ -40,14 +40,17 @@ class InputError(Exception):
 
 
 @contextlib.contextmanager
-def _outputs(args: argparse.Namespace, *targets, manifests=None, make_dirs: bool = False):
-    """Stage a command's targets and a manifest for each (or for each of
-    `manifests`); yield target -> path to write it at; publish on a clean exit.
-    A path given twice, a target that is a directory and a missing directory
-    (made on publishing, with make_dirs) raise InputError before any compute."""
+def _outputs(args: argparse.Namespace, *targets, sidecars=(), manifests=None,
+             make_dirs: bool = False):
+    """Stage a command's targets, their sidecars and a manifest for each target
+    (or for each of `manifests`); yield target -> path to write it at, beside
+    which its sidecars go; publish on a clean exit. A path named twice among
+    all of these, one that is a directory and a missing directory (made on
+    publishing, with make_dirs) raise InputError before any compute."""
     given = [t for t in targets if t]
-    named = Counter(Path(p).resolve() for p in
-                    [*given, *(f"{m}.manifest.json" for m in (manifests or given))])
+    manifests = [f"{m}.manifest.json" for m in (manifests or given)]
+    paths = [Path(p).resolve() for p in [*given, *sidecars, *manifests]]
+    named = Counter(paths)
     for p, n in named.items():
         if n > 1:
             raise InputError(f"output path given twice: {p}")
@@ -63,12 +66,12 @@ def _outputs(args: argparse.Namespace, *targets, manifests=None, make_dirs: bool
         manifest = json.dumps({"command": args.command, "version": __version__,
                                "arguments": {k: str(v) for k, v in vars(args).items()
                                              if k != "func" and v is not None}}, indent=2)
-        for m in list(named)[len(given):]:
+        for m in paths[len(paths) - len(manifests):]:
             (stages[m.parent] / m.name).write_text(manifest)
-        yield {t: stages[p.parent] / p.name for t, p in zip(given, named)}
+        yield {t: stages[p.parent] / p.name for t, p in zip(given, paths)}
         moves = [(f, d / f.name) for d, s in stages.items() for f in s.iterdir()]
         blocked = next((dst for _, dst in moves if dst.is_dir()), None)
-        if blocked:   # a sidecar, which no command names
+        if blocked:   # a map sidecar, which gen-motion does not name
             raise InputError(f"output is a directory: {blocked}")
         for src, dst in moves:
             dst.parent.mkdir(parents=True, exist_ok=True)
@@ -78,7 +81,7 @@ def _outputs(args: argparse.Namespace, *targets, manifests=None, make_dirs: bool
             shutil.rmtree(s, ignore_errors=True)
 
 
-def _read_records(path, order: FieldOrder):
+def _read_table(path, order: FieldOrder):
     p = Path(path)
     if not p.exists():
         raise InputError(f"no such file: {p}")
@@ -86,6 +89,10 @@ def _read_records(path, order: FieldOrder):
         return motio.read_annotation_file(p, order)
     except (AnnotationError, OSError, UnicodeDecodeError) as e:
         raise InputError(f"{p}: {e}") from None
+
+
+def _read_records(path, order: FieldOrder):
+    return records(_read_table(path, order))
 
 
 def _config(path, cls, **overrides):
@@ -100,17 +107,14 @@ def _config(path, cls, **overrides):
 def cmd_track(args) -> int:
     with _outputs(args, args.out) as staged:
         cfg = _config(args.config, TrackerConfig, mode=args.mode)
-        records = _read_records(args.dets, FieldOrder(args.order))
-        frames: dict[int, list[AnnotationRecord]] = {}
-        for r in records:
-            frames.setdefault(r.frame, []).append(r)
-        motio.write_annotation_file(staged[args.out], run_tracker(frames, cfg),
+        dets = _read_table(args.dets, FieldOrder(args.order))
+        motio.write_annotation_file(staged[args.out], track_table(dets, cfg),
                                     FieldOrder(args.order))
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    with _outputs(args, args.out) as staged:
+    with _outputs(args, args.out, sidecars=[f"{args.out}.json"] if args.out else []) as staged:
         order = FieldOrder(args.order)
         gt_p, pred_p = Path(args.gt), Path(args.pred)
         if gt_p.is_dir() != pred_p.is_dir():
@@ -140,10 +144,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    records = _read_records(args.ann, FieldOrder(args.order))
-    if not records:
+    anns = _read_records(args.ann, FieldOrder(args.order))
+    if not anns:
         raise InputError(f"{args.ann}: no annotation records")
-    stats = motio.compute_stats(records, args.frames)
+    stats = motio.compute_stats(anns, args.frames)
     payload = {
         "boxes": stats.boxes,
         "frames": stats.frames,
@@ -167,14 +171,14 @@ def cmd_stats(args) -> int:
 
 
 def cmd_gen_scenario(args) -> int:
-    with _outputs(args, args.out_gt, args.out_dets) as staged:
+    with _outputs(args, args.out_gt, args.out_dets, sidecars=[f"{args.out_gt}.meta"]) as staged:
         scen = _config(args.config, ScenarioConfig, seed=args.seed)
         noise = _config(args.noise, NoiseModel, seed=args.seed)
         gt, meta = simulate.simulate(scen)
-        motio.write_annotation_file(staged[args.out_gt], gt, FieldOrder(args.order))
+        motio.write_annotation_file(staged[args.out_gt], table(gt), FieldOrder(args.order))
         motio.write_sequence_meta(f"{staged[args.out_gt]}.meta", meta)
         if args.out_dets:
-            dets = [r for recs in simulate.corrupt(gt, noise).values() for r in recs]
+            dets = table(r for recs in simulate.corrupt(gt, noise).values() for r in recs)
             motio.write_annotation_file(staged[args.out_dets], dets, FieldOrder(args.order))
     return 0
 
@@ -229,9 +233,9 @@ def cmd_resample(args) -> int:
     with _outputs(args, args.out) as staged:
         if args.factor < 1:
             raise ConfigError(f"factor must be >= 1, got {args.factor}")
-        records = _read_records(args.ann, FieldOrder(args.order))
-        out = motio.resample_framerate(records, args.factor)
-        motio.write_annotation_file(staged[args.out], out, FieldOrder(args.order))
+        anns = _read_records(args.ann, FieldOrder(args.order))
+        out = motio.resample_framerate(anns, args.factor)
+        motio.write_annotation_file(staged[args.out], table(out), FieldOrder(args.order))
     return 0
 
 

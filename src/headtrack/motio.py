@@ -6,6 +6,14 @@ Two field orders exist in the wild and both are supported:
   paper_order:    id, frame, left, top, width, height, conf, category, visibility
   standard_order: frame, id, left, top, width, height, conf, category, visibility
 
+Files are read and written as tables: `read_annotation_file` returns the
+validated (N, 9) float64 table of a file, its rows in file order and its
+columns frame, id, left, top, width, height, conf, category and visibility
+whatever the field order, and `write_annotation_file` writes such a table.
+`records` and `table` convert between a table and `AnnotationRecord`s;
+`parse_annotations` and `write_annotations` are the record API over the same
+parser and writer.
+
 Numbers that are integral are written without a decimal point; fractional
 values are written with fixed 2-decimal formatting, so write/parse round-trips
 are exact on 2-decimal data.
@@ -17,7 +25,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import islice, repeat
+from functools import cache
+from itertools import chain, islice, repeat
 from operator import attrgetter, index, length_hint
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -90,15 +99,23 @@ class DatasetStats:
     ratio_histogram: dict[int, int] = field(default_factory=dict)  # bin index -> count, bin width 0.1
 
 
-def _format_numbers(values) -> list[str]:
-    """The text of each value: an integral value of magnitude below 1e15 as an
-    integer, any other with two decimals."""
-    col = np.asarray(values, dtype=np.float64)
-    whole = (col == np.trunc(col)) & (np.abs(col) < 1e15)
-    text = np.empty(col.shape, dtype=object)
-    text[whole] = list(map(str, col[whole].astype(np.int64).tolist()))
-    text[~whole] = list(map("{:.2f}".format, col[~whole].tolist()))
-    return text.tolist()
+# the record attributes of the table columns, in column order
+_COLUMNS = attrgetter("frame", "track_id", "bbox.left", "bbox.top", "bbox.width",
+                      "bbox.height", "confidence", "category", "visibility")
+
+
+def table(records: Iterable[AnnotationRecord]) -> np.ndarray:
+    """The (N, 9) float64 table of records, one row each in their order."""
+    records = list(records)
+    return np.fromiter(chain.from_iterable(map(_COLUMNS, records)), np.float64,
+                       9 * len(records)).reshape(len(records), 9)
+
+
+def records(table: np.ndarray) -> list[AnnotationRecord]:
+    """The record of each row of an (N, 9) table; integral columns become ints."""
+    frame, tid, left, top, w, h, conf, cat, vis = np.reshape(table, (-1, 9)).T.tolist()
+    return list(map(AnnotationRecord, map(int, frame), map(int, tid),
+                    map(BBox, left, top, w, h), conf, map(int, cat), vis))
 
 
 # lines parsed or written per step: no list of strings spans a whole file
@@ -126,9 +143,8 @@ def _floats(fields: list[str]) -> tuple[np.ndarray, ValueError | None]:
         return np.fromiter(map(float, map(str.strip, fields[:good])), np.float64, good), e
 
 
-def parse_annotations(lines: Iterable[str],
-                      order: FieldOrder = FieldOrder.paper_order) -> list[AnnotationRecord]:
-    """Parse annotation lines into records, preserving file order.
+def _parse(lines: Iterable[str], order: FieldOrder) -> np.ndarray:
+    """The table of annotation lines, rows in file order.
 
     Raises AnnotationError with the 1-based line number on malformed input, on
     a box whose edges, area or aspect ratio leave the float range, on a
@@ -168,10 +184,8 @@ def parse_annotations(lines: Iterable[str],
     n = len(vals)
 
     if order is FieldOrder.paper_order:
-        tid, frame = vals[:, 0], vals[:, 1]
-    else:
-        frame, tid = vals[:, 0], vals[:, 1]
-    left, top, w, h, conf, cat, vis = vals[:, 2:].T
+        vals[:, :2] = vals[:, [1, 0]]
+    frame, tid, left, top, w, h, conf, cat, vis = vals.T
     by_key = np.lexsort((tid, frame))   # stable: a key's first line sorts first
     dup = np.zeros(n, dtype=bool)
     dup[by_key[1:][(frame[by_key[1:]] == frame[by_key[:-1]])
@@ -206,16 +220,42 @@ def parse_annotations(lines: Iterable[str],
         error = (np.concatenate(numbers)[row], message)
     if error is not None:
         raise AnnotationError(f"line {error[0]}: {error[1]}")
-
-    frames, tids, cats = (list(map(int, col.tolist())) for col in (frame, tid, cat))
-    return list(map(AnnotationRecord, frames, tids,
-                    map(BBox, left.tolist(), top.tolist(), w.tolist(), h.tolist()),
-                    conf.tolist(), cats, vis.tolist()))
+    return vals
 
 
-# the record attributes written after the frame and id, in file order
-_WRITTEN = ("bbox.left", "bbox.top", "bbox.width", "bbox.height",
-            "confidence", "category", "visibility")
+def parse_annotations(lines: Iterable[str],
+                      order: FieldOrder = FieldOrder.paper_order) -> list[AnnotationRecord]:
+    """Parse annotation lines into records, preserving file order (see `_parse`)."""
+    return records(_parse(lines, order))
+
+
+# how a field is written: as an integer, with two decimals, or exactly
+_SPELLINGS = ("%d", "%.2f", "%r")
+_DIGITS = 3 ** np.arange(9)   # a line's kinds as one base-3 number
+
+
+@cache
+def _line_format(kinds: int) -> str:
+    """The `%` string of a line whose field j has the `_SPELLINGS` index that
+    is base-3 digit j of kinds."""
+    return ",".join(_SPELLINGS[kinds // 3 ** j % 3] for j in range(9)) + "\n"
+
+
+def _lines(rows: np.ndarray, order: FieldOrder, name) -> list[str]:
+    """The text lines of (n, 9) table rows. An integral value of magnitude
+    below 1e15 is written as an integer, any other with two decimals, except
+    that a width or height below 0.005, which would read back as a degenerate
+    0.00, is written exactly. Raises AnnotationError naming `name(i)` for the
+    first row i with a non-finite field."""
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise AnnotationError(f"non-finite field in {name(int(finite.argmin()))}")
+    if order is FieldOrder.paper_order:
+        rows = rows[:, [1, 0, 2, 3, 4, 5, 6, 7, 8]]
+    kinds = np.where((rows == np.trunc(rows)) & (np.abs(rows) < 1e15), 0, 1)
+    kinds[:, 4:6][rows[:, 4:6] < 0.005] = 2
+    return list(map(str.__mod__, map(_line_format, (kinds @ _DIGITS).tolist()),
+                    map(tuple, rows.tolist())))
 
 
 def write_annotations(records: Iterable[AnnotationRecord],
@@ -225,34 +265,25 @@ def write_annotations(records: Iterable[AnnotationRecord],
     Raises AnnotationError naming the first record with a field that is not
     finite as a float.
     """
-    head = ("track_id", "frame") if order is FieldOrder.paper_order else ("frame", "track_id")
-    getters = [attrgetter(name) for name in head + _WRITTEN]
     records = iter(records)
     while block := list(islice(records, _BLOCK)):
-        cols = np.array([np.fromiter(map(get, block), np.float64, len(block))
-                         for get in getters])
-        finite = np.isfinite(cols).all(axis=0)
-        if not finite.all():
-            raise AnnotationError(
-                f"non-finite field in record {block[int(finite.argmin())]!r}")
-        text = [_format_numbers(col) for col in cols]
-        # a width or height below 0.005 would be written as 0.00 and read
-        # back as a degenerate box, so it is written exactly
-        for i in (4, 5):
-            for j in np.flatnonzero(cols[i] < 0.005).tolist():
-                text[i][j] = repr(float(cols[i, j]))
-        yield from map("{},{},{},{},{},{},{},{},{}\n".format, *text)
+        yield from _lines(table(block), order, lambda i: f"record {block[i]!r}")
 
 
-def read_annotation_file(path, order: FieldOrder = FieldOrder.paper_order) -> list[AnnotationRecord]:
+def read_annotation_file(path, order: FieldOrder = FieldOrder.paper_order) -> np.ndarray:
+    """The validated (N, 9) table of an annotation file (see `_parse`)."""
     with open(path, "r", encoding="utf-8") as f:
-        return parse_annotations(f, order)
+        return _parse(f, order)
 
 
-def write_annotation_file(path, records: Iterable[AnnotationRecord],
-                          order: FieldOrder = FieldOrder.paper_order) -> None:
+def write_annotation_file(path, table, order: FieldOrder = FieldOrder.paper_order) -> None:
+    """Write an (N, 9) table, or a list of its (9,) rows, one line per row.
+    Raises AnnotationError naming the first row with a non-finite field."""
+    rows = np.asarray(table, dtype=np.float64).reshape(len(table), 9)
     with open(path, "w", encoding="utf-8") as f:
-        f.writelines(write_annotations(records, order))
+        for start in range(0, len(rows), _BLOCK):
+            f.writelines(_lines(rows[start:start + _BLOCK], order,
+                                lambda i: f"table row {start + i}"))
 
 
 def compute_stats(records: list[AnnotationRecord], frame_count: int | None = None) -> DatasetStats:

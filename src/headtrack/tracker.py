@@ -46,23 +46,37 @@ class TrackerConfig:
 
 def _ltwh_to_z(a: np.ndarray) -> np.ndarray:
     """(..., 4) ltwh rows -> (..., 4) (cx, cy, aspect, height) rows."""
-    left, top, w, h = np.moveaxis(a, -1, 0)
-    return np.stack([left + w / 2.0, top + h / 2.0, w / h, h], axis=-1)
+    z = np.empty(a.shape)
+    w, h = a[..., 2], a[..., 3]
+    np.add(a[..., 0], w / 2.0, out=z[..., 0])
+    np.add(a[..., 1], h / 2.0, out=z[..., 1])
+    np.divide(w, h, out=z[..., 2])
+    z[..., 3] = h
+    return z
 
 
 def _z_to_ltwh(z: np.ndarray) -> np.ndarray:
     """(..., 4) (cx, cy, aspect, height) rows -> (..., 4) ltwh rows, with
     width and height clamped to at least the smallest normal float."""
     tiny = np.finfo(np.float64).tiny
-    h = np.maximum(z[..., 3], tiny)
-    w = np.maximum(z[..., 2] * h, tiny)
-    return np.stack([z[..., 0] - w / 2.0, z[..., 1] - h / 2.0, w, h], axis=-1)
+    a = np.empty(z.shape)
+    h = np.maximum(z[..., 3], tiny, out=a[..., 3])
+    w = np.maximum(z[..., 2] * h, tiny, out=a[..., 2])
+    np.subtract(z[..., 0], w / 2.0, out=a[..., 0])
+    np.subtract(z[..., 1], h / 2.0, out=a[..., 1])
+    return a
 
 
 def _state_var(h: np.ndarray, pos: float, vel: float) -> np.ndarray:
-    """(..., 8) variances: (pos * h)^2 on cx, cy, height, (vel * h)^2 on their velocities."""
-    p, v, a, av = pos * h, vel * h, np.full_like(h, 1e-2), np.full_like(h, 1e-5)
-    return np.square(np.stack([p, p, a, p, v, v, av, v], axis=-1))
+    """(..., 8) variances: (pos * h)^2 on cx, cy, height, (vel * h)^2 on their
+    velocities, 1e-2^2 on the aspect and 1e-5^2 on its velocity."""
+    var = np.empty((*h.shape, 8))
+    p = np.square(pos * h, out=var[..., 0])
+    v = np.square(vel * h, out=var[..., 4])
+    var[..., 1] = var[..., 3] = p
+    var[..., 5] = var[..., 7] = v
+    var[..., 2], var[..., 6] = 1e-2 * 1e-2, 1e-5 * 1e-5
+    return var
 
 
 class KalmanModel:
@@ -84,34 +98,49 @@ class KalmanModel:
 
     def initiate(self, measurement: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """A state at rest on each (..., 4) ltwh row: mean (..., 8), cov (..., 3, 4)."""
-        z = _ltwh_to_z(measurement)
-        var = _state_var(z[..., 3], 2 * self.STD_POS, 10 * self.STD_VEL)
-        return (np.concatenate([z, np.zeros_like(z)], axis=-1),
-                np.stack([var[..., :4], np.zeros_like(z), var[..., 4:]], axis=-2))
+        batch = measurement.shape[:-1]
+        mean, cov = np.zeros((*batch, 8)), np.zeros((*batch, 3, 4))
+        mean[..., :4] = _ltwh_to_z(measurement)
+        var = _state_var(mean[..., 3], 2 * self.STD_POS, 10 * self.STD_VEL)
+        cov[..., 0, :], cov[..., 2, :] = var[..., :4], var[..., 4:]
+        return mean, cov
 
     def predict(self, mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mean = mean.copy()
         mean[..., :4] += mean[..., 4:]
-        a, b, c = np.moveaxis(cov, -2, 0)
+        a, b, c = cov[..., 0, :], cov[..., 1, :], cov[..., 2, :]
         q = _state_var(mean[..., 3], self.STD_POS, self.STD_VEL)
-        # F P F^T summed in the order in which the 8x8 matmul form rounds
-        return mean, np.stack([(a + b) + (b + c) + q[..., :4], b + c, c + q[..., 4:]], axis=-2)
+        # F P F^T summed in the order in which the 8x8 matmul form rounds:
+        # ((a + b) + (b + c)) + q
+        out = np.empty(cov.shape)
+        bc = np.add(b, c, out=out[..., 1, :])
+        np.add(a + b, bc, out=out[..., 0, :])
+        out[..., 0, :] += q[..., :4]
+        np.add(c, q[..., 4:], out=out[..., 2, :])
+        return mean, out
 
     def update(self, mean: np.ndarray, cov: np.ndarray,
                measurement: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One (..., 4) ltwh measurement row per state."""
         z = _ltwh_to_z(measurement)
-        pos = self.STD_POS * mean[..., 3]
-        r = np.square(np.stack([pos, pos, np.full_like(pos, 1e-1), pos], axis=-1))
-        a, b, c = np.moveaxis(cov, -2, 0)
+        r = np.empty(z.shape)
+        pos = np.square(self.STD_POS * mean[..., 3], out=r[..., 0])
+        r[..., 1] = r[..., 3] = pos
+        r[..., 2] = 1e-1 * 1e-1
+        a, b, c = cov[..., 0, :], cov[..., 1, :], cov[..., 2, :]
         s = a + r
         if (s == 0).any():
             raise TrackerError("singular innovation covariance")
         k1, k2, y = a / s, b / s, z - mean[..., :4]
         # (I - KH)P: each block's determinant becomes r/s times the old one,
         # so a PSD block stays PSD
-        return (np.concatenate([mean[..., :4] + k1 * y, mean[..., 4:] + k2 * y], axis=-1),
-                np.stack([r * k1, r * k2, c - k2 * b], axis=-2))
+        new_mean, new_cov = np.empty(mean.shape), np.empty(cov.shape)
+        np.add(mean[..., :4], k1 * y, out=new_mean[..., :4])
+        np.add(mean[..., 4:], k2 * y, out=new_mean[..., 4:])
+        np.multiply(r, k1, out=new_cov[..., 0, :])
+        np.multiply(r, k2, out=new_cov[..., 1, :])
+        np.subtract(c, k2 * b, out=new_cov[..., 2, :])
+        return new_mean, new_cov
 
 
 class Assignment(NamedTuple):
@@ -166,15 +195,17 @@ def byte_associate(tracks: np.ndarray, dets: np.ndarray, scores: np.ndarray,
 
 
 class Tracker:
-    """Single-sequence tracker; step() must be called with increasing frames.
+    """Single-sequence tracker; frames must be stepped in increasing order.
 
     Live tracks are parallel arrays in spawn order, which is track-id order:
     `tracks` (N,) ids, `mean` (N, 8) and `cov` (N, 3, 4) Kalman states,
     `hits` (N,) matches including the spawn and `age` (N,) frames since the
-    last match, if every frame is stepped (an empty one with []). A track is
-    confirmed once hits >= max(n_init, 2), else tentative and removed on its
-    first miss; a confirmed track with age > 0 is lost and dies once age
-    exceeds max_age.
+    last match, if every frame is stepped (an empty one with no boxes). A
+    track is confirmed once hits >= max(n_init, 2), else tentative and
+    removed on its first miss; a confirmed track with age > 0 is lost and
+    dies once age exceeds max_age.
+
+    `advance` steps a frame on arrays; `step` is its record wrapper.
     """
 
     def __init__(self, cfg: TrackerConfig | None = None):
@@ -188,18 +219,17 @@ class Tracker:
         self._first_frame: int | None = None
         self._last_frame = 0
 
-    def step(self, frame: int, detections: Sequence[AnnotationRecord]) -> list[AnnotationRecord]:
-        """Predict, associate, update, and run the track lifecycle for one frame.
+    def advance(self, frame: int, boxes: np.ndarray,
+                scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Predict, associate, update, and run the track lifecycle for one frame
+        of (M, 4) ltwh detection boxes scored by (M,) scores.
 
-        Reads each detection record's `bbox` and `confidence` (the score), not
-        its `frame` or `track_id`. Returns, in id order, a track-file record (the
-        detection's `bbox` and `confidence`, category 1) per matched confirmed
-        track, and per matched or spawned track while frame - first frame < n_init.
+        Returns the (K,) ids and (K,) detection indices of the frame's output
+        rows, in id order: one per matched confirmed track, and one per matched
+        or spawned track while frame - first frame < n_init.
         """
         if frame <= self._last_frame:
             raise TrackerError(f"out-of-order frame {frame} (last {self._last_frame})")
-        boxes = ltwh_array(d.bbox for d in detections)
-        scores = np.array([d.confidence for d in detections], dtype=np.float64)
         if not np.isfinite(scores).all():
             raise TrackerError("detection score must be finite")
         if self._first_frame is None:
@@ -233,20 +263,52 @@ class Tracker:
         confirm_at = max(self.cfg.n_init, 2)  # hits counts the spawn
         keep = finite & (matched | ((self.hits >= confirm_at) & (self.age <= self.cfg.max_age)))
 
-        n = len(spawned)
-        mean, cov = self.kalman.initiate(boxes[spawned])
-        self.tracks = np.concatenate([self.tracks[keep],
-                                      np.arange(self._next_id, self._next_id + n)])
-        self._next_id += n
-        self.mean = np.concatenate([self.mean[keep], mean])
-        self.cov = np.concatenate([self.cov[keep], cov])
-        self.hits = np.concatenate([self.hits[keep], np.ones(n, dtype=np.int64)])
-        self.age = np.concatenate([self.age[keep], np.zeros(n, dtype=np.int64)])
-        det = np.concatenate([det[keep], spawned])
+        if not keep.all():
+            self.tracks, self.mean, self.cov, self.hits, self.age, det = (
+                x[keep] for x in (self.tracks, self.mean, self.cov, self.hits, self.age, det))
+        if n := len(spawned):
+            mean, cov = self.kalman.initiate(boxes[spawned])
+            self.tracks = np.concatenate([self.tracks,
+                                          np.arange(self._next_id, self._next_id + n)])
+            self._next_id += n
+            self.mean = np.concatenate([self.mean, mean])
+            self.cov = np.concatenate([self.cov, cov])
+            self.hits = np.concatenate([self.hits, np.ones(n, dtype=np.int64)])
+            self.age = np.concatenate([self.age, np.zeros(n, dtype=np.int64)])
+            det = np.concatenate([det, spawned])
         # age 0 is matched or spawned this frame; ids ascend along the arrays
         emit = (self.age == 0) & ((self.hits >= confirm_at) | warm_up)
+        return self.tracks[emit], det[emit]
+
+    def step(self, frame: int, detections: Sequence[AnnotationRecord]) -> list[AnnotationRecord]:
+        """`advance` on detection records: reads each record's `bbox` and
+        `confidence` (the score), not its `frame` or `track_id`. Returns a
+        track-file record per output row: the detection's own `bbox` and
+        `confidence` objects, category 1."""
+        ids, det = self.advance(frame, ltwh_array(d.bbox for d in detections),
+                                np.array([d.confidence for d in detections], dtype=np.float64))
         return [AnnotationRecord(frame, i, detections[d].bbox, detections[d].confidence)
-                for i, d in zip(self.tracks[emit].tolist(), det[emit].tolist())]
+                for i, d in zip(ids.tolist(), det.tolist())]
+
+
+def _drive(frames: Sequence[int], bounds: np.ndarray, boxes: np.ndarray, scores: np.ndarray,
+           cfg: TrackerConfig | None) -> tuple[np.ndarray, np.ndarray]:
+    """Track a sequence: frame frames[k] (ascending) has detections
+    bounds[k]:bounds[k + 1] of the (M, 4) boxes and (M,) scores. Each frame is
+    stepped, and so is each empty frame between two of them while a track is
+    live: an empty frame gives no rows, and changes nothing once no track is
+    live. Returns the (K,) detection index and (K,) id of each output row, in
+    frame order, then id order."""
+    tracker = Tracker(cfg)
+    rows, ids = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.int64)]
+    no_boxes, no_scores = np.zeros((0, 4)), np.zeros(0)
+    for frame, lo, hi in zip(frames, bounds[:-1].tolist(), bounds[1:].tolist()):
+        while len(tracker.tracks) and tracker._last_frame + 1 < frame:
+            tracker.advance(tracker._last_frame + 1, no_boxes, no_scores)
+        i, d = tracker.advance(frame, boxes[lo:hi], scores[lo:hi])
+        ids.append(i)
+        rows.append(lo + d)
+    return np.concatenate(rows), np.concatenate(ids)
 
 
 def run_tracker(frames: dict[int, list[AnnotationRecord]],
@@ -256,14 +318,32 @@ def run_tracker(frames: dict[int, list[AnnotationRecord]],
     Every frame from the first key to the last is stepped, a missing one as
     empty, so a det file (no line for an empty frame) gives the dict's rows.
     Warm-up counts from the first key, so a leading empty frame still differs.
+    Rows are `Tracker.step`'s records.
     """
-    tracker = Tracker(cfg)
-    out: list[AnnotationRecord] = []
-    for frame in sorted(frames):
-        # an empty frame gives no rows, and changes nothing once no track is live
-        while len(tracker.tracks) and tracker._last_frame + 1 < frame:
-            tracker.step(tracker._last_frame + 1, [])
-        out.extend(tracker.step(frame, frames[frame]))
+    keys = sorted(frames)
+    dets = [d for f in keys for d in frames[f]]
+    bounds = np.cumsum([0] + [len(frames[f]) for f in keys])
+    rows, ids = _drive(keys, bounds, ltwh_array(d.bbox for d in dets),
+                       np.array([d.confidence for d in dets], dtype=np.float64), cfg)
+    key = np.searchsorted(bounds, rows, side="right") - 1
+    return [AnnotationRecord(keys[k], i, dets[r].bbox, dets[r].confidence)
+            for k, r, i in zip(key.tolist(), rows.tolist(), ids.tolist())]
+
+
+def track_table(dets: np.ndarray, cfg: TrackerConfig | None = None) -> np.ndarray:
+    """The track-file table of a detection-file table (see `motio`): the
+    (K, 9) matched detection rows, in frame order, then id order, with each
+    id column set to its track's id and category and visibility set to 1.
+    Rows of one frame are detections in table order, and the frames are
+    stepped as `run_tracker` steps its keys."""
+    order = np.argsort(dets[:, 0], kind="stable")
+    frames, starts = np.unique(dets[order, 0], return_index=True)
+    bounds = np.append(starts, len(dets))
+    rows, ids = _drive(frames.astype(np.int64).tolist(), bounds,
+                       dets[order, 2:6], dets[order, 6], cfg)
+    out = dets[order[rows]]
+    out[:, 1] = ids
+    out[:, 7:] = 1.0
     return out
 
 

@@ -1,16 +1,19 @@
 import hashlib
 import json
 import pathlib
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from headtrack import maps, motio
 from headtrack.cli import EXIT_CONFIG, EXIT_INPUT, main
 from headtrack.fusion import FusionConfig, FusionParams, forward
 from headtrack.metrics import aggregate, evaluate
-from headtrack.motio import FieldOrder
+from headtrack.motio import FieldOrder, records, table
 from headtrack.simulate import NoiseModel, ScenarioConfig, corrupt, simulate
 from headtrack.tracker import TrackerConfig, run_tracker
 
@@ -38,7 +41,7 @@ class TestGenScenario:
         assert manifest["command"] == "gen-scenario"
         assert motio.read_kv(str(gt) + ".meta")["frames"] == "200"
         recs = motio.read_annotation_file(gt, FieldOrder.paper_order)
-        assert len(recs) == 20 * 200
+        assert recs.shape == (20 * 200, 9)
 
     def test_seed_reproducible(self, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -171,8 +174,8 @@ class TestTrackEvaluate:
         empty = [f for f, ds in frames.items() if not ds]
         assert len(empty) == 10 and min(frames) < min(empty) and max(empty) < max(frames)
         want = tmp_path / "want.txt"
-        motio.write_annotation_file(want, run_tracker(frames, TrackerConfig(mode="byte")))
-        assert motio.read_annotation_file(out) == motio.read_annotation_file(want)
+        motio.write_annotation_file(want, table(run_tracker(frames, TrackerConfig(mode="byte"))))
+        assert np.array_equal(motio.read_annotation_file(out), motio.read_annotation_file(want))
 
     def test_evaluate_text_report(self, scenario, tmp_path, capsys):
         gt, dets = scenario
@@ -224,15 +227,15 @@ class TestTrackEvaluate:
         pred_dir.mkdir()
         tracked = tmp_path / "tracked.txt"
         run("track", "--dets", str(dets), "--mode", "byte", "--out", str(tracked))
-        recs = motio.read_annotation_file(tracked)
+        recs = records(motio.read_annotation_file(tracked))
         (gt_dir / "a.txt").write_text(gt.read_text())
         (pred_dir / "a.txt").write_text(tracked.read_text())
         (gt_dir / "b.txt").write_text(gt.read_text())
-        motio.write_annotation_file(pred_dir / "b.txt", [r for r in recs if r.frame % 7])
+        motio.write_annotation_file(pred_dir / "b.txt", table(r for r in recs if r.frame % 7))
         assert run("evaluate", "--gt", str(gt_dir), "--pred", str(pred_dir), "--json") == 0
         payload = json.loads(capsys.readouterr().out)
-        gts = [motio.read_annotation_file(gt_dir / n) for n in ("a.txt", "b.txt")]
-        preds = [motio.read_annotation_file(pred_dir / n) for n in ("a.txt", "b.txt")]
+        gts = [records(motio.read_annotation_file(gt_dir / n)) for n in ("a.txt", "b.txt")]
+        preds = [records(motio.read_annotation_file(pred_dir / n)) for n in ("a.txt", "b.txt")]
         assert payload["OVERALL"] == aggregate(list(zip(gts, preds))).as_dict()
         assert payload["b.txt"] == evaluate(gts[1], preds[1]).as_dict()
 
@@ -307,7 +310,7 @@ class TestTrackEvaluate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run("track", "--dets", str(dets), "--out", str(out)) == 0
-        recs = motio.read_annotation_file(out, FieldOrder.paper_order)
+        recs = records(motio.read_annotation_file(out, FieldOrder.paper_order))
         assert [(r.frame, r.track_id) for r in recs] == [(f, 1) for f in range(1, 5)]
 
     def test_bad_tracker_config_value(self, scenario, tmp_path):
@@ -328,13 +331,66 @@ class TestTrackEvaluate:
                    "--out", str(tmp_path / "o.txt")) == EXIT_INPUT
 
 
+@st.composite
+def det_tables(draw):
+    """A det file's table: heads at constant velocity with jitter, misses and
+    clutter, two-decimal values, scores in every band, frames from a first
+    frame above 1 too, gaps with no line, some longer than max_age, and the
+    lines shuffled."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    heads, n_frames = draw(st.integers(0, 6)), draw(st.integers(0, 20))
+    miss = draw(st.sampled_from([0.0, 0.3, 0.9]))
+    pos, vel = rng.uniform(0, 120, (heads, 2)), rng.normal(0, 2, (heads, 2))
+    size = rng.uniform(6, 20, heads)
+    rows, frame = [], draw(st.sampled_from([1, 2, 9]))
+    for _ in range(n_frames):
+        pos = pos + vel
+        boxes = [(*(p + rng.normal(0, 1, 2)), s, s) for p, s in zip(pos, size)
+                 if rng.random() >= miss]
+        boxes += [(*rng.uniform(0, 140, 2), *rng.uniform(5, 25, 2))
+                  for _ in range(rng.poisson(1))]
+        rows += [(frame, k, *box, rng.uniform(0, 1), 1, 1)
+                 for k, box in enumerate(boxes, start=1)]
+        frame += draw(st.sampled_from([1, 1, 1, 2, 4, 33]))
+    dets = np.round(np.array(rows, dtype=np.float64).reshape(-1, 9), 2)
+    return dets[rng.permutation(len(dets))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(dets=det_tables(), order=st.sampled_from(list(FieldOrder)),
+       mode=st.sampled_from(["sort", "byte"]), max_age=st.sampled_from([1, 3, 30]))
+def test_track_equals_run_tracker(dets, order, mode, max_age):
+    """`track` writes the bytes of `run_tracker` on the det file's records,
+    grouped by frame in file order."""
+    with tempfile.TemporaryDirectory() as d:
+        det_file, cfg_file, out, want = (pathlib.Path(d) / n for n in
+                                         ("d.txt", "t.cfg", "o.txt", "w.txt"))
+        motio.write_annotation_file(det_file, dets, order)
+        cfg_file.write_text(f"max_age={max_age}\n")
+        assert run("track", "--dets", str(det_file), "--config", str(cfg_file),
+                   "--mode", mode, "--order", order.value, "--out", str(out)) == 0
+        frames = {}
+        for r in records(motio.read_annotation_file(det_file, order)):
+            frames.setdefault(r.frame, []).append(r)
+        cfg = TrackerConfig(mode=mode, max_age=max_age)
+        motio.write_annotation_file(want, table(run_tracker(frames, cfg)), order)
+        assert out.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["sort", "byte"])
+def test_track_on_empty_det_file(tmp_path, mode):
+    (tmp_path / "d.txt").write_text("")
+    assert run("track", "--dets", str(tmp_path / "d.txt"), "--mode", mode,
+               "--out", str(tmp_path / "o.txt")) == 0
+    assert (tmp_path / "o.txt").read_bytes() == b""
+
 class TestResample:
     def test_factor_two(self, scenario, tmp_path):
         gt, _ = scenario
         out = tmp_path / "half.txt"
         assert run("resample", "--ann", str(gt), "--factor", "2",
                    "--out", str(out)) == 0
-        recs = motio.read_annotation_file(out, FieldOrder.paper_order)
+        recs = records(motio.read_annotation_file(out, FieldOrder.paper_order))
         assert max(r.frame for r in recs) == 100
         assert len(recs) == 20 * 100
 
@@ -621,6 +677,15 @@ def test_output_path_given_twice_is_input_error(tmp_path, capsys):
     assert run("track", "--dets", str(x), "--out", str(x)) == 0
     assert len(motio.read_annotation_file(x)) == 2
 
+
+def test_output_named_as_a_sidecar_is_input_error(tmp_path, capsys):
+    # gen-scenario writes <out-gt>.meta; a det file of that name once replaced it
+    x = tmp_path / "x.txt"
+    before = sorted(tmp_path.rglob("*"))
+    assert run("gen-scenario", "--seed", "1", "--out-gt", str(x),
+               "--out-dets", f"{x}.meta") == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: output path given twice: {x}.meta\n"
+    assert sorted(tmp_path.rglob("*")) == before
 
 # one small run of each command that writes files, all of whose outputs go to `out`
 WRITING = {

@@ -1,7 +1,10 @@
 import io
 import math
+import tempfile
+from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -129,6 +132,30 @@ def write_annotations_loop(records, order=FieldOrder.paper_order):
             if fields[i] == "0.00":
                 fields[i] = repr(float(vals[i]))
         yield ",".join(fields) + "\n"
+
+
+def _format_numbers(values) -> list[str]:
+    """The text of each value: an integral value of magnitude below 1e15 as an
+    integer, any other with two decimals."""
+    col = np.asarray(values, dtype=np.float64)
+    whole = (col == np.trunc(col)) & (np.abs(col) < 1e15)
+    text = np.empty(col.shape, dtype=object)
+    text[whole] = list(map(str, col[whole].astype(np.int64).tolist()))
+    text[~whole] = list(map("{:.2f}".format, col[~whole].tolist()))
+    return text.tolist()
+
+
+def write_table_columns(rows, order=FieldOrder.paper_order) -> str:
+    """The oracle: the table writer as it was when it formatted a column at a
+    time and joined the nine columns with one `str.format`."""
+    cols = np.asarray(rows, dtype=np.float64).reshape(-1, 9).T
+    if order is FieldOrder.paper_order:
+        cols = cols[[1, 0, 2, 3, 4, 5, 6, 7, 8]]
+    text = [_format_numbers(col) for col in cols]
+    for i in (4, 5):
+        for j in np.flatnonzero(cols[i] < 0.005).tolist():
+            text[i][j] = repr(float(cols[i, j]))
+    return "".join(map("{},{},{},{},{},{},{},{},{}\n".format, *text))
 
 
 def _outcome(fn, *args):
@@ -267,6 +294,23 @@ _WRITE_FLOAT = st.one_of(
 _WRITE_SIZE = st.one_of(st.sampled_from([0.004, 0.005, 0.0049999, 1e-100, 5e-324, 0.01, 1e15]),
                         st.floats(1e-6, 1e3))
 
+# table values: integral ones (-0.0 and either side of 1e15 too), ones that
+# two decimals write as x.00, as x.x5 or from a half-cent tie, and any
+# finite float; widths and heights below 0.005 too
+_OFFSETS = st.sampled_from([-0.0049, -0.004, -0.001, 0.001, 0.004, 0.0049])
+_TABLE_VALUE = st.one_of(
+    st.integers(-10**6, 10**6).map(float),
+    st.sampled_from([-0.0, 0.0, 1e15, 1e15 - 1, 1e15 - 0.5, -1e15, -(1e15 - 1), 1e15 + 2]),
+    st.tuples(st.integers(-10**5, 10**5), _OFFSETS).map(sum),
+    st.tuples(st.integers(-10**5, 10**5), st.integers(0, 9)).map(
+        lambda t: t[0] + t[1] / 10 + 0.05),
+    st.tuples(st.integers(-10**5, 10**5), st.integers(0, 99)).map(
+        lambda t: t[0] + t[1] / 100 + 0.005),
+    st.floats(allow_nan=False, allow_infinity=False))
+_TABLE_SIZE = st.one_of(_TABLE_VALUE, st.sampled_from([0.004, 0.0049999, 0.005, 1e-100, 5e-324]),
+                        st.floats(0, 0.005))
+_TABLE_ROW = st.tuples(*[_TABLE_VALUE] * 4, _TABLE_SIZE, _TABLE_SIZE, *[_TABLE_VALUE] * 3)
+
 
 class TestWrite:
     def test_canonical_line(self):
@@ -285,13 +329,11 @@ class TestWrite:
 
     @pytest.mark.parametrize("order", list(FieldOrder))
     def test_round_trip_random(self, order):
-        import numpy as np
         recs = random_records(np.random.default_rng(0), 1000)
         again = parse_annotations(write_annotations(recs, order), order)
         assert again == recs
 
     def test_write_parse_byte_stable(self):
-        import numpy as np
         recs = random_records(np.random.default_rng(1), 100)
         text = list(write_annotations(recs))
         assert list(write_annotations(parse_annotations(text))) == text
@@ -308,6 +350,29 @@ class TestWrite:
         with mock.patch.object(motio, "_BLOCK", block):
             got = list(write_annotations(iter(recs), order))
         assert got == list(write_annotations_loop(recs, order))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_TABLE_ROW, max_size=12), st.sampled_from(list(FieldOrder)),
+           st.sampled_from(["table", "rows"]), _BLOCKS)
+    def test_table_writer_equals_column_oracle(self, rows, order, form, block):
+        """A table, or the list of its rows that the benchmark's tracer
+        passes, is written byte for byte as the column writer wrote it."""
+        table = np.array(rows, dtype=np.float64).reshape(-1, 9)
+        with tempfile.TemporaryDirectory() as d, mock.patch.object(motio, "_BLOCK", block):
+            path = Path(d) / "t.txt"
+            motio.write_annotation_file(path, table if form == "table" else list(table), order)
+            assert path.read_text(encoding="utf-8") == write_table_columns(table, order)
+
+    @pytest.mark.parametrize("empty", [np.empty((0, 9)), []])
+    def test_empty_table_writes_empty_file(self, tmp_path, empty):
+        motio.write_annotation_file(tmp_path / "t.txt", empty)
+        assert (tmp_path / "t.txt").read_bytes() == b""
+
+    def test_non_finite_table_row_is_named(self, tmp_path):
+        table = np.ones((3, 9))
+        table[1, 6] = math.nan
+        with pytest.raises(AnnotationError, match=r"^non-finite field in table row 1$"):
+            motio.write_annotation_file(tmp_path / "t.txt", table)
 
     @pytest.mark.parametrize("field", ["confidence", "visibility"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -380,7 +445,6 @@ class TestResample:
         assert resample_framerate(recs, 1) == recs
 
     def test_composition(self):
-        import numpy as np
         recs = random_records(np.random.default_rng(2), 300, max_frame=60)
         a = resample_framerate(resample_framerate(recs, 2), 3)
         b = resample_framerate(recs, 6)

@@ -823,6 +823,24 @@ def test_run_tracker_equals_object_tracker(frames, mode, n_init, max_age):
     assert run_tracker(frames, cfg) == want
 
 
+@settings(max_examples=100, deadline=None)
+@given(frames=detection_sequences(), mode=st.sampled_from(list(Mode)),
+       n_init=st.sampled_from([1, 3]), max_age=st.sampled_from([1, 30]))
+def test_step_equals_advance(frames, mode, n_init, max_age):
+    """`Tracker.step` on records and `Tracker.advance` on their arrays give the
+    same rows and the same track state, frame by frame."""
+    cfg = TrackerConfig(mode=mode, n_init=n_init, max_age=max_age)
+    on_records, on_arrays = Tracker(cfg), Tracker(cfg)
+    for frame in range(min(frames), max(frames) + 1):
+        dets = frames.get(frame, [])
+        rows = on_records.step(frame, dets)
+        ids, index = on_arrays.advance(frame, *det_rows(dets))
+        assert [(r.frame, r.track_id) for r in rows] == [(frame, i) for i in ids.tolist()]
+        assert all(r.bbox is dets[k].bbox and r.confidence is dets[k].confidence
+                   for r, k in zip(rows, index.tolist()))
+        for name in ("tracks", "mean", "cov", "hits", "age"):
+            assert np.array_equal(getattr(on_records, name), getattr(on_arrays, name))
+
 class TestConfigValidation:
     def test_threshold_order(self):
         with pytest.raises(TrackerError):
