@@ -4,6 +4,10 @@ Exit codes: 0 success, 2 input error (an unwritable output path too), 3
 config error, 4 internal invariant violation. Every command that writes an
 output also writes a JSON run manifest alongside it for reproducibility.
 
+`gen-scenario`, `track` and `evaluate` hold annotation files as (N, 9) tables
+(see `motio`) from config or file to file: `simulate_table` and
+`corrupt_table`, `track_table`, and `sequence_counts` on the two tables.
+
 A failed command writes nothing: each output, sidecar and manifest is written
 in a staging directory `.headtrack-stage-*` beside it (for a missing
 `gen-motion --out-dir`, in its nearest existing ancestor) and moved into place
@@ -123,14 +127,14 @@ def cmd_evaluate(args) -> int:
             names = sorted(p.name for p in gt_p.glob("*.txt"))
             if not names:
                 raise InputError(f"no .txt sequences in {gt_p}")
-            counts = [sequence_counts(_read_records(gt_p / n, order),
-                                      _read_records(pred_p / n, order), args.iou)
+            counts = [sequence_counts(_read_table(gt_p / n, order),
+                                      _read_table(pred_p / n, order), args.iou)
                       for n in names]
             rows = [(n, report(c)) for n, c in zip(names, counts)]
             rows.append(("OVERALL", report(*counts)))
         else:
-            rows = [(gt_p.stem, evaluate(_read_records(gt_p, order),
-                                         _read_records(pred_p, order), args.iou))]
+            rows = [(gt_p.stem, evaluate(_read_table(gt_p, order),
+                                         _read_table(pred_p, order), args.iou))]
         text = "\n".join([MotReport.header()] + [r.format_row(n) for n, r in rows]) + "\n"
         payload = json.dumps({n: r.as_dict() for n, r in rows}, indent=2)
         if args.out:
@@ -174,12 +178,12 @@ def cmd_gen_scenario(args) -> int:
     with _outputs(args, args.out_gt, args.out_dets, sidecars=[f"{args.out_gt}.meta"]) as staged:
         scen = _config(args.config, ScenarioConfig, seed=args.seed)
         noise = _config(args.noise, NoiseModel, seed=args.seed)
-        gt, meta = simulate.simulate(scen)
-        motio.write_annotation_file(staged[args.out_gt], table(gt), FieldOrder(args.order))
+        gt, meta = simulate.simulate_table(scen)
+        motio.write_annotation_file(staged[args.out_gt], gt, FieldOrder(args.order))
         motio.write_sequence_meta(f"{staged[args.out_gt]}.meta", meta)
         if args.out_dets:
-            dets = table(r for recs in simulate.corrupt(gt, noise).values() for r in recs)
-            motio.write_annotation_file(staged[args.out_dets], dets, FieldOrder(args.order))
+            motio.write_annotation_file(staged[args.out_dets], simulate.corrupt_table(gt, noise),
+                                        FieldOrder(args.order))
     return 0
 
 

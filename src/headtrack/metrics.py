@@ -6,29 +6,38 @@ minimum-cost assignment gated at the threshold. An ID switch is counted when
 a ground-truth identity's matched prediction differs from its last-ever
 matched prediction.
 
-A sequence is evaluated in one sweep over its frames: each frame's IoU matrix
-feeds the per-frame matching and adds to a (gt id, pred id) count of frames
-the pair overlaps in, on which one global assignment then gives IDTP. The
-sweep's counts give every MotReport column; FP, FN, IDFP and IDFN are box
-totals less matches.
+A sequence, given as record lists or as (N, 9) tables (see `motio`), is
+evaluated in one sweep over its frames. Each side is sorted once by
+(frame, id), and each frame is a span of those rows. The frame's IoU matrix
+feeds the per-frame matching, and its pairs at or above the threshold are
+counted once the sweep ends: frames overlapped per (gt id, pred id), on which
+one global assignment then gives IDTP. The sweep's counts give every
+MotReport column; FP, FN, IDFP and IDFN are box totals less matches.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from operator import attrgetter
+from typing import Sequence
 
 import numpy as np
 
 from .geometry import BBox, iou, iou_matrix, ltwh_array
-from .motio import AnnotationRecord
+from .motio import AnnotationRecord, table
 from .tracker import hungarian
 
 DEFAULT_IOU_THRESHOLD = 0.5
 MT_COVERAGE = 0.8
 ML_COVERAGE = 0.2
 _LTWH = attrgetter("left", "top", "width", "height")
+
+# a sequence's boxes of one side: a record list or an (N, 9) table (see `motio`)
+Annotations = list[AnnotationRecord] | np.ndarray
+# one frame's rows of one side, in id order: (ids, ltwh boxes, bboxes), where
+# bboxes[i] is the `BBox` of row i
+Frame = tuple[list[int], np.ndarray, Sequence[BBox]]
 
 
 class MetricsError(ValueError):
@@ -40,28 +49,35 @@ def _check_iou_threshold(iou_threshold: float) -> None:
         raise MetricsError(f"IoU threshold must be in (0, 1], got {iou_threshold}")
 
 
-def match_frame(gt: list[tuple[int, BBox]], pred: list[tuple[int, BBox]],
-                prev: dict[int, int], ious: np.ndarray, thr: float) -> dict[int, int]:
+def match_frame(gt: Frame, pred: Frame, prev: dict[int, int], ious: np.ndarray,
+                thr: float) -> dict[int, int]:
     """One frame's gt_id -> pred_id matching.
 
-    gt and pred are (id, bbox) lists, ious their (len(gt), len(pred)) IoU
-    matrix and prev the previous frame's matching. Exact IoU ties in the
-    assignment go by box (left, top, width, height), then by id.
+    gt and pred are a frame's (ids, boxes, bboxes): ids a list in ascending
+    order, boxes their (n, 4) ltwh array and bboxes[i] row i's `BBox`. ious is
+    their (len(gt), len(pred)) IoU matrix and prev the previous frame's
+    matching. A pair of prev whose two ids are both present is kept while the
+    scalar `iou` of its bboxes is at least thr; the other rows go through one
+    assignment on ious, gated at thr. Exact IoU ties in the assignment go by
+    box (left, top, width, height), then by id.
     """
-    gt_boxes = dict(gt)
-    pred_boxes = dict(pred)
-    pairs = {g: p for g, p in prev.items()
-             if g in gt_boxes and p in pred_boxes and iou(gt_boxes[g], pred_boxes[p]) >= thr}
-    free_gt = [i for i, (g, _) in enumerate(gt) if g not in pairs]
-    used_pred = set(pairs.values())
-    free_pred = [j for j, (p, _) in enumerate(pred) if p not in used_pred]
-    if free_gt and free_pred:
-        free_gt.sort(key=lambda i: _LTWH(gt[i][1]))
-        free_pred.sort(key=lambda j: _LTWH(pred[j][1]))
-        free = ious[np.ix_(free_gt, free_pred)]
-        for i, j in hungarian(1.0 - free).matches.tolist():
-            if free[i, j] >= thr:
-                pairs[gt[free_gt[i]][0]] = pred[free_pred[j]][0]
+    (g_ids, g_boxes, g_bbox), (p_ids, p_boxes, p_bbox) = gt, pred
+    g_row = dict(zip(g_ids, range(len(g_ids))))
+    p_row = dict(zip(p_ids, range(len(p_ids))))
+    pairs = {g: p for g, p in prev.items() if g in g_row and p in p_row
+             and iou(g_bbox[g_row[g]], p_bbox[p_row[p]]) >= thr}
+    used = set(pairs.values())
+    rows = [i for i, g in enumerate(g_ids) if g not in pairs]
+    cols = [j for j, p in enumerate(p_ids) if p not in used]
+    if rows and cols:
+        # lexsort is stable, so equal boxes keep their id order
+        rows = np.array(rows)[np.lexsort(g_boxes[rows].T[::-1])]
+        cols = np.array(cols)[np.lexsort(p_boxes[cols].T[::-1])]
+        free = ious[np.ix_(rows, cols)]
+        i, j = hungarian(1.0 - free).matches.T
+        hit = free[i, j] >= thr
+        pairs.update(zip((g_ids[r] for r in rows[i[hit]].tolist()),
+                         (p_ids[c] for c in cols[j[hit]].tolist())))
     return pairs
 
 
@@ -92,7 +108,7 @@ def _id_assignment(overlap: Counter) -> int:
     return int(ov[rows, cols].sum())
 
 
-def id_metrics(gt: list[AnnotationRecord], pred: list[AnnotationRecord],
+def id_metrics(gt: Annotations, pred: Annotations,
                iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> dict[str, float]:
     return _id_scores(sequence_counts(gt, pred, iou_threshold))
 
@@ -179,42 +195,65 @@ class MotReport:
         return " ".join([f"{label:<16}"] + [f"{c:>8}" for c in MotReport.COLUMNS])
 
 
-def _by_frame(records: list[AnnotationRecord]) -> dict[int, list[tuple[int, BBox]]]:
-    """frame -> (id, bbox) list in id order, so that results do not depend on
-    the order of records in a file."""
-    out: dict[int, list[tuple[int, BBox]]] = {}
-    for r in records:
-        out.setdefault(r.frame, []).append((r.track_id, r.bbox))
-    for boxes in out.values():
-        boxes.sort(key=itemgetter(0))
-        if len({i for i, _ in boxes}) != len(boxes):
-            raise MetricsError("duplicate ids within a frame")
-    return out
+class _Rows:
+    """The `BBox` of each row of an (N, 4) ltwh array, built when indexed."""
+
+    def __init__(self, boxes: np.ndarray):
+        self.boxes = boxes
+
+    def __getitem__(self, i: int) -> BBox:
+        return BBox(*self.boxes[i].tolist())
 
 
-def sequence_counts(gt: list[AnnotationRecord], pred: list[AnnotationRecord],
+def _sorted(seq: Annotations):
+    """The frames and ids of a record list or an (N, 9) table, its rows sorted
+    by (frame, id), and a function of a span [a, b) of those rows that gives
+    its `Frame`. A row's bbox is its record's `bbox`, or for a table a `BBox`
+    built from the row."""
+    tab = np.reshape(seq, (-1, 9)) if isinstance(seq, np.ndarray) else table(seq)
+    order = np.lexsort((tab[:, 1], tab[:, 0]))
+    frames, ids = tab[order, 0], tab[order, 1].astype(np.int64)
+    if ((frames[1:] == frames[:-1]) & (ids[1:] == ids[:-1])).any():
+        raise MetricsError("duplicate ids within a frame")
+    id_list, boxes = ids.tolist(), tab[order, 2:6]
+    if isinstance(seq, np.ndarray):
+        return frames, ids, lambda a, b: (id_list[a:b], boxes[a:b], _Rows(boxes[a:b]))
+    bboxes = [seq[k].bbox for k in order.tolist()]
+    return frames, ids, lambda a, b: (id_list[a:b], boxes[a:b], bboxes[a:b])
+
+
+def sequence_counts(gt: Annotations, pred: Annotations,
                     iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> Counter:
     """One sweep over a sequence (the union of frames present in gt or pred):
-    the counts that every MotReport column derives from."""
+    the counts that every MotReport column derives from. gt and pred are
+    record lists or (N, 9) tables (see `motio`), in any row order."""
     _check_iou_threshold(iou_threshold)
-    by_frame_gt, by_frame_pred = _by_frame(gt), _by_frame(pred)
+    (g_frame, g_id, g_span), (p_frame, p_id, p_span) = _sorted(gt), _sorted(pred)
+    frames = np.union1d(g_frame, p_frame)
+    spans = [np.searchsorted(f, frames, side).tolist()
+             for f in (g_frame, p_frame) for side in ("left", "right")]
     pairs: dict[int, int] = {}        # gt id -> pred id in the last frame
     last_match: dict[int, int] = {}   # gt id -> last-ever matched pred id
     matched: Counter = Counter()      # gt id -> frames matched
-    overlap: Counter = Counter()      # (gt id, pred id) -> frames with IoU >= threshold
+    none = np.zeros(0, dtype=np.intp)
+    g_rows, p_rows = [none], [none]   # row pairs with IoU >= threshold
     idsw = 0
-    for f in sorted(by_frame_gt.keys() | by_frame_pred.keys()):
-        g, p = by_frame_gt.get(f, []), by_frame_pred.get(f, [])
-        ious = iou_matrix(ltwh_array(b for _, b in g), ltwh_array(b for _, b in p))
+    for a, b, c, d in zip(*spans):
+        g, p = g_span(a, b), p_span(c, d)
+        ious = iou_matrix(g[1], p[1])
         pairs = match_frame(g, p, pairs, ious, iou_threshold)
         idsw += sum(last_match.get(gi, pi) != pi for gi, pi in pairs.items())
         last_match.update(pairs)
         matched.update(pairs.keys())
-        gi, pj = np.nonzero(ious >= iou_threshold)
-        overlap.update((g[i][0], p[j][0]) for i, j in zip(gi.tolist(), pj.tolist()))
-    gt_frames = Counter(r.track_id for r in gt)
+        i, j = np.nonzero(ious >= iou_threshold)
+        g_rows.append(a + i)
+        p_rows.append(c + j)
+    # (gt id, pred id) -> frames with IoU >= threshold
+    overlap = Counter(zip(g_id[np.concatenate(g_rows)].tolist(),
+                          p_id[np.concatenate(p_rows)].tolist()))
+    gt_frames = Counter(g_id.tolist())
     mt, pt, ml = track_quality({g: matched[g] / n for g, n in gt_frames.items()})
-    return Counter(tp=matched.total(), idsw=idsw, n_gt=len(gt), n_pred=len(pred),
+    return Counter(tp=matched.total(), idsw=idsw, n_gt=len(g_id), n_pred=len(p_id),
                    MT=mt, PT=pt, ML=ml, IDTP=_id_assignment(overlap))
 
 
@@ -232,13 +271,14 @@ def report(*per_sequence: Counter) -> MotReport:
                      MOTA=1.0 - (fn + fp + c["idsw"]) / n_gt, FP=fp, FN=fn)
 
 
-def evaluate(gt: list[AnnotationRecord], pred: list[AnnotationRecord],
+def evaluate(gt: Annotations, pred: Annotations,
              iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> MotReport:
-    """Full sequence evaluation over the union of frames present in gt or pred."""
+    """Full sequence evaluation over the union of frames present in gt or pred,
+    each a record list or an (N, 9) table."""
     return report(sequence_counts(gt, pred, iou_threshold))
 
 
-def aggregate(per_sequence: list[tuple[list[AnnotationRecord], list[AnnotationRecord]]],
+def aggregate(per_sequence: list[tuple[Annotations, Annotations]],
               iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> MotReport:
     """Boxes-weighted aggregate: raw counts are summed across sequences."""
     return report(*(sequence_counts(gt, pred, iou_threshold) for gt, pred in per_sequence))

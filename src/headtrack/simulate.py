@@ -4,6 +4,10 @@ Agents integrate noisy headings with inverse-distance repulsive steering
 (social-force flavor) so runs contain crossings and near-occlusions. All
 randomness comes from a counter-based Philox generator keyed by the config
 seed, so output is a pure function of (config, seed).
+
+The crowd (`simulate_table`) and the detector noise (`corrupt_table`) work on
+(N, 9) tables (see `motio`), which `gen-scenario` writes as they are;
+`simulate` and `corrupt` are their record wrappers.
 """
 from __future__ import annotations
 
@@ -14,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # `iou` stays importable here: benchmarks/tracing.py counts calls at this site
-from .geometry import BBox, iou, iou_rows, ltwh_array  # noqa: F401
-from .motio import AnnotationRecord, SequenceMeta, check_seed
+from .geometry import BBox, iou, iou_rows  # noqa: F401
+from .motio import AnnotationRecord, SequenceMeta, check_seed, records, table
 
 OCCLUSION_IOU = 0.3  # pairwise GT overlap that triggers the score multiplier
 MAX_JITTER = 1e4     # px, cap on the jitter sigmas: jittered boxes stay finite
@@ -90,8 +94,10 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def simulate(cfg: ScenarioConfig) -> tuple[list[AnnotationRecord], SequenceMeta]:
-    """Generate ground-truth head tracks: one id per agent, alive throughout."""
+def simulate_table(cfg: ScenarioConfig) -> tuple[np.ndarray, SequenceMeta]:
+    """Ground-truth head tracks as a (duration * agent_count, 9) table (see
+    `motio`): one id per agent, alive throughout, rows in frame order, then
+    id order."""
     rng = _rng(cfg.seed)
     n = cfg.agent_count
     sizes = rng.uniform(*cfg.head_size_range, size=n)
@@ -101,12 +107,12 @@ def simulate(cfg: ScenarioConfig) -> tuple[list[AnnotationRecord], SequenceMeta]
     speeds = rng.uniform(*cfg.speed_range, size=n)
     headings = rng.uniform(0.0, 2.0 * math.pi, size=n)
 
-    records: list[AnnotationRecord] = []
-    ids, size_list = range(1, n + 1), sizes.tolist()
-    for frame in range(1, cfg.duration + 1):
-        lefts, tops = (pos - margin).tolist()
-        records.extend(AnnotationRecord(frame, i, BBox(x, y, s, s))
-                       for i, x, y, s in zip(ids, lefts, tops, size_list))
+    out = np.ones((cfg.duration, n, 9))   # confidence, category and visibility stay 1
+    out[:, :, 0] = np.arange(1, cfg.duration + 1)[:, None]
+    out[:, :, 1] = np.arange(1, n + 1)
+    out[:, :, 4] = out[:, :, 5] = sizes
+    for frame in out:
+        frame[:, 2:4] = (pos - margin).T
         headings += rng.normal(0.0, cfg.heading_sigma, size=n)
         vel = np.stack([np.cos(headings), np.sin(headings)]) * speeds
         # pairwise repulsive steering inside the repulsion radius, on contiguous
@@ -129,10 +135,16 @@ def simulate(cfg: ScenarioConfig) -> tuple[list[AnnotationRecord], SequenceMeta]
         headings = np.where(flip_x, math.pi - headings, headings) * np.where(flip_y, -1.0, 1.0)
     meta = SequenceMeta(name=f"synthetic-{cfg.seed}", fps=cfg.fps,
                         frame_count=cfg.duration, resolution=cfg.arena, view="overhead")
-    return records, meta
+    return out.reshape(-1, 9), meta
 
 
-def _occluded(counts: list[int], boxes: np.ndarray) -> np.ndarray:
+def simulate(cfg: ScenarioConfig) -> tuple[list[AnnotationRecord], SequenceMeta]:
+    """`simulate_table` as records."""
+    gt, meta = simulate_table(cfg)
+    return records(gt), meta
+
+
+def _occluded(counts: np.ndarray, boxes: np.ndarray) -> np.ndarray:
     """Whether each row of `boxes`, grouped into frames of `counts` rows each,
     overlaps another box of its frame by IoU > OCCLUSION_IOU: the flags of the
     upper triangle of each frame's `iou_matrix(boxes, boxes)`, found by sort
@@ -172,55 +184,109 @@ def _occluded(counts: list[int], boxes: np.ndarray) -> np.ndarray:
     return flags
 
 
-def corrupt(gt: list[AnnotationRecord], noise: NoiseModel) -> dict[int, list[AnnotationRecord]]:
-    """Turn GT boxes into scored detections: frame -> records in frame order, numbered
-    from 1 per frame (kept boxes, then false positives), the score as confidence.
-    A box that overlaps another box of its frame by IoU > OCCLUSION_IOU has its
-    score multiplied by occlusion_drop; one sort-and-sweep pass over the whole
-    sequence (`_occluded`) finds those boxes before the per-box draws."""
-    rng = _rng(noise.seed)
-    by_frame: dict[int, list[AnnotationRecord]] = {}
-    for r in gt:
-        by_frame.setdefault(r.frame, []).append(r)
-    frames = sorted(by_frame)
-    counts = [len(by_frame[f]) for f in frames]
-    boxes = ltwh_array(r.bbox for f in frames for r in by_frame[f])
-    occluded = _occluded(counts, boxes)
-    arena_w, arena_h = (boxes[:, :2] + boxes[:, 2:]).max(axis=0).tolist() if gt else (100.0, 100.0)
+def _unit(s: np.ndarray) -> np.ndarray:
+    """`min(max(v, 0.0), 1.0)` of each value, signed zeros included."""
+    s = np.where(0.0 > s, 0.0, s)
+    return np.where(1.0 < s, 1.0, s)
 
+
+def _corrupt(gt: np.ndarray, noise: NoiseModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`corrupt_table`'s detections, the gt row of each (-1 for a false
+    positive), and whether each one's width (row 0) and height (row 1) were
+    clamped up to 2.0."""
+    rng = _rng(noise.seed)
+    order = np.argsort(gt[:, 0], kind="stable")
+    frames, starts = np.unique(gt[order, 0], return_index=True)
+    bounds = np.append(starts, len(gt))
+    boxes = gt[order, 2:6]
+    occluded = _occluded(np.diff(bounds), boxes)
+    arena_w, arena_h = (boxes[:, :2] + boxes[:, 2:]).max(axis=0).tolist() if len(gt) \
+        else (100.0, 100.0)
+
+    # the draws, in the order of the per-box stream: for each box a miss
+    # draw, then, if kept, its normals (4 jitter and 1 score, or the score
+    # alone); after each frame's boxes its false positives
     cj, sj = noise.center_jitter, noise.size_jitter
     jitter = cj > 0 or sj > 0
-    mu, sd = noise.tp_score
-    out: dict[int, list[AnnotationRecord]] = {}
-    stop = 0
-    for frame, count in zip(frames, counts):
-        start, stop = stop, stop + count
-        dets: list[AnnotationRecord] = []
-        for rec, (x, y, w, h), occ in zip(by_frame[frame], boxes[start:stop].tolist(),
-                                          occluded[start:stop].tolist()):
-            if noise.miss_rate > 0 and rng.random() < noise.miss_rate:
-                continue
-            b = rec.bbox
-            # one draw per box: normal(loc, scale) computes loc + scale * z on
-            # the same stream, so these are its values, bit for bit; the box
-            # fields stay np.float64, the type normal's array draws gave them
-            if jitter:
-                z0, z1, z2, z3, z = rng.standard_normal(5).tolist()
-                dx, dy, dw, dh = 0.0 + cj * z0, 0.0 + cj * z1, 0.0 + sj * z2, 0.0 + sj * z3
-                b = BBox(np.float64(x + dx - dw / 2.0), np.float64(y + dy - dh / 2.0),
-                         max(np.float64(w + dw), 2.0), max(np.float64(h + dh), 2.0))
+    miss_rate = noise.miss_rate
+    random, normal, uniform = rng.random, rng.standard_normal, rng.uniform
+    kept = np.ones(len(gt), dtype=bool)
+    z = np.empty((len(gt), 5 if jitter else 1))
+    fp = []   # (frame index, left, top, size, score draw) of each false positive
+    for f, lo, hi in zip(range(len(frames)), bounds[:-1].tolist(), bounds[1:].tolist()):
+        for k in range(lo, hi):
+            if miss_rate > 0 and random() < miss_rate:
+                kept[k] = False
             else:
-                z = rng.standard_normal()
-            score = min(max(mu + sd * z, 0.0), 1.0)
-            if occ:
-                score *= noise.occlusion_drop
-            dets.append(AnnotationRecord(frame, len(dets) + 1, b, confidence=score))
+                normal(out=z[k])
         for _ in range(rng.poisson(noise.fp_rate)):
-            size = rng.uniform(8.0, 30.0)
-            left = rng.uniform(0.0, max(arena_w - size, 1.0))
-            top = rng.uniform(0.0, max(arena_h - size, 1.0))
-            score = min(max(rng.normal(*noise.fp_score), 0.0), 1.0)
-            dets.append(AnnotationRecord(frame, len(dets) + 1, BBox(left, top, size, size),
-                                         confidence=score))
-        out[frame] = dets
+            size = uniform(8.0, 30.0)
+            fp.append((f, uniform(0.0, max(arena_w - size, 1.0)),
+                       uniform(0.0, max(arena_h - size, 1.0)), size, rng.normal(*noise.fp_score)))
+
+    # normal(loc, scale) computes loc + scale * z on the same stream, so
+    # these are the values of per-box normal draws, bit for bit; the arrays
+    # are single columns, so no temporary holds a whole table
+    rows = np.flatnonzero(kept)
+    x, y, w, h = (boxes[rows, c] for c in range(4))
+    clamped = np.zeros((2, len(rows)), dtype=bool)
+    if jitter:
+        dx, dy, dw, dh = (0.0 + s * z[rows, c] for c, s in enumerate((cj, cj, sj, sj)))
+        x, y, w, h = x + dx - dw / 2.0, y + dy - dh / 2.0, w + dw, h + dh
+        clamped = np.stack([w < 2.0, h < 2.0])
+        w, h = np.where(clamped, 2.0, (w, h))
+    mu, sd = noise.tp_score
+    score = _unit(mu + sd * z[rows, -1])
+    score = np.where(occluded[rows], score * noise.occlusion_drop, score)
+    del boxes, z   # a sequence's worth each, not needed to build the table
+
+    # each frame's kept boxes, then its false positives, numbered from 1
+    fp = np.array(fp).reshape(-1, 5)
+    frame_of = np.concatenate([np.repeat(np.arange(len(frames)), np.diff(bounds))[rows],
+                               fp[:, 0].astype(np.intp)])
+    by_frame = np.argsort(frame_of, kind="stable")
+    dets = np.ones((len(by_frame), 9))   # category and visibility stay 1
+    dets[:, 0] = frames[frame_of[by_frame]]
+    dets[:, 1] = np.arange(len(dets)) - np.searchsorted(dets[:, 0], dets[:, 0]) + 1
+    for c, kept_col, fp_col in ((2, x, fp[:, 1]), (3, y, fp[:, 2]), (4, w, fp[:, 3]),
+                                (5, h, fp[:, 3]), (6, score, _unit(fp[:, 4]))):
+        dets[:, c] = np.concatenate([kept_col, fp_col])[by_frame]
+    src = np.concatenate([order[rows], np.full(len(fp), -1)])[by_frame]
+    return dets, src, np.concatenate([clamped, np.zeros((2, len(fp)), dtype=bool)], 1)[:, by_frame]
+
+
+def corrupt_table(gt: np.ndarray, noise: NoiseModel) -> np.ndarray:
+    """Turn a gt table (see `motio`) into the table of scored detections: rows
+    in frame order, each frame's kept boxes in gt order, then its false
+    positives, numbered from 1 per frame in the id column, the score in the
+    confidence column. A box that overlaps another box of its frame by IoU >
+    OCCLUSION_IOU has its score multiplied by occlusion_drop; one
+    sort-and-sweep pass over the whole sequence (`_occluded`) finds those
+    boxes. The per-box loop only draws the noise; jitter, clamp and scores
+    are then array arithmetic in the scalar order of operations."""
+    return _corrupt(np.reshape(gt, (-1, 9)), noise)[0]
+
+
+def corrupt(gt: list[AnnotationRecord], noise: NoiseModel) -> dict[int, list[AnnotationRecord]]:
+    """`corrupt_table` as records: frame -> its detections, for every frame of
+    gt. A kept box without jitter is its gt record's own `bbox`; a jittered
+    one has np.float64 fields, except that a size clamped up to 2.0 is the
+    float 2.0; a false positive's fields are floats. Scores are floats."""
+    dets, src, clamped = _corrupt(table(gt), noise)
+    jitter = noise.center_jitter > 0 or noise.size_jitter > 0
+    lefts, tops, widths, heights = map(list, dets[:, 2:6].T)   # np.float64 scalars
+    for sizes, hit in zip((widths, heights), clamped):
+        for i in np.flatnonzero(hit).tolist():
+            sizes[i] = 2.0
+    out: dict[int, list[AnnotationRecord]] = {f: [] for f in sorted({r.frame for r in gt})}
+    for i, (f, k, score) in enumerate(zip(map(int, dets[:, 0].tolist()), src.tolist(),
+                                          dets[:, 6].tolist())):
+        if k < 0:
+            box = BBox(*dets[i, 2:6].tolist())
+        elif jitter:
+            box = BBox(lefts[i], tops[i], widths[i], heights[i])
+        else:
+            box = gt[k].bbox
+        frame = out[f]
+        frame.append(AnnotationRecord(f, len(frame) + 1, box, confidence=score))
     return out

@@ -220,6 +220,52 @@ class TestTrackEvaluate:
         (pred_dir / "s2.txt").write_text("")
         assert run("evaluate", "--gt", str(gt_dir), "--pred", str(pred_dir)) == EXIT_INPUT
 
+    # paper order: id, frame, box, confidence, category, visibility
+    THREE_BOXES = "1,1,0,0,10,10,1,1,1\n2,1,30,0,10,10,1,1,1\n1,2,2,0,10,10,1,1,1\n"
+
+    @staticmethod
+    def evaluate_argv(tmp_path, gt_text, pred_text, mode):
+        """evaluate's --gt and --pred for one sequence, as two files or as two
+        directories that also hold a clean sequence a.txt."""
+        gt_dir, pred_dir = tmp_path / "gts", tmp_path / "preds"
+        gt_dir.mkdir()
+        pred_dir.mkdir()
+        (gt_dir / "s.txt").write_text(gt_text)
+        (pred_dir / "s.txt").write_text(pred_text)
+        if mode == "file":
+            return ["--gt", str(gt_dir / "s.txt"), "--pred", str(pred_dir / "s.txt")]
+        (gt_dir / "a.txt").write_text(TestTrackEvaluate.THREE_BOXES)
+        (pred_dir / "a.txt").write_text(TestTrackEvaluate.THREE_BOXES)
+        return ["--gt", str(gt_dir), "--pred", str(pred_dir)]
+
+    @pytest.mark.parametrize("mode", ["file", "dir"])
+    def test_evaluate_empty_prediction_file(self, tmp_path, capsys, mode):
+        argv = self.evaluate_argv(tmp_path, self.THREE_BOXES, "", mode)
+        assert run("evaluate", *argv, "--json") == 0
+        payload = json.loads(capsys.readouterr().out)
+        missed = {"IDF1": 0.0, "IDs": 0, "IDP": 0.0, "IDR": 0.0, "MT": 0, "PT": 0, "ML": 2,
+                  "Rcll": 0.0, "Prcn": 0.0, "MOTA": 0.0, "FP": 0, "FN": 3}
+        assert payload[{"file": "s", "dir": "s.txt"}[mode]] == missed
+        if mode == "dir":
+            assert payload["a.txt"]["MOTA"] == 1.0
+            assert (payload["OVERALL"]["FN"], payload["OVERALL"]["ML"]) == (3, 2)
+
+    @pytest.mark.parametrize("mode", ["file", "dir"])
+    @pytest.mark.parametrize("pred", ["", THREE_BOXES], ids=["empty", "three-boxes"])
+    def test_evaluate_empty_gt_file(self, tmp_path, capsys, mode, pred):
+        out = tmp_path / "report.txt"
+        argv = self.evaluate_argv(tmp_path, "", pred, mode)
+        assert run("evaluate", *argv, "--out", str(out)) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: no ground-truth boxes\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["file", "dir"])
+    def test_evaluate_duplicate_prediction_pair(self, tmp_path, capsys, mode):
+        pred = self.THREE_BOXES + "1,1,5,5,10,10,1,1,1\n"
+        argv = self.evaluate_argv(tmp_path, self.THREE_BOXES, pred, mode)
+        assert run("evaluate", *argv) == EXIT_INPUT
+        assert "s.txt: line 4: duplicate (frame, id) pair (1, 1)" in capsys.readouterr().err
+
     def test_directory_report_equals_aggregate(self, scenario, tmp_path, capsys):
         gt, dets = scenario
         gt_dir, pred_dir = tmp_path / "gts", tmp_path / "preds"

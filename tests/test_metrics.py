@@ -1,15 +1,16 @@
 import itertools
 import math
+import random
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from headtrack.geometry import BBox, iou
+from headtrack.geometry import BBox, iou, iou_matrix, ltwh_array
 from headtrack.metrics import (
     MetricsError,
     MotReport,
@@ -21,7 +22,8 @@ from headtrack.metrics import (
     sequence_counts,
     track_quality,
 )
-from headtrack.motio import AnnotationRecord
+from headtrack.motio import AnnotationRecord, table
+from headtrack.tracker import hungarian
 from test_properties import GRID_RECORDS
 
 
@@ -540,6 +542,109 @@ def gt_pred_pairs(draw):
 def test_evaluate_equals_accumulator_oracle(pair, thr):
     gt, pred = pair
     assert evaluate(gt, pred, thr) == oracle_evaluate(gt, pred, thr)
+
+
+def record_by_frame(records):
+    """The oracle's grouping: frame -> (id, bbox) list in id order."""
+    out = {}
+    for r in records:
+        out.setdefault(r.frame, []).append((r.track_id, r.bbox))
+    for boxes in out.values():
+        boxes.sort(key=lambda t: t[0])
+        if len({i for i, _ in boxes}) != len(boxes):
+            raise MetricsError("duplicate ids within a frame")
+    return out
+
+
+def record_match_frame(gt, pred, prev, ious, thr):
+    """The oracle's per-frame matching on (id, bbox) lists: carried-over pairs
+    by scalar `iou`, the rest by one assignment with free boxes in
+    (left, top, width, height) order, stably from id order."""
+    gt_boxes, pred_boxes = dict(gt), dict(pred)
+    pairs = {g: p for g, p in prev.items()
+             if g in gt_boxes and p in pred_boxes and iou(gt_boxes[g], pred_boxes[p]) >= thr}
+    free_gt = [i for i, (g, _) in enumerate(gt) if g not in pairs]
+    used_pred = set(pairs.values())
+    free_pred = [j for j, (p, _) in enumerate(pred) if p not in used_pred]
+    if free_gt and free_pred:
+        free_gt.sort(key=lambda i: ltwh(gt[i][1]))
+        free_pred.sort(key=lambda j: ltwh(pred[j][1]))
+        free = ious[np.ix_(free_gt, free_pred)]
+        for i, j in hungarian(1.0 - free).matches.tolist():
+            if free[i, j] >= thr:
+                pairs[gt[free_gt[i]][0]] = pred[free_pred[j]][0]
+    return pairs
+
+
+def record_sequence_counts(gt, pred, thr=0.5):
+    """The oracle for `sequence_counts`: the record sweep, frame by frame over
+    (id, bbox) lists, with the overlap counted as it goes."""
+    by_frame_gt, by_frame_pred = record_by_frame(gt), record_by_frame(pred)
+    pairs, last_match, matched, overlap, idsw = {}, {}, Counter(), Counter(), 0
+    for f in sorted(by_frame_gt.keys() | by_frame_pred.keys()):
+        g, p = by_frame_gt.get(f, []), by_frame_pred.get(f, [])
+        ious = iou_matrix(ltwh_array(b for _, b in g), ltwh_array(b for _, b in p))
+        pairs = record_match_frame(g, p, pairs, ious, thr)
+        idsw += sum(last_match.get(gi, pi) != pi for gi, pi in pairs.items())
+        last_match.update(pairs)
+        matched.update(pairs.keys())
+        gi, pj = np.nonzero(ious >= thr)
+        overlap.update((g[i][0], p[j][0]) for i, j in zip(gi.tolist(), pj.tolist()))
+    gt_frames = Counter(r.track_id for r in gt)
+    mt, pt, ml = track_quality({g: matched[g] / n for g, n in gt_frames.items()})
+    return Counter(tp=matched.total(), idsw=idsw, n_gt=len(gt), n_pred=len(pred),
+                   MT=mt, PT=pt, ML=ml, IDTP=_id_assignment(overlap))
+
+
+# the tie of TestIdSwitches.test_exact_tie_goes_by_box_not_by_id: taken in
+# id order, pred 1 wins frame 1 and frame 2 counts a switch
+_TIE = ([AnnotationRecord(f, 1, BBox(0, 0, 20, 20)) for f in (1, 2)],
+        [AnnotationRecord(1, 1, BBox(2, 0, 20, 20)), AnnotationRecord(1, 2, BBox(-2, 0, 20, 20)),
+         AnnotationRecord(2, 2, BBox(-2, 0, 20, 20))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=gt_pred_pairs(), thr=st.sampled_from([0.3, 0.5, 1.0]),
+       rnd=st.randoms(use_true_random=False), no_pred=st.sampled_from([False] * 5 + [True]))
+@example(pair=_TIE, thr=0.5, rnd=random.Random(0), no_pred=False)
+def test_table_sweep_equals_record_oracle(pair, thr, rnd, no_pred):
+    # exact IoU ties, one-sided frames and, with no_pred, an empty prediction
+    # side; the tables hold the rows in a shuffled order
+    gt, pred = pair
+    pred = [] if no_pred else pred
+    want = record_sequence_counts(gt, pred, thr)
+    shuffled_gt, shuffled_pred = rnd.sample(gt, len(gt)), rnd.sample(pred, len(pred))
+    got = sequence_counts(table(shuffled_gt), table(shuffled_pred), thr)
+    assert got == want
+    assert all(type(v) is int for v in got.values())
+    assert sequence_counts(shuffled_gt, shuffled_pred, thr) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=gt_pred_pairs(), data=st.data())
+def test_records_and_their_table_give_the_same_counts(pair, data):
+    # fractional boxes: the table holds each box field as float64, the records
+    # as ints or floats
+    gt, pred = pair
+    scale = data.draw(st.sampled_from([1.0, 0.1, 1 / 3]))
+    gt, pred = ([AnnotationRecord(r.frame, r.track_id, BBox(*(v * scale for v in ltwh(r.bbox))))
+                 for r in recs] if scale != 1.0 else recs for recs in (gt, pred))
+    assert sequence_counts(gt, pred) == sequence_counts(table(gt), table(pred))
+
+
+def test_empty_sides():
+    gt = [rec(1, 1), rec(2, 1, 30)]
+    for g, p in ((gt, []), ([], gt), ([], [])):
+        want = record_sequence_counts(g, p)
+        assert sequence_counts(g, p) == want
+        assert sequence_counts(table(g), table(p)) == want
+
+
+def test_duplicate_ids_in_a_table_rejected():
+    dup = table([rec(3, 1, 0, 0, 5, 5), rec(1, 2), rec(3, 1, 9, 9, 5, 5)])
+    for gt, pred in ((dup, np.zeros((0, 9))), (table([rec(1, 1)]), dup)):
+        with pytest.raises(MetricsError, match="duplicate ids within a frame"):
+            sequence_counts(gt, pred)
 
 
 class TestReport:

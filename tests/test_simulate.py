@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 
 import headtrack.simulate as simulate_module
 from headtrack.geometry import BBox, iou, iou_matrix, ltwh_array
-from headtrack.motio import AnnotationRecord, ConfigError, read_config
+from headtrack.motio import (
+    AnnotationRecord,
+    ConfigError,
+    SequenceMeta,
+    read_config,
+    records,
+    table,
+)
 from headtrack.simulate import (
     OCCLUSION_IOU,
     NoiseModel,
@@ -17,7 +24,9 @@ from headtrack.simulate import (
     SimError,
     _rng,
     corrupt,
+    corrupt_table,
     simulate,
+    simulate_table,
 )
 
 
@@ -103,6 +112,63 @@ class TestSimulate:
             ScenarioConfig(agent_count=0)
         with pytest.raises(SimError):
             ScenarioConfig(duration=0)
+
+
+def simulate_records(cfg):
+    """The oracle: `simulate` as it was when it built each frame's records in
+    its loop, from the positions' and sizes' `tolist`, as (records, meta)."""
+    rng = _rng(cfg.seed)
+    n = cfg.agent_count
+    sizes = rng.uniform(*cfg.head_size_range, size=n)
+    margin = sizes / 2.0
+    low, high = margin, np.array(cfg.arena)[:, None] - margin
+    pos = np.stack([rng.uniform(margin, hi) for hi in high])
+    speeds = rng.uniform(*cfg.speed_range, size=n)
+    headings = rng.uniform(0.0, 2.0 * math.pi, size=n)
+    recs = []
+    for frame in range(1, cfg.duration + 1):
+        lefts, tops = (pos - margin).tolist()
+        recs.extend(AnnotationRecord(frame, i, BBox(x, y, s, s))
+                    for i, x, y, s in zip(range(1, n + 1), lefts, tops, sizes.tolist()))
+        headings += rng.normal(0.0, cfg.heading_sigma, size=n)
+        vel = np.stack([np.cos(headings), np.sin(headings)]) * speeds
+        if cfg.repulsion_strength > 0 and n > 1:
+            delta = pos[:, None, :] - pos[:, :, None]
+            dist = np.sqrt(delta[0] * delta[0] + delta[1] * delta[1])
+            np.fill_diagonal(dist, np.inf)
+            push = np.where(dist < cfg.repulsion_radius,
+                            delta / np.maximum(dist, 1e-6) ** 2, 0.0)
+            vel += cfg.repulsion_strength * push.sum(axis=1) * cfg.repulsion_radius
+        pos += vel
+        under, over = pos < low, pos > high
+        pos = np.where(under, 2 * low - pos, pos)
+        pos = np.clip(np.where(over, 2 * high - pos, pos), low, high)
+        flip_x, flip_y = under | over
+        headings = np.where(flip_x, math.pi - headings, headings) * np.where(flip_y, -1.0, 1.0)
+    return recs, SequenceMeta(name=f"synthetic-{cfg.seed}", fps=cfg.fps,
+                              frame_count=cfg.duration, resolution=cfg.arena, view="overhead")
+
+
+def _typed(recs):
+    """Each record's fields with their types, box fields included."""
+    return [tuple((v, type(v)) for v in (r.frame, r.track_id, *dataclasses.astuple(r.bbox),
+                                         r.confidence, r.category, r.visibility))
+            for r in recs]
+
+
+@pytest.mark.parametrize("cfg", [
+    ScenarioConfig(agent_count=1, repulsion_strength=0.0, heading_sigma=50.0, duration=60,
+                   seed=3),
+    ScenarioConfig(arena=(60, 45), agent_count=3, speed_range=(5.0, 30.0),
+                   heading_sigma=0.5, duration=60, seed=4),
+    ScenarioConfig(agent_count=90, duration=10, seed=0),
+], ids=["lone-agent", "small-arena", "roof-plus"])
+def test_simulate_table_equals_record_loop(cfg):
+    want, meta = simulate_records(cfg)
+    gt, got_meta = simulate_table(cfg)
+    assert gt.shape == (cfg.duration * cfg.agent_count, 9) and got_meta == meta
+    assert _typed(records(gt)) == _typed(want)
+    assert _typed(simulate(cfg)[0]) == _typed(want)
 
 
 def simulate_per_axis(cfg, seen=None):
@@ -430,6 +496,30 @@ class TestCorrupt:
               for i, (f, x, y, w, h) in enumerate(rows)]
         assert _detection_fields(_numbered_pairs(corrupt(gt, noise))) == \
             _detection_fields(corrupt_loop(gt, noise))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_noise, _file_gt)
+    def test_table_core_equals_records_table(self, noise, rows):
+        gt = [AnnotationRecord(f, i + 1, BBox(x, y, w, h))
+              for i, (f, x, y, w, h) in enumerate(rows)]
+        want = table(r for ds in corrupt(gt, noise).values() for r in ds)
+        assert corrupt_table(table(gt), noise).tobytes() == want.tobytes()
+
+    def test_empty_gt(self):
+        noise = NoiseModel(miss_rate=0.5, fp_rate=3.0, center_jitter=1.0)
+        assert corrupt([], noise) == {}
+        assert corrupt_table(np.zeros((0, 9)), noise).shape == (0, 9)
+
+    def test_frame_with_every_box_missed_keeps_its_key(self):
+        # at miss_rate 0.9 some frames lose every box, and without false
+        # positives nothing else fills them
+        gt = [AnnotationRecord(f, i, BBox(10.0 * i, 5.0, 8.0, 8.0))
+              for f in range(1, 41) for i in (1, 2)]
+        dets = corrupt(gt, NoiseModel(miss_rate=0.9, seed=1))
+        assert list(dets) == list(range(1, 41))
+        assert [] in dets.values()
+        kept = corrupt_table(table(gt), NoiseModel(miss_rate=0.9, seed=1))
+        assert len(kept) == sum(map(len, dets.values()))
 
     def test_invalid_noise_rejected(self):
         with pytest.raises(SimError):
