@@ -200,12 +200,13 @@ class Tracker:
     Live tracks are parallel arrays in spawn order, which is track-id order:
     `tracks` (N,) ids, `mean` (N, 8) and `cov` (N, 3, 4) Kalman states,
     `hits` (N,) matches including the spawn and `age` (N,) frames since the
-    last match, if every frame is stepped (an empty one with no boxes). A
-    track is confirmed once hits >= max(n_init, 2), else tentative and
-    removed on its first miss; a confirmed track with age > 0 is lost and
-    dies once age exceeds max_age.
+    last match. A track is confirmed once hits >= max(n_init, 2), else
+    tentative and removed on its first miss; a confirmed track with age > 0
+    is lost and dies once age exceeds max_age.
 
-    `advance` steps a frame on arrays; `step` is its record wrapper.
+    `advance` steps a frame on arrays; `step` is its record wrapper. A frame
+    a caller skips is stepped as an empty one while a track is live, so
+    passing an empty frame or leaving it out gives the same rows and state.
     """
 
     def __init__(self, cfg: TrackerConfig | None = None):
@@ -224,9 +225,11 @@ class Tracker:
         """Predict, associate, update, and run the track lifecycle for one frame
         of (M, 4) ltwh detection boxes scored by (M,) scores.
 
-        Returns the (K,) ids and (K,) detection indices of the frame's output
-        rows, in id order: one per matched confirmed track, and one per matched
-        or spawned track while frame - first frame < n_init.
+        Each skipped frame since the last stepped one is stepped first, with
+        no boxes, while a track is live. Returns the (K,) ids and (K,)
+        detection indices of the frame's output rows, in id order: one per
+        matched confirmed track, and one per matched or spawned track while
+        frame - first frame < n_init.
         """
         if frame <= self._last_frame:
             raise TrackerError(f"out-of-order frame {frame} (last {self._last_frame})")
@@ -234,6 +237,8 @@ class Tracker:
             raise TrackerError("detection score must be finite")
         if self._first_frame is None:
             self._first_frame = frame
+        while len(self.tracks) and self._last_frame + 1 < frame:
+            self.advance(self._last_frame + 1, boxes[:0], scores[:0])
         self._last_frame = frame
         warm_up = frame - self._first_frame < self.cfg.n_init
 
@@ -291,58 +296,32 @@ class Tracker:
                 for i, d in zip(ids.tolist(), det.tolist())]
 
 
-def _drive(frames: Sequence[int], bounds: np.ndarray, boxes: np.ndarray, scores: np.ndarray,
-           cfg: TrackerConfig | None) -> tuple[np.ndarray, np.ndarray]:
-    """Track a sequence: frame frames[k] (ascending) has detections
-    bounds[k]:bounds[k + 1] of the (M, 4) boxes and (M,) scores. Each frame is
-    stepped, and so is each empty frame between two of them while a track is
-    live: an empty frame gives no rows, and changes nothing once no track is
-    live. Returns the (K,) detection index and (K,) id of each output row, in
-    frame order, then id order."""
-    tracker = Tracker(cfg)
-    rows, ids = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.int64)]
-    no_boxes, no_scores = np.zeros((0, 4)), np.zeros(0)
-    for frame, lo, hi in zip(frames, bounds[:-1].tolist(), bounds[1:].tolist()):
-        while len(tracker.tracks) and tracker._last_frame + 1 < frame:
-            tracker.advance(tracker._last_frame + 1, no_boxes, no_scores)
-        i, d = tracker.advance(frame, boxes[lo:hi], scores[lo:hi])
-        ids.append(i)
-        rows.append(lo + d)
-    return np.concatenate(rows), np.concatenate(ids)
-
-
 def run_tracker(frames: dict[int, list[AnnotationRecord]],
                 cfg: TrackerConfig | None = None) -> list[AnnotationRecord]:
-    """Track a whole sequence given per-frame detections keyed by frame index.
-
-    Every frame from the first key to the last is stepped, a missing one as
-    empty, so a det file (no line for an empty frame) gives the dict's rows.
-    Warm-up counts from the first key, so a leading empty frame still differs.
-    Rows are `Tracker.step`'s records.
-    """
-    keys = sorted(frames)
-    dets = [d for f in keys for d in frames[f]]
-    bounds = np.cumsum([0] + [len(frames[f]) for f in keys])
-    rows, ids = _drive(keys, bounds, ltwh_array(d.bbox for d in dets),
-                       np.array([d.confidence for d in dets], dtype=np.float64), cfg)
-    key = np.searchsorted(bounds, rows, side="right") - 1
-    return [AnnotationRecord(keys[k], i, dets[r].bbox, dets[r].confidence)
-            for k, r, i in zip(key.tolist(), rows.tolist(), ids.tolist())]
+    """`Tracker.step` over the sorted keys of per-frame detections keyed by
+    frame index. A frame with no key is stepped as empty, so a det file (no
+    line for an empty frame) gives the dict's rows; warm-up counts from the
+    first key, so a leading empty frame still differs."""
+    tracker = Tracker(cfg)
+    return [row for f in sorted(frames) for row in tracker.step(f, frames[f])]
 
 
 def track_table(dets: np.ndarray, cfg: TrackerConfig | None = None) -> np.ndarray:
     """The track-file table of a detection-file table (see `motio`): the
     (K, 9) matched detection rows, in frame order, then id order, with each
     id column set to its track's id and category and visibility set to 1.
-    Rows of one frame are detections in table order, and the frames are
-    stepped as `run_tracker` steps its keys."""
+    Each frame's detections, in table order, go to one `Tracker.advance`, as
+    `run_tracker` steps its keys."""
     order = np.argsort(dets[:, 0], kind="stable")
     frames, starts = np.unique(dets[order, 0], return_index=True)
-    bounds = np.append(starts, len(dets))
-    rows, ids = _drive(frames.astype(np.int64).tolist(), bounds,
-                       dets[order, 2:6], dets[order, 6], cfg)
-    out = dets[order[rows]]
-    out[:, 1] = ids
+    tracker = Tracker(cfg)
+    rows, ids = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.int64)]
+    for frame, span in zip(frames.astype(np.int64).tolist(), np.split(order, starts[1:])):
+        i, d = tracker.advance(frame, dets[span, 2:6], dets[span, 6])
+        ids.append(i)
+        rows.append(span[d])
+    out = dets[np.concatenate(rows)]
+    out[:, 1] = np.concatenate(ids)
     out[:, 7:] = 1.0
     return out
 

@@ -49,6 +49,10 @@ def as_lists(a):
     return tuple(x.tolist() for x in a)
 
 
+# the per-track state arrays of a `Tracker`
+STATE = ("tracks", "mean", "cov", "hits", "age")
+
+
 def check_index_arrays(a, n, m):
     """The Assignment form: intp arrays, (K, 2) matches with rows ascending,
     ascending unmatched indices, and the matched and unmatched indices
@@ -605,6 +609,17 @@ class TestLifecycle:
         # the rejected frame changed nothing: it can be stepped again
         assert [o.track_id for o in t.step(2, [det(0, 0)])] == [1]
 
+    def test_rejected_call_after_gap_steps_no_gap_frame(self):
+        # frames 2-4 would remove the tentative track if they were stepped
+        t = Tracker(TrackerConfig(n_init=3))
+        t.step(1, [det(0, 0)])
+        before = {name: getattr(t, name).copy() for name in STATE}
+        with pytest.raises(TrackerError, match="^detection score must be finite$"):
+            t.advance(5, *det_rows([det(0, 0), det(40, 0, score=np.nan)]))
+        for name, value in before.items():
+            assert np.array_equal(getattr(t, name), value)
+        assert t._last_frame == 1
+
     def test_record_frame_and_id_are_not_read(self):
         frames = random_frames(3)
         renumbered = {f: [AnnotationRecord(99, 7, d.bbox, confidence=d.confidence) for d in ds]
@@ -840,6 +855,25 @@ def test_step_equals_advance(frames, mode, n_init, max_age):
                    for r, k in zip(rows, index.tolist()))
         for name in ("tracks", "mean", "cov", "hits", "age"):
             assert np.array_equal(getattr(on_records, name), getattr(on_arrays, name))
+
+
+@settings(max_examples=200, deadline=None)
+@given(frames=detection_sequences(), mode=st.sampled_from(list(Mode)),
+       n_init=st.sampled_from([1, 3]), max_age=st.sampled_from([1, 3, 30]))
+def test_skipped_frames_stepped_as_empty(frames, mode, n_init, max_age):
+    """Stepping only the frames with detections gives the rows and track state
+    of stepping every frame between them, the missing ones as empty frames."""
+    cfg = TrackerConfig(mode=mode, n_init=n_init, max_age=max_age)
+    sparse, dense = Tracker(cfg), Tracker(cfg)
+    for frame in range(min(frames), max(frames) + 1):
+        want = dense.step(frame, frames.get(frame, []))
+        if frame not in frames:
+            assert want == []
+            continue
+        assert sparse.step(frame, frames[frame]) == want
+        for name in STATE:
+            assert np.array_equal(getattr(sparse, name), getattr(dense, name))
+
 
 class TestConfigValidation:
     def test_threshold_order(self):
