@@ -3,10 +3,20 @@
 Double precision throughout; just the handful of ops the fusion pipeline
 needs: broadcast add/mul (a 0-d tensor scales), sigmoid, axis means, channel
 concat/split, and a same-padded stride-1 2-d convolution.
+
+`Tensor.backward` consumes the graph it runs through: each node it has passed
+drops its parents and its backward closure, so reference counting frees the
+intermediates as the gradients flow, and a second backward through the same
+graph raises. `conv2d` keeps no padded copy of its input for backward; its
+backward rebuilds the padded input from the input tensor's data.
 """
 from __future__ import annotations
 
 import numpy as np
+
+
+def _consumed(g):
+    raise ValueError("graph already consumed by backward()")
 
 
 class Tensor:
@@ -32,6 +42,12 @@ class Tensor:
         self.grad = None
 
     def backward(self):
+        """Accumulate d(self)/d(leaf) into the .grad of every requires_grad
+        tensor below this scalar. The graph is consumed on the way: once a
+        node has passed its gradient to its parents (or none reached it), it
+        drops them and its closure, so intermediates are freed as backward
+        goes and a second backward() through them raises ValueError. Leaves
+        (tensors made without a backward closure) are left as they are."""
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar loss")
         # depth-first post-order with an explicit stack: a recursive closure
@@ -50,17 +66,22 @@ class Tensor:
                 stack.pop()
                 topo.append(t)
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        for t in reversed(topo):
+        while topo:
+            t = topo.pop()
             g = grads.pop(id(t), None)
+            parents, backward = t._parents, t._backward
+            if backward is not None:
+                # consume t: its parents and closure live on only in these locals
+                t._parents, t._backward = (), _consumed
             if g is None:
                 continue
             if not np.all(np.isfinite(g)):
                 raise FloatingPointError("non-finite gradient encountered")
             if t.requires_grad:
                 t.grad = g if t.grad is None else t.grad + g
-            if t._backward is None:
+            if backward is None:
                 continue
-            for p, pg in zip(t._parents, t._backward(g)):
+            for p, pg in zip(parents, backward(g)):
                 if pg is None:
                     continue
                 if id(p) in grads:
@@ -144,10 +165,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     # each output row wrap into the next row and are cropped.
     wp = w + 2 * pad
     n = h * wp
-    xp = np.zeros((cin, h + 2 * pad + 1, wp))
-    xp[:, pad:pad + h, pad:pad + w] = x.data
-    xf = xp.reshape(cin, -1)
     taps = [(ki, kj, ki * wp + kj) for ki in range(k) for kj in range(k)]
+
+    def padded():
+        xp = np.zeros((cin, h + 2 * pad + 1, wp))
+        xp[:, pad:pad + h, pad:pad + w] = x.data
+        return xp.reshape(cin, -1)
+
+    xf = padded()
     acc = np.zeros((cout, n))
     # a one-channel tap is an outer product: the broadcast multiply forms the
     # same single products as the matmul, at a fraction of its per-call cost
@@ -156,7 +181,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         acc += product(weight.data[:, :, ki, kj], xf[:, o:o + n])
     out_data = acc.reshape(cout, h, wp)[:, :, :w] + bias.data[:, None, None]
 
+    # the padded copy is not kept for backward, which pads x.data again
     def backward(g):
+        xf = padded()
         gp = np.zeros((cout, h, wp))
         gp[:, :, :w] = g
         gf = gp.reshape(cout, n)
@@ -165,7 +192,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         for ki, kj, o in taps:
             d_weight[:, :, ki, kj] = gf @ xf[:, o:o + n].T
             d_xf[:, o:o + n] += weight.data[:, :, ki, kj].T @ gf
-        d_x = d_xf.reshape(xp.shape)[:, pad:pad + h, pad:pad + w]
+        d_x = d_xf.reshape(cin, -1, wp)[:, pad:pad + h, pad:pad + w]
         return (d_x, d_weight, g.reshape(cout, -1).sum(axis=1))
 
     return Tensor(out_data, _parents=(x, weight, bias), _backward=backward)

@@ -1,5 +1,7 @@
 import gc
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -486,6 +488,81 @@ class TestBackward:
             gc.enable()
 
 
+class TestGraphConsumed:
+    """backward() consumes the graph it runs through: each node it passes
+    drops its parents and closure, so intermediates die as it goes."""
+
+    def test_second_backward_raises_and_keeps_grads(self):
+        p = FusionParams(FusionConfig(seed=22))
+        loss = loss_for(mkstack(np.random.default_rng(22)), p)
+        loss.backward()
+        first = {name: t.grad.copy() for name, t in p.named_parameters().items()}
+        with pytest.raises(ValueError, match="consumed"):
+            loss.backward()
+        for name, t in p.named_parameters().items():
+            assert t.grad.tobytes() == first[name].tobytes(), name
+
+    def test_new_graph_on_consumed_intermediate_raises(self):
+        p = FusionParams(FusionConfig(seed=23))
+        fused = forward(mkstack(np.random.default_rng(23)), p)
+        ad.tsum(toy_head(fused, p)).backward()
+        with pytest.raises(ValueError, match="consumed"):
+            ad.tsum(p.conv("head", fused)).backward()
+
+    def test_leaves_survive_for_the_next_graph(self):
+        # parameters have no closure, so every step's backward reaches them
+        p = FusionParams(FusionConfig(seed=24))
+        s = mkstack(np.random.default_rng(24))
+        p.zero_grad()
+        loss_for(s, p).backward()
+        once = {name: t.grad.copy() for name, t in p.named_parameters().items()}
+        p.zero_grad()
+        loss_for(s, p).backward()
+        for name, t in p.named_parameters().items():
+            assert t.grad.tobytes() == once[name].tobytes(), name
+
+    def test_intermediates_freed_while_loss_is_held(self):
+        p = FusionParams(FusionConfig(seed=25))
+        loss = loss_for(mkstack(np.random.default_rng(25), h=6, w=8), p)
+
+        def intermediates():
+            # weak references to every tensor below the loss that has a
+            # backward closure: everything fusion.forward and toy_head made
+            seen, todo, refs = {id(loss)}, list(loss._parents), []
+            while todo:
+                t = todo.pop()
+                if id(t) not in seen and t._backward is not None:
+                    seen.add(id(t))
+                    refs.append(weakref.ref(t))
+                    todo.extend(t._parents)
+            return refs
+
+        refs = intermediates()
+        assert len(refs) > 50
+        gc.collect()
+        gc.disable()
+        try:
+            loss.backward()
+            assert [r for r in refs if r() is not None] == []
+        finally:
+            gc.enable()
+        assert loss.shape == ()  # the loss itself stayed referenced throughout
+
+
+def test_fusion_step_traced_peak():
+    # the traced peak of one forward + backward at 96 x 128: 67.4 MiB while
+    # conv2d kept each padded input for backward and backward kept the graph
+    p = FusionParams(FusionConfig(seed=26))
+    s = mkstack(np.random.default_rng(26), h=96, w=128)
+    tracemalloc.start()
+    try:
+        loss_for(s, p).backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+
 # The im2col convolution that the shifted-slice conv2d replaced, kept
 # unchanged as the oracle.
 def _im2col(xp: np.ndarray, k: int, h: int, w: int) -> np.ndarray:
@@ -580,3 +657,84 @@ def test_one_channel_conv_forward_equals_tap_matmuls(k, cout, h, w):
     bias = rng.standard_normal(cout)
     got = ad.conv2d(Tensor(x), Tensor(weight), Tensor(bias)).data
     assert np.array_equal(got, _tap_matmul_forward(x, weight, bias))
+
+
+# conv2d as it was when its backward closed over the padded flat input xf,
+# kept unchanged as the oracle of the conv2d that pads x again in backward.
+def kept_padding_conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """Same-padded stride-1 convolution; x (Cin, H, W), weight (Cout, Cin, k, k)."""
+    cout, cin, k, k2 = weight.shape
+    if k != k2 or k % 2 == 0:
+        raise ValueError("kernel must be square with odd size")
+    if x.shape[0] != cin:
+        raise ValueError(f"input has {x.shape[0]} channels, kernel expects {cin}")
+    _, h, w = x.shape
+    pad = k // 2
+    # Zero-padded rows of width wp, one extra zero row, flattened: output
+    # (y, x) reads tap (ki, kj) at xf[:, (y + ki) * wp + x + kj], so each tap
+    # is the contiguous slice at offset ki * wp + kj. The columns x >= w of
+    # each output row wrap into the next row and are cropped.
+    wp = w + 2 * pad
+    n = h * wp
+    xp = np.zeros((cin, h + 2 * pad + 1, wp))
+    xp[:, pad:pad + h, pad:pad + w] = x.data
+    xf = xp.reshape(cin, -1)
+    taps = [(ki, kj, ki * wp + kj) for ki in range(k) for kj in range(k)]
+    acc = np.zeros((cout, n))
+    # a one-channel tap is an outer product: the broadcast multiply forms the
+    # same single products as the matmul, at a fraction of its per-call cost
+    product = np.multiply if cin == 1 else np.matmul
+    for ki, kj, o in taps:
+        acc += product(weight.data[:, :, ki, kj], xf[:, o:o + n])
+    out_data = acc.reshape(cout, h, wp)[:, :, :w] + bias.data[:, None, None]
+
+    def backward(g):
+        gp = np.zeros((cout, h, wp))
+        gp[:, :, :w] = g
+        gf = gp.reshape(cout, n)
+        d_weight = np.empty_like(weight.data)
+        d_xf = np.zeros_like(xf)
+        for ki, kj, o in taps:
+            d_weight[:, :, ki, kj] = gf @ xf[:, o:o + n].T
+            d_xf[:, o:o + n] += weight.data[:, :, ki, kj].T @ gf
+        d_x = d_xf.reshape(xp.shape)[:, pad:pad + h, pad:pad + w]
+        return (d_x, d_weight, g.reshape(cout, -1).sum(axis=1))
+
+    return Tensor(out_data, _parents=(x, weight, bias), _backward=backward)
+
+
+CHANNEL_PAIRS = st.one_of(st.tuples(st.integers(1, 6), st.integers(1, 6)), st.just((20, 20)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(channels=CHANNEL_PAIRS, k=st.sampled_from([1, 3, 5]), h=st.integers(1, 12),
+       w=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+@example(channels=(20, 20), k=3, h=12, w=12, seed=0)
+def test_conv2d_bytes_equal_kept_padding_conv(channels, k, h, w, seed):
+    # same taps in the same order, so the output and all three gradients
+    # must match to the bit
+    cin, cout = channels
+    rng = np.random.default_rng(seed)
+    arrays = [rng.standard_normal(shape) for shape in ((cin, h, w), (cout, cin, k, k), (cout,))]
+    g = Tensor(rng.standard_normal((cout, h, w)))
+    results = []
+    for conv in (ad.conv2d, kept_padding_conv2d):
+        inputs = [Tensor(a, requires_grad=True) for a in arrays]
+        out = conv(*inputs)
+        ad.tsum(ad.mul(out, g)).backward()
+        results.append([out.data] + [t.grad for t in inputs])
+    for got, want in zip(*results):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_fusion_step_bytes_equal_with_kept_padding_conv(monkeypatch):
+    s = mkstack(np.random.default_rng(27), h=24, w=32)
+    results = []
+    for conv in (ad.conv2d, kept_padding_conv2d):
+        monkeypatch.setattr(ad, "conv2d", conv)
+        p = well_scaled_params(27)
+        fused = forward(s, p)
+        ad.tsum(toy_head(fused, p)).backward()
+        results.append([fused.data] + [t.grad for t in p.named_parameters().values()])
+    for got, want in zip(*results, strict=True):
+        assert got.tobytes() == want.tobytes()
