@@ -46,12 +46,14 @@ class Tensor:
         tensor below this scalar. The graph is consumed on the way: once a
         node has passed its gradient to its parents (or none reached it), it
         drops them and its closure, so intermediates are freed as backward
-        goes and a second backward() through them raises ValueError. Leaves
-        (tensors made without a backward closure) are left as they are."""
+        goes and a second backward() through them raises ValueError, before
+        any .grad is touched. Leaves (tensors made without a backward
+        closure) are left as they are."""
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar loss")
         # depth-first post-order with an explicit stack: a recursive closure
-        # would refer to itself and keep the whole graph in a reference cycle
+        # would refer to itself and keep the whole graph in a reference cycle.
+        # A consumed node raises here, before any gradient is added anywhere.
         topo: list[Tensor] = []
         seen = {id(self)}
         stack = [(self, iter(self._parents))]
@@ -63,6 +65,8 @@ class Tensor:
                     stack.append((p, iter(p._parents)))
                     break
             else:
+                if t._backward is _consumed:
+                    _consumed(None)
                 stack.pop()
                 topo.append(t)
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}

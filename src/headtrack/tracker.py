@@ -167,8 +167,6 @@ def hungarian(cost: np.ndarray) -> Assignment:
 def associate(tracks: np.ndarray, dets: np.ndarray, cfg: TrackerConfig) -> Assignment:
     """Hungarian on 1 - IoU of the tracks' predicted (N, 4) ltwh boxes and the
     (M, 4) detection boxes; assigned pairs below the IoU gate are unmatched."""
-    if not (len(tracks) and len(dets)):
-        return _assignment(np.zeros((0, 2), np.intp), len(tracks), len(dets))
     ious = iou_matrix(tracks, dets)
     matches = hungarian(1.0 - ious).matches
     return _assignment(matches[ious[matches[:, 0], matches[:, 1]] >= cfg.iou_gate], *ious.shape)

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from headtrack import tracker
 from headtrack.geometry import BBox, iou, iou_matrix, ltwh_array
 from headtrack.motio import AnnotationRecord
 from headtrack.tracker import (
@@ -491,43 +490,6 @@ class TestAssociate:
         tracks = tracks_at(BBox(0, 0, 10, 10), BBox(50, 0, 10, 10))
         a = associate(tracks, det_rows([det(51, 0), det(1, 0)])[0], self.cfg)
         assert a.matches.tolist() == [[0, 1], [1, 0]]
-
-    @staticmethod
-    def no_cost_matrix_on_an_empty_side(monkeypatch):
-        """Patch the IoU matrix and the solver to raise when a side has no
-        rows, and count the calls that reach them."""
-        calls = []
-
-        def guarded(real):
-            def call(a, *rest):
-                if 0 in np.shape(a) or any(0 in np.shape(b) for b in rest[:1]):
-                    raise AssertionError(f"{real.__name__} on an empty side")
-                calls.append(real.__name__)
-                return real(a, *rest)
-            return call
-
-        monkeypatch.setattr(tracker, "iou_matrix", guarded(tracker.iou_matrix))
-        monkeypatch.setattr(tracker, "linear_sum_assignment",
-                            guarded(tracker.linear_sum_assignment))
-        return calls
-
-    @pytest.mark.parametrize("n,m", [(20, 0), (0, 20), (0, 0)])
-    def test_empty_side_skips_the_cost_matrix(self, monkeypatch, n, m):
-        calls = self.no_cost_matrix_on_an_empty_side(monkeypatch)
-        boxes = ltwh_array([BBox(15 * i, 0, 10, 10) for i in range(20)])
-        a = associate(boxes[:n], boxes[:m], self.cfg)
-        check_index_arrays(a, n, m)
-        assert as_lists(a) == ([], list(range(n)), list(range(m)))
-        assert calls == []
-
-    def test_byte_without_low_band_solves_one_stage(self, monkeypatch):
-        boxes = [BBox(15 * i, 0, 10, 10) for i in range(20)]
-        tracks = tracks_at(*boxes)
-        dets, scores = det_rows([det(b.left + 1, b.top, score=0.9) for b in boxes[:15]])
-        calls = self.no_cost_matrix_on_an_empty_side(monkeypatch)
-        a = byte_associate(tracks, dets, scores, self.cfg)
-        assert calls == ["iou_matrix", "linear_sum_assignment"]
-        assert as_lists(a) == as_lists(associate(tracks, dets, self.cfg))
 
 
 class TestByteAssociate:
