@@ -13,6 +13,7 @@ from headtrack.motio import (
     compute_stats,
     parse_annotations,
     resample_framerate,
+    table,
     write_annotations,
 )
 
@@ -43,6 +44,9 @@ for tid in range(1, 31):
         w = float(rng.uniform(20, 30))
         seq.append(AnnotationRecord(frame, tid, BBox(x + frame, y, w, w * 1.1)))
 
+# The statistics and resampling work on the (N, 9) table that annotation
+# files are read into (columns frame, id, left, top, width, height, ...).
+seq = table(seq)
 stats = compute_stats(seq, frame_count=100)
 print(f"\nsequence: {stats.boxes} boxes, {stats.tracks} tracks over "
       f"{stats.frames} frames -> density {stats.density:.2f} heads/frame")
@@ -52,4 +56,4 @@ print(f"fraction of near-square boxes (h/w in [0.8, 1.4]): "
 # Framerate resampling keeps every k-th frame and renumbers from 1.
 half = resample_framerate(seq, 2)
 print(f"\nresample by 2: {len(seq)} -> {len(half)} boxes, "
-      f"max frame {max(r.frame for r in half)}")
+      f"max frame {half[:, 0].max():.0f}")

@@ -1,11 +1,10 @@
 """Walkthrough: the evaluation metrics on fixtures you can verify by hand.
 
 CLEAR-MOT counts per-frame errors (FN, FP, ID switches); identity metrics
-score a single global trajectory pairing; AP50 summarizes a detector's
-precision/recall curve at IoU 0.5 with 101-point interpolation.
+score a single global trajectory pairing.
 """
 from headtrack.geometry import BBox
-from headtrack.metrics import detection_ap, evaluate, id_metrics
+from headtrack.metrics import evaluate, id_metrics
 from headtrack.motio import AnnotationRecord
 
 # --- CLEAR-MOT: 6 GT boxes, one miss, one false positive -> MOTA = 1 - 2/6
@@ -30,10 +29,3 @@ pred = ([AnnotationRecord(f, 10, b) for f in range(1, 51)]
 ids = id_metrics(gt, pred)
 print(f"split-track fixture: IDF1={ids['IDF1']:.3f} "
       f"(the pairing keeps one half, loses the other)")
-
-# --- AP50: ranked detections (TP, FP, TP) over two GT boxes.
-b1, b2 = BBox(0, 0, 10, 10), BBox(100, 0, 10, 10)
-ap = detection_ap({1: [b1, b2]},
-                  [(1, 0.9, b1), (1, 0.8, BBox(50, 50, 10, 10)), (1, 0.7, b2)])
-print(f"AP50 fixture: {ap:.4f} "
-      f"(closed form: (51 + 50 * 2/3) / 101 = {(51 + 50 * 2 / 3) / 101:.4f})")

@@ -4,9 +4,9 @@ Exit codes: 0 success, 2 input error (an unwritable output path too), 3
 config error, 4 internal invariant violation. Every command that writes an
 output also writes a JSON run manifest alongside it for reproducibility.
 
-`gen-scenario`, `track` and `evaluate` hold annotation files as (N, 9) tables
-(see `motio`) from config or file to file: `simulate_table` and
-`corrupt_table`, `track_table`, and `sequence_counts` on the two tables.
+Every command holds annotation files as (N, 9) tables (see `motio`) from
+config or file to file: `simulate_table` and `corrupt_table`, `track_table`,
+`sequence_counts` on the two tables, `compute_stats` and `resample_framerate`.
 
 A failed command writes nothing: each output, sidecar and manifest is written
 in a staging directory `.headtrack-stage-*` beside it (for a missing
@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__, maps, metrics, motio, simulate
 from .fusion import COEFFICIENTS, FusionConfig, FusionError, FusionParams, forward
 from .metrics import MetricsError, MotReport, evaluate, report, sequence_counts
-from .motio import AnnotationError, ConfigError, FieldOrder, records, table
+from .motio import AnnotationError, ConfigError, FieldOrder
 from .simulate import NoiseModel, ScenarioConfig
 from .tracker import Mode, TrackerConfig, track_table
 
@@ -95,10 +95,6 @@ def _read_table(path, order: FieldOrder):
         raise InputError(f"{p}: {e}") from None
 
 
-def _read_records(path, order: FieldOrder):
-    return records(_read_table(path, order))
-
-
 def _config(path, cls, **overrides):
     """cls from a key=value config file plus overrides; any failure is a
     config error (exit 3)."""
@@ -148,8 +144,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    anns = _read_records(args.ann, FieldOrder(args.order))
-    if not anns:
+    anns = _read_table(args.ann, FieldOrder(args.order))
+    if not len(anns):
         raise InputError(f"{args.ann}: no annotation records")
     stats = motio.compute_stats(anns, args.frames)
     payload = {
@@ -237,9 +233,9 @@ def cmd_resample(args) -> int:
     with _outputs(args, args.out) as staged:
         if args.factor < 1:
             raise ConfigError(f"factor must be >= 1, got {args.factor}")
-        anns = _read_records(args.ann, FieldOrder(args.order))
+        anns = _read_table(args.ann, FieldOrder(args.order))
         out = motio.resample_framerate(anns, args.factor)
-        motio.write_annotation_file(staged[args.out], table(out), FieldOrder(args.order))
+        motio.write_annotation_file(staged[args.out], out, FieldOrder(args.order))
     return 0
 
 

@@ -113,8 +113,3 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.zeros((len(a), len(b)))
     out[i, j] = iou_rows(a[i], b[j])
     return out
-
-
-def aspect_ratio(b: BBox) -> float:
-    """Height divided by width."""
-    return b.height / b.width

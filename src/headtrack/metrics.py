@@ -1,4 +1,4 @@
-"""CLEAR-MOT, identity metrics, track-quality counts, and AP50.
+"""CLEAR-MOT, identity metrics and track-quality counts.
 
 Per-frame matching is persistent: pairs matched in the previous frame are
 kept while their IoU stays above the threshold, the rest go through a
@@ -19,19 +19,17 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
 
-from .geometry import BBox, iou, iou_matrix, ltwh_array
+from .geometry import BBox, iou, iou_matrix
 from .motio import AnnotationRecord, table
 from .tracker import hungarian
 
 DEFAULT_IOU_THRESHOLD = 0.5
 MT_COVERAGE = 0.8
 ML_COVERAGE = 0.2
-_LTWH = attrgetter("left", "top", "width", "height")
 
 # a sequence's boxes of one side: a record list or an (N, 9) table (see `motio`)
 Annotations = list[AnnotationRecord] | np.ndarray
@@ -122,43 +120,6 @@ def _id_scores(c: Counter) -> dict[str, float]:
     idr = idtp / (idtp + idfn) if (idtp + idfn) else 0.0
     return {"IDF1": idf1, "IDP": idp, "IDR": idr,
             "IDTP": idtp, "IDFP": idfp, "IDFN": idfn}
-
-
-def detection_ap(gt: dict[int, list[BBox]], preds: list[tuple[int, float, BBox]],
-                 iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> float:
-    """AP at the given IoU threshold with 101-point interpolation.
-
-    gt maps frame -> boxes; preds are (frame, score, bbox) triples. Ties go by
-    content: preds rank by (-score, frame, left, top, width, height), and each
-    frame's gt boxes are matched in (left, top, width, height) order.
-    """
-    _check_iou_threshold(iou_threshold)
-    n_gt = sum(len(v) for v in gt.values())
-    if n_gt == 0:
-        raise MetricsError("empty ground truth")
-    if not all(math.isfinite(score) for _, score, _ in preds):
-        raise MetricsError("prediction scores must be finite")
-    order = sorted(range(len(preds)),
-                   key=lambda i: (-preds[i][1], preds[i][0], *_LTWH(preds[i][2])))
-    ranked: dict[int, list[int]] = {}   # frame -> its preds, best first
-    for i in order:
-        ranked.setdefault(preds[i][0], []).append(i)
-    tp = np.zeros(len(preds), dtype=bool)
-    for frame, idx in ranked.items():
-        ious = iou_matrix(ltwh_array(preds[i][2] for i in idx),
-                          ltwh_array(sorted(gt.get(frame, []), key=_LTWH)))
-        for i, row in zip(idx, ious):
-            if row.size and row.max() >= iou_threshold:
-                ious[:, row.argmax()] = 0.0   # a gt box is matched at most once
-                tp[i] = True
-    tp_cum = np.cumsum(tp[order])
-    precision = tp_cum / np.arange(1, len(preds) + 1)
-    recall = tp_cum / n_gt
-    ap = 0.0
-    for r in np.linspace(0.0, 1.0, 101):
-        mask = recall >= r - 1e-12
-        ap += precision[mask].max() if mask.any() else 0.0
-    return ap / 101.0
 
 
 @dataclass

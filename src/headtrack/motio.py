@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
@@ -33,7 +32,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .geometry import BBox, aspect_ratio
+from .geometry import BBox
 
 
 class FieldOrder(Enum):
@@ -286,38 +285,47 @@ def write_annotation_file(path, table, order: FieldOrder = FieldOrder.paper_orde
                                 lambda i: f"table row {start + i}"))
 
 
-def compute_stats(records: list[AnnotationRecord], frame_count: int | None = None) -> DatasetStats:
-    """Dataset statistics: box/track counts, per-frame density, ratio histogram.
-    frame_count defaults to the last frame."""
-    max_frame = max((r.frame for r in records), default=1)
+def compute_stats(table: np.ndarray, frame_count: int | None = None) -> DatasetStats:
+    """Dataset statistics of an (N, 9) table: box/track counts, per-frame
+    density, ratio histogram. frame_count defaults to the last frame."""
+    frame, tid, _, _, w, h = table.T[:6]
+    max_frame = int(frame.max(initial=1))
     frame_count = max_frame if frame_count is None else frame_count
     if frame_count < max_frame:
         raise AnnotationError(
             f"frame_count {frame_count} below max frame index {max_frame}")
-    ratios = [aspect_ratio(r.bbox) for r in records]
+    ratios = h / w
     # nudge by half an ulp-scale epsilon so ratios that are exact bin edges
     # in decimal (e.g. 1.2) land in the bin they name despite float rounding
-    hist = Counter(int(math.floor(r * 10.0 + 1e-9)) for r in ratios)
+    bins, counts = np.unique(np.floor(ratios * 10.0 + 1e-9), return_counts=True)
     lo, hi = RATIO_BAND
+    in_band = int(np.count_nonzero((lo <= ratios) & (ratios <= hi)))
     return DatasetStats(
-        boxes=len(records),
+        boxes=len(table),
         frames=frame_count,
-        density=len(records) / frame_count,
-        tracks=len({r.track_id for r in records}),
-        ratio_mass=sum(lo <= r <= hi for r in ratios) / len(ratios) if ratios else 0.0,
-        ratio_histogram=dict(sorted(hist.items())),
+        density=len(table) / frame_count,
+        tracks=len(np.unique(tid)),
+        ratio_mass=in_band / len(table) if len(table) else 0.0,
+        ratio_histogram=dict(zip(map(int, bins.tolist()), counts.tolist())),
     )
 
 
-def resample_framerate(records: list[AnnotationRecord], factor: int) -> list[AnnotationRecord]:
-    """Keep every factor-th frame starting at frame 1 and renumber from 1.
+def resample_framerate(table: np.ndarray, factor: int) -> np.ndarray:
+    """The rows of an (N, 9) table in every factor-th frame starting at frame
+    1, renumbered from 1, in table order.
 
-    resample(resample(r, a), b) == resample(r, a*b); factor 1 is the identity.
+    resample(resample(t, a), b) == resample(t, a*b); factor 1 is the identity.
     """
     if factor < 1:
         raise AnnotationError(f"resample factor must be >= 1, got {factor}")
-    return [dataclasses.replace(r, frame=(r.frame - 1) // factor + 1)
-            for r in records if (r.frame - 1) % factor == 0]
+    # each distinct frame in Python ints: exact for any frame and factor, where
+    # float64 is not above 2**53 and overflows on a factor beyond float range
+    frames, at = np.unique(table[:, 0], return_inverse=True)
+    before = [int(f) - 1 for f in frames.tolist()]
+    keep = np.array([b % factor == 0 for b in before], dtype=bool)[at]
+    out = table[keep]
+    out[:, 0] = np.array([b // factor + 1 for b in before], dtype=np.float64)[at[keep]]
+    return out
 
 
 def read_kv(path) -> dict[str, str]:

@@ -440,6 +440,14 @@ class TestResample:
         assert max(r.frame for r in recs) == 100
         assert len(recs) == 20 * 100
 
+    def test_factor_beyond_float_range_keeps_frame_one(self, scenario, tmp_path):
+        gt, _ = scenario
+        out = tmp_path / "first.txt"
+        assert run("resample", "--ann", str(gt), "--factor", str(10 ** 400),
+                   "--out", str(out)) == 0
+        frames = motio.read_annotation_file(out, FieldOrder.paper_order)[:, 0]
+        assert frames.tolist() == [1.0] * 20
+
     @pytest.mark.parametrize("command", ["resample", "track"])
     def test_tiny_width_output_reads_back(self, tmp_path, command):
         ann, out = tmp_path / "ann.txt", tmp_path / "o.txt"

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from headtrack import geometry, metrics, simulate, tracker
-from headtrack.geometry import (BBox, _overlap_array, aspect_ratio, iou, iou_matrix, iou_rows,
-                                ltwh_array)
+from headtrack.geometry import BBox, _overlap_array, iou, iou_matrix, iou_rows, ltwh_array
 
 boxes = st.builds(
     BBox,
@@ -116,12 +115,6 @@ def test_translation_invariance(a, b, dx, dy):
     assert iou(a.translate(dx, dy), b.translate(dx, dy)) == pytest.approx(iou(a, b))
 
 
-def test_aspect_ratio():
-    assert aspect_ratio(BBox(0, 0, 28, 32)) == pytest.approx(32 / 28)
-    assert aspect_ratio(BBox(0, 0, 7, 7)) == 1.0
-    assert aspect_ratio(BBox(0, 0, 10, 5)) == 0.5
-
-
 @settings(max_examples=300)
 @given(st.lists(st.one_of(boxes, grid_boxes), max_size=8),
        st.lists(st.one_of(boxes, grid_boxes), max_size=8))
@@ -168,7 +161,7 @@ def test_iou_matrix_equals_full_formula(a, b):
     a, b = ltwh_array(a), ltwh_array(b)
     got = iou_matrix(a, b)
     assert_same_bits(got, iou_matrix_full(a, b))
-    assert got.flags.writeable and got.base is None   # detection_ap writes into it
+    assert got.flags.writeable and got.base is None
 
 
 def test_nested_box_whose_right_edge_rounds_to_its_left():
@@ -211,18 +204,13 @@ def test_iou_matrix_on_overflowed_prediction():
 
 def _pipeline(seed):
     """Every consumer of iou_matrix and iou_rows on a 90-head scene: corrupt's
-    occlusion test, Byte association, the evaluator and detection AP."""
+    occlusion test, Byte association and the evaluator."""
     gt, _ = simulate.simulate(simulate.ScenarioConfig(agent_count=90, duration=12, seed=seed))
     dets = simulate.corrupt(gt, simulate.NoiseModel(
         miss_rate=0.1, fp_rate=5.0, center_jitter=1.0, size_jitter=0.5,
         tp_score=(0.85, 0.1), occlusion_drop=0.5, seed=seed))
     rows = tracker.run_tracker(dets, tracker.TrackerConfig(mode="byte"))
-    gt_boxes: dict[int, list[BBox]] = {}
-    for r in gt:
-        gt_boxes.setdefault(r.frame, []).append(r.bbox)
-    ap = metrics.detection_ap(gt_boxes, [(f, r.confidence, r.bbox)
-                                         for f, recs in dets.items() for r in recs])
-    return dets, rows, metrics.evaluate(gt, rows), ap
+    return dets, rows, metrics.evaluate(gt, rows)
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -240,9 +228,8 @@ def test_consumers_equal_with_full_formula(monkeypatch, seed):
         monkeypatch.setattr(module, "iou_matrix", recorded(iou_matrix_full))
     monkeypatch.setattr(simulate, "iou_rows", recorded(iou_full))
     oracle = _pipeline(seed)
-    assert callers == {"_occluded", "associate", "sequence_counts", "detection_ap"}
+    assert callers == {"_occluded", "associate", "sequence_counts"}
     assert real[0] == oracle[0]        # corrupt's records
     assert real[1] == oracle[1]        # tracker rows
     assert real[2] == oracle[2]        # MotReport
-    assert real[3] == oracle[3]        # detection AP
-    assert 0 < real[3] < 1 and real[2].MOTA > 0
+    assert real[2].MOTA > 0

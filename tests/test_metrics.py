@@ -16,7 +16,6 @@ from headtrack.metrics import (
     MotReport,
     _id_assignment,
     aggregate,
-    detection_ap,
     evaluate,
     id_metrics,
     sequence_counts,
@@ -236,122 +235,6 @@ def ltwh(b):
     return b.left, b.top, b.width, b.height
 
 
-def detection_ap_loop(gt, preds, thr=0.5):
-    """The scalar oracle: greedy matching in score order, one `iou` at a time,
-    with ties broken by box content."""
-    order = sorted(range(len(preds)),
-                   key=lambda i: (-preds[i][1], preds[i][0], *ltwh(preds[i][2])))
-    gt = {f: sorted(boxes, key=ltwh) for f, boxes in gt.items()}
-    matched = {f: set() for f in gt}
-    flags = []
-    for i in order:
-        frame, _, box = preds[i]
-        best, best_j = 0.0, -1
-        for j, gb in enumerate(gt.get(frame, [])):
-            if j not in matched.get(frame, set()) and iou(box, gb) > best:
-                best, best_j = iou(box, gb), j
-        flags.append(best >= thr and best_j >= 0)
-        if flags[-1]:
-            matched[frame].add(best_j)
-    tp_cum = np.cumsum(flags)
-    precision = tp_cum / np.arange(1, len(flags) + 1)
-    recall = tp_cum / sum(len(v) for v in gt.values())
-    return sum(precision[recall >= r - 1e-12].max() if (recall >= r - 1e-12).any() else 0.0
-               for r in np.linspace(0.0, 1.0, 101)) / 101.0
-
-
-GRID_BOX = st.builds(BBox, st.integers(0, 8), st.integers(0, 8), st.integers(2, 8),
-                     st.integers(2, 8))
-
-
-@settings(max_examples=100, deadline=None)
-@given(gt=st.dictionaries(st.integers(1, 2), st.lists(GRID_BOX, min_size=1, max_size=4),
-                          min_size=1),
-       data=st.data(), thr=st.sampled_from([0.1, 0.5, 0.75]))
-def test_detection_ap_equals_scalar_loop(gt, data, thr):
-    # preds near a gt box (duplicates compete for it) or anywhere in frames 1-3
-    near = st.tuples(st.sampled_from([(f, b) for f, v in gt.items() for b in v]),
-                     st.integers(-2, 2), st.integers(-2, 2))
-    near = near.map(lambda t: (t[0][0], t[0][1].translate(t[1], t[2])))
-    located = st.one_of(near, st.tuples(st.integers(1, 3), GRID_BOX))
-    preds = data.draw(st.lists(st.tuples(located, st.sampled_from([0.2, 0.5, 0.9])),
-                               max_size=12))
-    preds = [(f, score, box) for (f, box), score in preds]
-    assert detection_ap(gt, preds, thr) == detection_ap_loop(gt, preds, thr)
-
-
-@settings(max_examples=200, deadline=None)
-@given(gt=st.dictionaries(st.integers(1, 2), st.lists(GRID_BOX, min_size=1, max_size=4),
-                          min_size=1),
-       preds=st.lists(st.tuples(st.integers(1, 2), st.sampled_from([0.2, 0.5, 0.9]), GRID_BOX),
-                      max_size=10),
-       thr=st.sampled_from([0.1, 0.5, 0.75]), rnd=st.randoms(use_true_random=False))
-def test_detection_ap_independent_of_input_order(gt, preds, thr, rnd):
-    """Grid boxes and three score levels make tied scores and tied IoUs."""
-    want = detection_ap(gt, preds, thr)
-    shuffled_gt = {f: rnd.sample(boxes, len(boxes)) for f, boxes in gt.items()}
-    assert detection_ap(shuffled_gt, rnd.sample(preds, len(preds)), thr) == want
-
-
-class TestDetectionAp:
-    @pytest.mark.parametrize("scores,expect", [((0.5, 0.5), 1.0), ((0.9, 0.5), 51 / 101)],
-                             ids=["equal-scores", "left-2-higher"])
-    def test_ties_ignore_input_order(self, scores, expect):
-        """The prediction at left 2 meets both gt boxes at IoU 2/3; the one at
-        left 0 clears the threshold only on its twin. At equal scores the
-        left-0 prediction ranks first and both match; scored higher, the
-        left-2 one takes the left-0 gt box and the other misses. Either way,
-        in every order of either list."""
-        gt = [BBox(0, 0, 10, 10), BBox(4, 0, 10, 10)]
-        preds = [(1, scores[0], BBox(2, 0, 10, 10)), (1, scores[1], BBox(0, 0, 10, 10))]
-        for g, p in itertools.product((gt, gt[::-1]), (preds, preds[::-1])):
-            assert detection_ap({1: g}, p) == pytest.approx(expect)
-
-    def test_interpolated_fixture(self):
-        # flags (TP, FP, TP) over 2 gt boxes: precision envelope is 1.0 up
-        # to recall 0.5 and 2/3 beyond, so AP = (51 + 50 * 2/3) / 101
-        b1, b2 = BBox(0, 0, 10, 10), BBox(100, 0, 10, 10)
-        gt = {1: [b1, b2]}
-        preds = [(1, 0.9, b1), (1, 0.8, BBox(50, 50, 10, 10)), (1, 0.7, b2)]
-        expect = (51 * 1.0 + 50 * (2 / 3)) / 101
-        assert detection_ap(gt, preds) == pytest.approx(expect)
-
-    def test_perfect(self):
-        gt = {f: [BBox(10 * f, 0, 8, 8)] for f in range(1, 6)}
-        preds = [(f, 0.9, BBox(10 * f, 0, 8, 8)) for f in range(1, 6)]
-        assert detection_ap(gt, preds) == pytest.approx(1.0)
-
-    def test_all_misses(self):
-        gt = {1: [BBox(0, 0, 10, 10)]}
-        assert detection_ap(gt, [(1, 0.9, BBox(500, 500, 10, 10))]) == 0.0
-        assert detection_ap(gt, []) == 0.0
-
-    def test_duplicate_detection_is_fp(self):
-        b = BBox(0, 0, 10, 10)
-        gt = {1: [b]}
-        one = detection_ap(gt, [(1, 0.9, b)])
-        dup = detection_ap(gt, [(1, 0.9, b), (1, 0.8, b)])
-        assert one == pytest.approx(1.0)
-        assert dup == pytest.approx(1.0)  # duplicate ranks below the TP
-        # but a duplicate scored above the true positive costs precision
-        worse = detection_ap(gt, [(1, 0.9, BBox(8, 0, 10, 10)), (1, 0.8, b)])
-        assert worse < 1.0
-
-    def test_empty_gt_rejected(self):
-        with pytest.raises(MetricsError):
-            detection_ap({}, [])
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_score_rejected(self, bad):
-        # a NaN key breaks the ranking sort, so AP read 0.8350 or 0.6667
-        # depending on where the prediction stood in the list
-        b1, b2 = BBox(0, 0, 10, 10), BBox(100, 0, 10, 10)
-        preds = [(1, 0.9, b1), (1, bad, BBox(50, 50, 10, 10)), (1, 0.7, b2)]
-        for order in (preds, preds[::-1], preds[1:] + preds[:1]):
-            with pytest.raises(MetricsError):
-                detection_ap({1: [b1, b2]}, order)
-
-
 class TestEvaluate:
     def _sequence(self, seed, n_tracks=4, n_frames=40):
         rng = np.random.default_rng(seed)
@@ -412,10 +295,6 @@ class TestEvaluate:
             sequence_counts(gt, gt, thr)
         with pytest.raises(MetricsError):
             evaluate(gt, gt, iou_threshold=thr)
-        # on one exact match AP read 0.0 at nan and 1.5, and 1.0 at 0 and -1
-        b = BBox(0, 0, 10, 10)
-        with pytest.raises(MetricsError):
-            detection_ap({1: [b]}, [(1, 0.9, b)], thr)
 
     def test_iou_threshold_one_accepted(self):
         gt = [rec(f, t, 30 * t + f) for f in range(1, 6) for t in (1, 2)]

@@ -1,12 +1,14 @@
+import dataclasses
 import io
 import math
 import tempfile
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from headtrack import motio
@@ -19,6 +21,7 @@ from headtrack.motio import (
     compute_stats,
     parse_annotations,
     resample_framerate,
+    table,
     write_annotations,
     write_sequence_meta,
 )
@@ -384,6 +387,91 @@ class TestWrite:
             list(write_annotations([good, rec]))
 
 
+def compute_stats_records(records, frame_count=None):
+    """The oracle: `compute_stats` as it was when it read one record at a time."""
+    max_frame = max((r.frame for r in records), default=1)
+    frame_count = max_frame if frame_count is None else frame_count
+    if frame_count < max_frame:
+        raise AnnotationError(
+            f"frame_count {frame_count} below max frame index {max_frame}")
+    ratios = [r.bbox.height / r.bbox.width for r in records]
+    hist = Counter(int(math.floor(r * 10.0 + 1e-9)) for r in ratios)
+    lo, hi = motio.RATIO_BAND
+    return motio.DatasetStats(
+        boxes=len(records),
+        frames=frame_count,
+        density=len(records) / frame_count,
+        tracks=len({r.track_id for r in records}),
+        ratio_mass=sum(lo <= r <= hi for r in ratios) / len(ratios) if ratios else 0.0,
+        ratio_histogram=dict(sorted(hist.items())),
+    )
+
+
+def resample_framerate_records(records, factor):
+    """The oracle: `resample_framerate` as it was on records."""
+    if factor < 1:
+        raise AnnotationError(f"resample factor must be >= 1, got {factor}")
+    return [dataclasses.replace(r, frame=(r.frame - 1) // factor + 1)
+            for r in records if (r.frame - 1) % factor == 0]
+
+
+def _result(call):
+    """The repr of call()'s result, which shows Python against numpy types (an
+    array as its dtype, shape and bytes), or the type and text of what it raised."""
+    try:
+        out = call()
+    except Exception as e:  # noqa: BLE001 - the oracle must raise the same
+        return type(e), str(e)
+    if isinstance(out, np.ndarray):
+        return out.dtype, out.shape, out.tobytes()
+    return repr(out)
+
+
+# int-typed boxes; boxes whose h/w is the decimal bin edge 1.2 or a band edge,
+# 0.8 or 1.4, in decimal; and float boxes
+_STATS_BOXES = st.one_of(
+    st.builds(BBox, st.integers(-50, 50), st.integers(-50, 50), st.integers(1, 40),
+              st.integers(1, 40)),
+    st.sampled_from([(10, 12), (5, 6), (0.5, 0.6), (0.3, 0.36), (10, 8), (0.5, 0.4),
+                     (10, 14), (5, 7), (0.1, 0.14), (0.3, 0.42)]).map(lambda wh: BBox(0, 0, *wh)),
+    st.builds(BBox, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.floats(1e-2, 1e3),
+              st.floats(1e-2, 1e3)),
+)
+_STATS_RECORDS = st.lists(st.builds(AnnotationRecord, st.integers(1, 30), st.integers(1, 8),
+                                    _STATS_BOXES), max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(recs=_STATS_RECORDS, frame_count=st.one_of(st.none(), st.integers(-1, 35)))
+@example(recs=[], frame_count=None)
+@example(recs=[AnnotationRecord(30, 1, BBox(0, 0, 10, 12))], frame_count=29)
+def test_compute_stats_equals_record_oracle(recs, frame_count):
+    """Same stats with the same Python types, or the same AnnotationError for a
+    frame_count below the last frame."""
+    assert _result(lambda: compute_stats(table(recs), frame_count)) == \
+        _result(lambda: compute_stats_records(recs, frame_count))
+
+
+@settings(max_examples=300, deadline=None)
+@given(recs=_STATS_RECORDS, a=st.one_of(st.integers(-1, 12), st.just(10 ** 400)),
+       b=st.integers(1, 12))
+@example(recs=[], a=1, b=1)
+@example(recs=[AnnotationRecord(2 ** 54, 1, BBox(0, 0, 5, 5)),
+               AnnotationRecord(1, 1, BBox(0, 0, 5, 5))], a=3, b=2)
+def test_resample_framerate_equals_record_oracle(recs, a, b):
+    """Same rows, or the same AnnotationError for a factor below 1. A factor
+    beyond float range keeps frame 1 alone; frame 2**54 is kept by factor 3,
+    though 2**54 - 1 rounds to 2**54 in float64; the input is left as it was."""
+    t = table(recs)
+    assert _result(lambda: resample_framerate(t, a)) == \
+        _result(lambda: table(resample_framerate_records(recs, a)))
+    assert _result(lambda: t) == _result(lambda: table(recs))
+    if a >= 1:
+        assert _result(lambda: resample_framerate(resample_framerate(t, a), b)) == \
+            _result(lambda: resample_framerate(t, a * b))
+    assert _result(lambda: resample_framerate(t, 1)) == _result(lambda: t)
+
+
 class TestStats:
     def test_density_examples(self):
         # rows the tolerance spec quotes directly
@@ -404,7 +492,7 @@ class TestStats:
 
     def test_compute_stats_counts(self):
         recs = parse_annotations(EXAMPLE_LINES)
-        stats = compute_stats(recs, frame_count=2)
+        stats = compute_stats(table(recs), frame_count=2)
         assert stats.boxes == 4
         assert stats.tracks == 4
         assert stats.density == pytest.approx(2.0)
@@ -412,53 +500,52 @@ class TestStats:
     def test_compute_stats_rejects_short_frame_count(self):
         recs = [AnnotationRecord(5, 1, BBox(0, 0, 5, 5))]
         with pytest.raises(AnnotationError):
-            compute_stats(recs, frame_count=4)
+            compute_stats(table(recs), frame_count=4)
 
     def test_square_boxes_ratio_mass(self):
         recs = [AnnotationRecord(1, i, BBox(0, 0, 10, 10)) for i in range(1, 11)]
-        stats = compute_stats(recs, 1)
+        stats = compute_stats(table(recs), 1)
         assert stats.ratio_mass == 1.0
 
     def test_ratio_mass_band_is_closed(self):
         # h/w of 0.8 and 1.4 lie in the band, 0.7 and 1.5 do not
         recs = [AnnotationRecord(1, i, BBox(0, 0, 10, h)) for i, h in enumerate((7, 8, 14, 15), 1)]
-        assert compute_stats(recs, 1).ratio_mass == 0.5
+        assert compute_stats(table(recs), 1).ratio_mass == 0.5
 
     def test_empty_records_ratio_mass(self):
-        assert compute_stats([], 1).ratio_mass == 0.0
+        assert compute_stats(table([]), 1).ratio_mass == 0.0
 
     def test_ratio_histogram_bins(self):
         recs = [AnnotationRecord(1, 1, BBox(0, 0, 10, 5)),   # 0.5
                 AnnotationRecord(1, 2, BBox(0, 0, 10, 12))]  # 1.2
-        stats = compute_stats(recs, 1)
+        stats = compute_stats(table(recs), 1)
         assert stats.ratio_histogram == {5: 1, 12: 1}
 
 
 class TestResample:
     def test_factor_two(self):
         recs = [AnnotationRecord(f, 1, BBox(0, 0, 5, 5)) for f in range(1, 11)]
-        out = resample_framerate(recs, 2)
-        assert [r.frame for r in out] == [1, 2, 3, 4, 5]
+        out = resample_framerate(table(recs), 2)
+        assert out[:, 0].tolist() == [1, 2, 3, 4, 5]
 
     def test_identity(self):
         recs = [AnnotationRecord(f, 1, BBox(0, 0, 5, 5)) for f in range(1, 6)]
-        assert resample_framerate(recs, 1) == recs
+        assert np.array_equal(resample_framerate(table(recs), 1), table(recs))
 
     def test_composition(self):
-        recs = random_records(np.random.default_rng(2), 300, max_frame=60)
-        a = resample_framerate(resample_framerate(recs, 2), 3)
-        b = resample_framerate(recs, 6)
-        assert sorted(a, key=lambda r: (r.frame, r.track_id)) == \
-               sorted(b, key=lambda r: (r.frame, r.track_id))
+        t = table(random_records(np.random.default_rng(2), 300, max_frame=60))
+        a = resample_framerate(resample_framerate(t, 2), 3)
+        b = resample_framerate(t, 6)
+        assert np.array_equal(a, b)
 
     def test_kept_count(self):
         recs = [AnnotationRecord(f, 1, BBox(0, 0, 5, 5)) for f in range(1, 51)]
-        out = resample_framerate(recs, 2)
+        out = resample_framerate(table(recs), 2)
         assert len(out) == sum(1 for f in range(1, 51) if (f - 1) % 2 == 0)
 
     def test_zero_factor_rejected(self):
         with pytest.raises(AnnotationError):
-            resample_framerate([], 0)
+            resample_framerate(table([]), 0)
 
 
 @pytest.mark.parametrize("fps,text", [(23.976, "23.976"), (1 / 3, repr(1 / 3))])
