@@ -10,9 +10,10 @@ Files are read and written as tables: `read_annotation_file` returns the
 validated (N, 9) float64 table of a file, its rows in file order and its
 columns frame, id, left, top, width, height, conf, category and visibility
 whatever the field order, and `write_annotation_file` writes such a table.
+A file is read by numpy's C reader; `_parse`, which sends each field through
+`float`, is its error path (the one place that words an error) and oracle.
 `records` and `table` convert between a table and `AnnotationRecord`s;
-`parse_annotations` and `write_annotations` are the record API over the same
-parser and writer.
+`parse_annotations` (over `_parse`) and `write_annotations` are the record API.
 
 Numbers that are integral are written without a decimal point; fractional
 values are written with fixed 2-decimal formatting, so write/parse round-trips
@@ -131,6 +132,34 @@ _CHECKS = ("non-finite field",
            "box edge, area or aspect ratio out of float range")
 
 
+def _checks(vals: np.ndarray, order: FieldOrder) -> np.ndarray:
+    """The (7, N) masks of the rows failing each of `_CHECKS`, over an (N, 9)
+    array of file-order fields that this puts in table column order in place."""
+    if order is FieldOrder.paper_order:
+        vals[:, :2] = vals[:, [1, 0]]
+    frame, tid, left, top, w, h, conf, cat, vis = vals.T
+    by_key = np.lexsort((tid, frame))   # stable: a key's first line sorts first
+    dup = np.zeros(len(vals), dtype=bool)
+    dup[by_key[1:][(frame[by_key[1:]] == frame[by_key[:-1]])
+                   & (tid[by_key[1:]] == tid[by_key[:-1]])]] = True
+    with np.errstate(all="ignore"):
+        return np.array([
+            ~np.isfinite(vals).all(axis=1),
+            (frame != np.trunc(frame)) | (tid != np.trunc(tid)),
+            # from 1e15 on, a category is no longer written back as an integer
+            (cat != np.trunc(cat)) | (np.abs(cat) >= 1e15),
+            ~((0.0 <= vis) & (vis <= 1.0)),
+            dup,
+            (frame < 1) | (tid < 1) | ~(w > 0) | ~(h > 0) | ~(w * h > 0),
+            # what IoU, the tracker state and noise (std proportional to the
+            # box size, squared) and the ratio histogram derive from the box
+            # must not overflow
+            ~((w * h < np.inf) & np.isfinite(left + w) & np.isfinite(top + h)
+              & np.isfinite(w / h) & np.isfinite(h / w * 10.0)
+              & np.isfinite(w * w) & np.isfinite(h * h)),
+        ])
+
+
 def _floats(fields: list[str]) -> tuple[np.ndarray, ValueError | None]:
     """`float` of each field with its spaces stripped, up to the first field
     that `float` rejects, and what it raised there."""
@@ -152,9 +181,9 @@ def _parse(lines: Iterable[str], order: FieldOrder) -> np.ndarray:
     first bad line, and the first check that line fails: the field count,
     then numeric fields, then `_CHECKS` in order.
 
-    The lines are read in blocks. Every field of a block's non-blank lines
-    goes through one `float` pass into an (N, 9) array, and each check is a
-    mask over the array of all blocks.
+    The lines are read in blocks, each field of a block through one `float`
+    pass, and `_checks` masks the (N, 9) array of all blocks. This is the
+    error path and the oracle of `read_annotation_file`'s C reader.
     """
     lines = iter(lines)
     parts: list[np.ndarray] = []     # (k, 9) field values of each block
@@ -180,42 +209,19 @@ def _parse(lines: Iterable[str], order: FieldOrder) -> np.ndarray:
         parts.append(vals[:9 * k].reshape(k, 9))
         numbers.append(lineno[:k])
     vals = np.concatenate(parts) if parts else np.empty((0, 9))
-    n = len(vals)
-
-    if order is FieldOrder.paper_order:
-        vals[:, :2] = vals[:, [1, 0]]
-    frame, tid, left, top, w, h, conf, cat, vis = vals.T
-    by_key = np.lexsort((tid, frame))   # stable: a key's first line sorts first
-    dup = np.zeros(n, dtype=bool)
-    dup[by_key[1:][(frame[by_key[1:]] == frame[by_key[:-1]])
-                   & (tid[by_key[1:]] == tid[by_key[:-1]])]] = True
-    with np.errstate(all="ignore"):
-        checks = np.array([
-            ~np.isfinite(vals).all(axis=1),
-            (frame != np.trunc(frame)) | (tid != np.trunc(tid)),
-            # from 1e15 on, a category is no longer written back as an integer
-            (cat != np.trunc(cat)) | (np.abs(cat) >= 1e15),
-            ~((0.0 <= vis) & (vis <= 1.0)),
-            dup,
-            (frame < 1) | (tid < 1) | ~(w > 0) | ~(h > 0) | ~(w * h > 0),
-            # what IoU, the tracker state and noise (std proportional to the
-            # box size, squared) and the ratio histogram derive from the box
-            # must not overflow
-            ~((w * h < np.inf) & np.isfinite(left + w) & np.isfinite(top + h)
-              & np.isfinite(w / h) & np.isfinite(h / w * 10.0)
-              & np.isfinite(w * w) & np.isfinite(h * h)),
-        ])
+    checks = _checks(vals, order)
     failed = checks.any(axis=0)
     if failed.any():
         row = int(failed.argmax())
+        frame, tid, *box = vals[row, :6].tolist()
         message = _CHECKS[int(checks[:, row].argmax())]
         if message is None:
             try:
-                AnnotationRecord(int(frame[row]), int(tid[row]), BBox(*vals[row, 2:6].tolist()))
+                AnnotationRecord(int(frame), int(tid), BBox(*box))
             except ValueError as e:
                 message = str(e)
         elif "{}" in message:
-            message = message.format((int(frame[row]), int(tid[row])))
+            message = message.format((int(frame), int(tid)))
         error = (np.concatenate(numbers)[row], message)
     if error is not None:
         raise AnnotationError(f"line {error[0]}: {error[1]}")
@@ -240,8 +246,8 @@ def _line_format(kinds: int) -> str:
     return ",".join(_SPELLINGS[kinds // 3 ** j % 3] for j in range(9)) + "\n"
 
 
-def _lines(rows: np.ndarray, order: FieldOrder, name) -> list[str]:
-    """The text lines of (n, 9) table rows. An integral value of magnitude
+def _lines(rows: np.ndarray, order: FieldOrder, name) -> str:
+    """The text of (n, 9) table rows, a line each. An integral value of magnitude
     below 1e15 is written as an integer, any other with two decimals, except
     that a width or height below 0.005, which would read back as a degenerate
     0.00, is written exactly. Raises AnnotationError naming `name(i)` for the
@@ -253,8 +259,7 @@ def _lines(rows: np.ndarray, order: FieldOrder, name) -> list[str]:
         rows = rows[:, [1, 0, 2, 3, 4, 5, 6, 7, 8]]
     kinds = np.where((rows == np.trunc(rows)) & (np.abs(rows) < 1e15), 0, 1)
     kinds[:, 4:6][rows[:, 4:6] < 0.005] = 2
-    return list(map(str.__mod__, map(_line_format, (kinds @ _DIGITS).tolist()),
-                    map(tuple, rows.tolist())))
+    return "".join(map(_line_format, (kinds @ _DIGITS).tolist())) % tuple(rows.ravel().tolist())
 
 
 def write_annotations(records: Iterable[AnnotationRecord],
@@ -266,12 +271,23 @@ def write_annotations(records: Iterable[AnnotationRecord],
     """
     records = iter(records)
     while block := list(islice(records, _BLOCK)):
-        yield from _lines(table(block), order, lambda i: f"record {block[i]!r}")
+        yield from _lines(table(block), order, lambda i: f"record {block[i]!r}").splitlines(True)
 
 
 def read_annotation_file(path, order: FieldOrder = FieldOrder.paper_order) -> np.ndarray:
-    """The validated (N, 9) table of an annotation file (see `_parse`)."""
+    """The validated (N, 9) table of an annotation file, as `_parse` gives it:
+    read by `np.loadtxt`, and again by `_parse`, which words the error, when
+    loadtxt rejects the file, its table is not (N, 9) or a check fails."""
     with open(path, "r", encoding="utf-8") as f:
+        # loadtxt warns on a file of blank lines only, so it starts at the first other line
+        if (first := next(filter(str.strip, f), None)) is not None:
+            try:
+                vals = np.loadtxt(chain((first,), f), delimiter=",", comments=None, ndmin=2)
+            except ValueError:   # a UnicodeDecodeError too, which `_parse` raises again
+                vals = None
+            if vals is not None and vals.shape[1] == 9 and not _checks(vals, order).any():
+                return vals
+        f.seek(0)
         return _parse(f, order)
 
 
@@ -281,8 +297,7 @@ def write_annotation_file(path, table, order: FieldOrder = FieldOrder.paper_orde
     rows = np.asarray(table, dtype=np.float64).reshape(len(table), 9)
     with open(path, "w", encoding="utf-8") as f:
         for start in range(0, len(rows), _BLOCK):
-            f.writelines(_lines(rows[start:start + _BLOCK], order,
-                                lambda i: f"table row {start + i}"))
+            f.write(_lines(rows[start:start + _BLOCK], order, lambda i: f"table row {start + i}"))
 
 
 def compute_stats(table: np.ndarray, frame_count: int | None = None) -> DatasetStats:

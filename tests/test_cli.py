@@ -376,6 +376,22 @@ class TestTrackEvaluate:
         assert run("track", "--dets", str(bad),
                    "--out", str(tmp_path / "o.txt")) == EXIT_INPUT
 
+    @pytest.mark.parametrize("command", ["track", "evaluate", "stats"])
+    @pytest.mark.parametrize("good_lines", [1, 2000])   # within the first read, and beyond
+    def test_non_utf8_file_is_input_error(self, tmp_path, capsys, command, good_lines):
+        ann = tmp_path / "ann.txt"
+        ann.write_bytes(b"".join(b"1,%d,0,0,10,10,1,1,1\n" % i for i in range(1, good_lines + 1))
+                        + b"1,9999,0,0,10,10,1,1,0.5\xe9\n")
+        with open(ann, encoding="utf-8") as f, pytest.raises(UnicodeDecodeError) as decode:
+            list(f)   # the message of reading its lines
+        assert "can't decode byte 0xe9" in str(decode.value)
+        argv = {"track": ["--dets", str(ann), "--out", str(tmp_path / "o.txt")],
+                "evaluate": ["--gt", str(ann), "--pred", str(ann)],
+                "stats": ["--ann", str(ann)]}[command]
+        assert run(command, *argv) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {ann}: {decode.value}\n"
+        assert not (tmp_path / "o.txt").exists()
+
 
 @st.composite
 def det_tables(draw):

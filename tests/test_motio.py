@@ -2,6 +2,7 @@ import dataclasses
 import io
 import math
 import tempfile
+import warnings
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -285,6 +286,71 @@ class TestParse:
     ])
     def test_first_bad_line_and_check_as_oracle(self, lines):
         assert _outcome(parse_annotations, lines) == _outcome(parse_annotations_loop, lines)
+
+
+def _table_outcome(fn, *args):
+    """fn's table as dtype, shape and bytes (which show signed zeros), or the
+    text of the AnnotationError it raised."""
+    try:
+        out = fn(*args)
+    except AnnotationError as e:
+        return str(e)
+    return out.dtype, out.shape, out.tobytes()
+
+
+_LINE = "1,1,0,0,5,5,1,1,1"
+_LINE2 = "1,2,0.25,3,5,5,0.5,1,1"
+
+
+class TestReadFile:
+    """`read_annotation_file` reads with `np.loadtxt`, and `_parse` is its
+    error path and oracle."""
+
+    # the examples are spellings on which loadtxt and `float` differ, or
+    # loadtxt warns, raises, or reads a shape other than (N, 9)
+    @settings(max_examples=300, deadline=None)
+    @given(annotation_text(), st.sampled_from(list(FieldOrder)))
+    @example("", FieldOrder.paper_order)                                 # empty file
+    @example("\n\n\n", FieldOrder.paper_order)                           # blank lines only
+    @example(f"{_LINE}\n   \n{_LINE2}\n", FieldOrder.paper_order)        # whitespace-only middle
+    @example("1,1,0,0,5,5,1,1\n", FieldOrder.paper_order)                # one 8-field line
+    @example("5\n6\n", FieldOrder.paper_order)                           # one field a line
+    @example(f"{_LINE},\n", FieldOrder.paper_order)                      # trailing comma
+    @example(f"1_0{_LINE[1:]}\n", FieldOrder.standard_order)             # underscore digits
+    @example(f"\u0661{_LINE[1:]}\n", FieldOrder.paper_order)             # Arabic-Indic one
+    @example(f"# c\n{_LINE}\n", FieldOrder.paper_order)                  # comment-like text
+    @example(f"{_LINE[:-1]}nan\n", FieldOrder.paper_order)               # nan
+    @example(f"{_LINE[:-1]}1e999\n", FieldOrder.paper_order)             # overflows to inf
+    @example(f"{_LINE}\r\n{_LINE2}\r\n", FieldOrder.standard_order)      # CRLF
+    @example(f"\ufeff{_LINE}\n", FieldOrder.paper_order)                 # byte order mark
+    @example("\t" + _LINE.replace(",", "\t,\t") + "\t\n", FieldOrder.paper_order)   # tabs
+    def test_equals_parse(self, text, order):
+        # the same table bytes, or the same error text, and no warning
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "ann.txt"
+            path.write_bytes(text.encode("utf-8"))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _table_outcome(motio.read_annotation_file, path, order)
+            with open(path, encoding="utf-8") as f:
+                assert got == _table_outcome(motio._parse, f, order)
+
+    @pytest.mark.parametrize("text", ["", "\n\n\n", "\r\n  \n\t\n"])
+    def test_file_without_data_warns_nothing(self, tmp_path, text):
+        (tmp_path / "ann.txt").write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = motio.read_annotation_file(tmp_path / "ann.txt")
+        assert got.shape == (0, 9) and got.dtype == np.float64
+
+    @pytest.mark.parametrize("order", list(FieldOrder))
+    def test_valid_file_never_reaches_parse(self, tmp_path, order):
+        recs = random_records(np.random.default_rng(2), 600)
+        path = tmp_path / "ann.txt"
+        path.write_text("\n" + "".join(write_annotations(recs, order)), encoding="utf-8")
+        with mock.patch.object(motio, "_parse", side_effect=AssertionError("fell back")):
+            got = motio.read_annotation_file(path, order)
+        assert got.tobytes() == table(recs).tobytes()
 
 
 # -0.0, integers either side of 1e15, two-decimal ties and sizes below 0.005
